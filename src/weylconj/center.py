@@ -17,15 +17,18 @@ enumeration path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Mapping, Sequence
 
 from .integral import essential_family, is_integral, pair_residues
-from .rootsystem import RootSystemSpec
+from .rootsystem import InvariantBreach, RootSystemSpec, exact_div
 
 
 class NotIntegral(ValueError):
     pass
+
+
+class DivisibilityChainBroken(InvariantBreach):
+    """A Smith normal form diagonal entry does not divide the next one."""
 
 
 @dataclass(frozen=True)
@@ -48,17 +51,17 @@ def center_presentation(spec: RootSystemSpec) -> CenterPresentation:
     pairs = tuple(
         (r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)
     )
-    pair_pos = {p: i for i, p in enumerate(pairs)}
+    coeffs = [
+        exact_div(-2, spec.pair_divisor(r, s), f"-2/Delta({r},{s})") for r, s in pairs
+    ]
     family = essential_family(spec)
     rows = []
     for jpos, j in enumerate(family):
         row = [0] * (len(pairs) + len(family))
-        for r, s in pairs:
+        for pos, (r, s) in enumerate(pairs):
             pm = (1 << (r - 1)) | (1 << (s - 1))
             if pm & j == pm:
-                coeff = Fraction(-2, spec.pair_divisor(r, s))
-                assert coeff.denominator == 1
-                row[pair_pos[(r, s)]] = int(coeff)
+                row[pos] = coeffs[pos]
         row[len(pairs) + jpos] = 2
         rows.append(tuple(row))
     return CenterPresentation(nu, pairs, family, tuple(rows))
@@ -148,13 +151,11 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
         dirty = False
         for i in range(t + 1, nrows):
             if a[i][t]:
-                q = round(Fraction(a[i][t], p))
-                add_row(t, i, -q)
+                add_row(t, i, -(a[i][t] // p))
                 dirty = dirty or a[i][t] != 0
         for j in range(t + 1, ncols):
             if a[t][j]:
-                q = round(Fraction(a[t][j], p))
-                add_col(t, j, -q)
+                add_col(t, j, -(a[t][j] // p))
                 dirty = dirty or a[t][j] != 0
         if dirty:
             continue  # remainders shrink the next pivot
@@ -176,7 +177,10 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
 
     diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
     for i in range(len(diag) - 1):
-        assert diag[i + 1] % diag[i] == 0 if diag[i] else diag[i + 1] == 0
+        if diag[i + 1] % diag[i] if diag[i] else diag[i + 1]:
+            raise DivisibilityChainBroken(
+                f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
+            )
     return SmithDecomposition(
         left=tuple(tuple(row) for row in u),
         right=tuple(tuple(row) for row in v),

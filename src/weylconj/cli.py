@@ -5,7 +5,10 @@ Exit codes for `check`: 0 when the presentation by conjugation holds,
 (the three decision paths must agree and the collection count must be a
 power of two; a breach is printed with its witness).  `verify` exits 2
 on any failed matrix identity, `construct` exits 2 if the search comes
-up empty against the existence guarantee.
+up empty against the existence guarantee.  A library invariant that
+breaks (`InvariantBreach`: a non-integral quotient, bad Cartan data, a
+broken Smith divisibility chain) exits 2 with a one-line message from
+every subcommand.
 """
 
 from __future__ import annotations
@@ -21,7 +24,6 @@ from .corpus import classification_pairs
 from .integral import (
     DecisionReport,
     FamilyTooLarge,
-    NotPowerOfTwo,
     SearchExhausted,
     construct_nonminimal,
     count_collections,
@@ -29,6 +31,7 @@ from .integral import (
     minimality_screen,
 )
 from .rootsystem import (
+    InvariantBreach,
     RootSystemSpec,
     SpecValidationError,
     spec_from_json,
@@ -98,9 +101,6 @@ def _cmd_check(args) -> int:
     except FamilyTooLarge as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    except NotPowerOfTwo as exc:
-        print(f"invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     breaches = cross_check(decision, center, reduction)
     elapsed = time.monotonic() - started
     if args.json:
@@ -315,7 +315,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except InvariantBreach as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
 
 
 if __name__ == "__main__":

@@ -1,14 +1,16 @@
-"""Small exact rational matrices: integer entries over a common denominator.
+"""Small exact rational matrices: integer entries over one common denominator.
 
 Built for the reflection representation, where every entry is a rational
-with tiny denominator and products must stay exact.  A matrix is stored
-canonically (denominator positive, gcd of all numerators and the
-denominator equal to 1) so equality and hashing are structural.
+with tiny denominator and products must stay exact.  Arithmetic is
+integer-only: a `Mat` is an integer matrix plus one positive integer
+denominator, stored canonically (gcd of all numerators and the
+denominator equal to 1) so equality and hashing are structural.  One
+fraction-free elimination routine, `row_reduce`, serves both the inverse
+and rank computations.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
 from math import gcd
 from typing import Sequence
 
@@ -39,31 +41,12 @@ class Mat:
     def identity(cls, n: int) -> "Mat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
-    @classmethod
-    def from_fractions(cls, rows: Sequence[Sequence[Fraction]]) -> "Mat":
-        den = 1
-        for row in rows:
-            for x in row:
-                f = Fraction(x)
-                den = den * f.denominator // gcd(den, f.denominator)
-        num = [[int(Fraction(x) * den) for x in row] for row in rows]
-        return cls(num, den)
-
     @property
     def size(self) -> int:
         return len(self.num)
 
-    def frac(self, i: int, j: int) -> Fraction:
-        return Fraction(self.num[i][j], self.den)
-
-    def rows(self) -> list[list[Fraction]]:
-        d = self.den
-        return [[Fraction(x, d) for x in row] for row in self.num]
-
     def __matmul__(self, other: "Mat") -> "Mat":
         a, b = self.num, other.num
-        n = len(a)
-        m = len(b[0])
         kk = len(b)
         bt = list(zip(*b))
         num = [
@@ -88,23 +71,14 @@ class Mat:
         if self._inv is not None:
             return self._inv
         n = self.size
+        rows, pivots = row_reduce(
+            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
+        )
+        if pivots[:n] != list(range(n)):
+            raise ZeroDivisionError("singular matrix")
+        # rows = p [I | num^-1], and (num / den)^-1 = den num^-1
         d = self.den
-        aug = [
-            [Fraction(x, d) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-            for i, row in enumerate(self.num)
-        ]
-        for col in range(n):
-            piv = next((r for r in range(col, n) if aug[r][col]), None)
-            if piv is None:
-                raise ZeroDivisionError("singular matrix")
-            aug[col], aug[piv] = aug[piv], aug[col]
-            p = aug[col][col]
-            aug[col] = [x / p for x in aug[col]]
-            for r in range(n):
-                if r != col and aug[r][col]:
-                    c = aug[r][col]
-                    aug[r] = [x - c * y for x, y in zip(aug[r], aug[col])]
-        out = Mat.from_fractions([row[n:] for row in aug])
+        out = Mat([[d * x for x in row[n:]] for row in rows], rows[0][0])
         self._inv = out
         out._inv = self
         return out
@@ -131,6 +105,37 @@ class Mat:
 
     def __repr__(self) -> str:
         return f"Mat({self.num!r}, den={self.den})"
+
+
+def row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
+    """Gauss-Jordan elimination of an integer matrix in integers only, in place.
+
+    Bareiss's one-step scheme (Math. Comp. 22, 1968) applied to every row
+    other than the pivot row: each update divides exactly by the previous
+    pivot, so all entries stay integers.  On return the rows are p times
+    the reduced row echelon form, p being the last pivot, and the pivot
+    columns are returned alongside; their number is the rank.
+    """
+    pivots: list[int] = []
+    prev = 1
+    ncols = len(rows[0]) if rows else 0
+    for col in range(ncols):
+        top = len(pivots)
+        if top == len(rows):
+            break
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        prow = rows[top]
+        p = prow[col]
+        for r, row in enumerate(rows):
+            if r != top:
+                c = row[col]
+                rows[r] = [(p * x - c * y) // prev for x, y in zip(row, prow)]
+        prev = p
+        pivots.append(col)
+    return rows, pivots
 
 
 def commutator(x: Mat, y: Mat) -> Mat:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .semilattice import Semilattice, elems_of, enumerate_semilattices
-from .rootsystem import RootSystemSpec, make_spec
+from .rootsystem import InvariantBreach, RootSystemSpec, make_spec
 
 MAX_FAMILY = 24
 WITNESS_CAP = 16
@@ -29,7 +29,7 @@ class FamilyTooLarge(ValueError):
     pass
 
 
-class NotPowerOfTwo(RuntimeError):
+class NotPowerOfTwo(InvariantBreach):
     """Enumeration produced a count that is not a power of two: an implementation bug."""
 
 
@@ -58,6 +58,24 @@ def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
 
 def _pair_mask(r: int, s: int) -> int:
     return (1 << (r - 1)) | (1 << (s - 1))
+
+
+def _parity_constraints(
+    family: Sequence[int], dim: int, divisor: Callable[[int, int], int]
+) -> list[int]:
+    """One mask per pair r < s with divisor 2: the family positions containing the pair."""
+    constraints = []
+    for r in range(1, dim + 1):
+        for s in range(r + 1, dim + 1):
+            if divisor(r, s) == 1:
+                continue
+            pm = _pair_mask(r, s)
+            posmask = 0
+            for pos, j in enumerate(family):
+                if pm & j == pm:
+                    posmask |= 1 << pos
+            constraints.append(posmask)
+    return constraints
 
 
 def pair_residues(
@@ -89,19 +107,7 @@ def integral_collections(spec: RootSystemSpec) -> Iterator[dict[int, int]]:
         raise FamilyTooLarge(
             f"|family| = {len(family)} exceeds the enumeration guard {MAX_FAMILY}"
         )
-    # precompute, per constrained pair, the mask of family positions containing it
-    constraints = []
-    for r in range(1, spec.nullity + 1):
-        for s in range(r + 1, spec.nullity + 1):
-            delta = spec.pair_divisor(r, s)
-            if delta == 1:
-                continue
-            pm = _pair_mask(r, s)
-            posmask = 0
-            for pos, j in enumerate(family):
-                if pm & j == pm:
-                    posmask |= 1 << pos
-            constraints.append(posmask)
+    constraints = _parity_constraints(family, spec.nullity, spec.pair_divisor)
     for bits in range(1 << len(family)):
         if all((bits & c).bit_count() % 2 == 0 for c in constraints):
             yield {j: bits >> pos & 1 for pos, j in enumerate(family)}
@@ -167,17 +173,7 @@ def semilattice_collection_count(s: Semilattice) -> int:
     family = sorted(s.essential_supp())
     if len(family) > MAX_FAMILY:
         raise FamilyTooLarge(f"|family| = {len(family)}")
-    constraints = []
-    for r in range(1, s.dim + 1):
-        for t in range(r + 1, s.dim + 1):
-            if s.pair_divisor(r, t) == 1:
-                continue
-            pm = _pair_mask(r, t)
-            posmask = 0
-            for pos, j in enumerate(family):
-                if pm & j == pm:
-                    posmask |= 1 << pos
-            constraints.append(posmask)
+    constraints = _parity_constraints(family, s.dim, s.pair_divisor)
     return sum(
         1
         for bits in range(1 << len(family))

@@ -8,7 +8,12 @@ makes every pairing (alpha, beta^vee) an integer.  The simple roots are
 ordered so that alpha_1 is short, alpha_2 is long and the two are
 non-orthogonal; the remaining simple roots follow the chain.  Nothing
 downstream depends on the realisation beyond Gram pairings and the
-short/long sets, so alternative realisations can be substituted.
+short/long sets, so alternative realisations (with integer coordinates)
+can be substituted.
+
+Arithmetic is integer-only: coordinates, pairings and Cartan numbers are
+ints, and every quotient the construction guarantees integral goes
+through `exact_div`, which raises `IntegralityViolation` otherwise.
 
 An extended affine system R(X, S1, S2) of rank l, nullity nu and twist t
 consists of the vectors
@@ -23,7 +28,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
@@ -58,27 +62,36 @@ class IndexRange(SpecValidationError):
     pass
 
 
-class IntegralityViolation(RuntimeError):
+class InvariantBreach(RuntimeError):
+    """An invariant the construction guarantees failed; the message names the witness."""
+
+
+class IntegralityViolation(InvariantBreach):
     """A coefficient the construction guarantees integral came out fractional."""
 
 
-Vec = tuple  # coordinate tuple, entries int or Fraction
+class CartanDataError(InvariantBreach):
+    """The Cartan data do not define the expected finite root system."""
 
 
-def _pairing(gram: Sequence[Sequence[int]], u: Vec, v: Vec) -> Fraction:
-    total = Fraction(0)
+Vec = tuple  # integer coordinate tuple
+
+
+def exact_div(num: int, den: int, what: str) -> int:
+    """num / den for a quotient the construction guarantees integral."""
+    q, rem = divmod(num, den)
+    if rem:
+        raise IntegralityViolation(f"{what} = {num}/{den} is not an integer")
+    return q
+
+
+def _pairing(gram: Sequence[Sequence[int]], u: Vec, v: Vec) -> int:
+    total = 0
     for i, ui in enumerate(u):
         if ui:
             row = gram[i]
             total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
     return total
-
-
-def _as_int(x: Fraction, what: str) -> int:
-    x = Fraction(x)
-    if x.denominator != 1:
-        raise IntegralityViolation(f"{what} = {x} is not an integer")
-    return x.numerator
 
 
 def _vec_add(u: Vec, v: Vec) -> Vec:
@@ -109,12 +122,14 @@ class FiniteRoots:
     def theta2(self) -> Vec:
         return self.simple[1]
 
-    def pairing(self, u: Vec, v: Vec) -> Fraction:
+    def pairing(self, u: Vec, v: Vec) -> int:
         return _pairing(self.gram, u, v)
 
     def cartan(self, u: Vec, v: Vec) -> int:
         """(u, v^vee) for a non-isotropic v; integral whenever u, v are roots."""
-        return _as_int(2 * self.pairing(u, v) / self.pairing(v, v), "cartan pairing")
+        return exact_div(
+            2 * self.pairing(u, v), self.pairing(v, v), f"({u}, {v}^vee)"
+        )
 
     def is_root(self, v: Vec) -> bool:
         return v in self.short_roots or v in self.long_roots
@@ -175,8 +190,12 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         tuple(cartan[i][j] * d[j] for j in range(rank)) for i in range(rank)
     )
     for i in range(rank):
-        for j in range(rank):
-            assert gram[i][j] == gram[j][i], "Cartan data must symmetrise"
+        for j in range(i):
+            if gram[i][j] != gram[j][i]:
+                raise CartanDataError(
+                    f"Cartan data of {family}{rank} do not symmetrise at "
+                    f"({i + 1}, {j + 1}): {gram[i][j]} != {gram[j][i]}"
+                )
 
     simple = tuple(
         tuple(1 if j == i else 0 for j in range(rank)) for i in range(rank)
@@ -189,8 +208,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         for beta in frontier:
             for i in range(rank):
                 c = sum(beta[j] * gram[j][i] for j in range(rank))
-                q, rem = divmod(c, d[i])
-                assert rem == 0, "non-integral Cartan pairing during closure"
+                q = exact_div(c, d[i], f"({beta}, alpha_{i + 1}^vee)")
                 img = list(beta)
                 img[i] -= q
                 img_t = tuple(img)
@@ -199,7 +217,9 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
                     nxt.append(img_t)
         frontier = nxt
         if len(roots) > cap:  # pragma: no cover - malformed Cartan data only
-            raise RuntimeError("reflection closure did not terminate")
+            raise CartanDataError(
+                f"reflection closure of {family}{rank} exceeds {cap} roots"
+            )
 
     k = 3 if family == "G2" else 2
     short, long_ = set(), set()
@@ -210,7 +230,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         elif sq == 2 * k:
             long_.add(v)
         else:  # pragma: no cover
-            raise RuntimeError(f"unexpected root length {sq} for {v}")
+            raise CartanDataError(f"unexpected root length {sq} for {v}")
     fr = FiniteRoots(
         family=family,
         rank=rank,
@@ -220,8 +240,16 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         gram=gram,
         k=k,
     )
-    assert fr.theta1 in fr.short_roots and fr.theta2 in fr.long_roots
-    assert fr.pairing(fr.theta1, fr.theta2) != 0
+    if fr.theta1 not in fr.short_roots or fr.theta2 not in fr.long_roots:
+        raise CartanDataError(
+            f"{family}{rank}: need alpha_1 = {fr.theta1} short and "
+            f"alpha_2 = {fr.theta2} long"
+        )
+    if fr.pairing(fr.theta1, fr.theta2) == 0:
+        raise CartanDataError(
+            f"{family}{rank}: alpha_1 = {fr.theta1} and alpha_2 = {fr.theta2} "
+            "are orthogonal"
+        )
     return fr
 
 
@@ -326,10 +354,12 @@ def make_spec(
 
 def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
     """Exponent a_{i,j}(r) in the conjugation relation w_i t_{j,r} w_i = t_{j,r} t_{i,r}^-a."""
-    value = Fraction(spec.translation_step(j, r), spec.translation_step(i, r)) * (
-        spec.roots.cartan(spec.roots.simple[i - 1], spec.roots.simple[j - 1])
+    cartan = spec.roots.cartan(spec.roots.simple[i - 1], spec.roots.simple[j - 1])
+    return exact_div(
+        spec.translation_step(j, r) * cartan,
+        spec.translation_step(i, r),
+        f"a_({i},{j})({r})",
     )
-    return _as_int(value, f"a_({i},{j})({r})")
 
 
 def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> int:
@@ -339,14 +369,12 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
     fr = spec.roots
     ai = fr.simple[i - 1]
     aj = fr.simple[j - 1]
-    covee = 4 * fr.pairing(ai, aj) / (fr.pairing(ai, ai) * fr.pairing(aj, aj))
-    value = (
-        Fraction(fr.k, spec.k_r(r))
-        * spec.translation_step(i, r)
-        * spec.translation_step(j, s)
-        * covee
+    out = exact_div(
+        4 * fr.k * spec.translation_step(i, r) * spec.translation_step(j, s)
+        * fr.pairing(ai, aj),
+        spec.k_r(r) * fr.pairing(ai, ai) * fr.pairing(aj, aj),
+        f"a_({i},{j})({r},{s})",
     )
-    out = _as_int(value, f"a_({i},{j})({r},{s})")
     if r < s and out % spec.pair_divisor(r, s):
         raise IntegralityViolation(
             f"Delta({r},{s}) does not divide a_({i},{j})({r},{s}) = {out}"
@@ -398,7 +426,8 @@ def root_class(spec: RootSystemSpec, root: Root) -> RootClass:
     return classify_vector(spec, root.finite, root.iso)
 
 
-def _sigma(spec: RootSystemSpec, r: int, coeff: int = 1) -> tuple[int, ...]:
+def sigma_vec(spec: RootSystemSpec, r: int, coeff: int = 1) -> tuple[int, ...]:
+    """Isotropic coordinates of coeff * sigma_r."""
     return tuple(coeff if q == r - 1 else 0 for q in range(spec.nullity))
 
 
@@ -422,13 +451,13 @@ def generating_roots(spec: RootSystemSpec) -> list[Root]:
         raw += [Root(th2, _tau(spec, m << t)) for m in sorted(spec.s2.supp)]
     elif spec.family == "B":
         raw += [Root(th1, _tau(spec, m)) for m in sorted(spec.s1.supp)]
-        raw += [Root(th2, _sigma(spec, r)) for r in range(t + 1, nu + 1)]
+        raw += [Root(th2, sigma_vec(spec, r)) for r in range(t + 1, nu + 1)]
     elif spec.family == "C":
-        raw += [Root(th1, _sigma(spec, r)) for r in range(1, t + 1)]
+        raw += [Root(th1, sigma_vec(spec, r)) for r in range(1, t + 1)]
         raw += [Root(th2, _tau(spec, m << t)) for m in sorted(spec.s2.supp)]
     else:  # F4, G2
-        raw += [Root(th1, _sigma(spec, r)) for r in range(1, t + 1)]
-        raw += [Root(th2, _sigma(spec, s)) for s in range(t + 1, nu + 1)]
+        raw += [Root(th1, sigma_vec(spec, r)) for r in range(1, t + 1)]
+        raw += [Root(th2, sigma_vec(spec, s)) for s in range(t + 1, nu + 1)]
     out: list[Root] = []
     seen = set()
     for root in raw:
@@ -442,21 +471,43 @@ def generating_roots(spec: RootSystemSpec) -> list[Root]:
     return out
 
 
+def _json_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    if type(value) is not int:  # also rejects bool, a subclass of int
+        raise SpecValidationError(f"{key} must be an integer, got {value!r}")
+    return value
+
+
+def _json_class(doc: dict, key: str) -> list[list[int]]:
+    value = doc[key]
+    if not (
+        isinstance(value, list)
+        and all(
+            isinstance(sub, list) and all(type(c) is int for c in sub)
+            for sub in value
+        )
+    ):
+        raise SpecValidationError(f"{key} must be a list of integer lists")
+    return value
+
+
 def spec_from_json(doc: dict) -> RootSystemSpec:
     """Build a spec from the JSON document form.
 
     Schema: {"type": "B"|"C"|"F4"|"G2", "rank": l, "nullity": nu,
     "twist": t, "supp1": [[...]], "supp2": [[...]]}; supp2 uses local
-    indices 1..nu-t.  An optional "label" is ignored here.
+    indices 1..nu-t.  An optional "label" is ignored here.  The numbers
+    must be JSON integers (not booleans, not floats) and each supporting
+    class a list of integer lists; nothing is coerced.
     """
     try:
         family = doc["type"]
-        rank = int(doc["rank"])
-        nullity = int(doc["nullity"])
-        twist = int(doc["twist"])
-        supp1 = doc["supp1"]
-        supp2 = doc["supp2"]
-    except (KeyError, TypeError, ValueError) as exc:
+        rank = _json_int(doc, "rank")
+        nullity = _json_int(doc, "nullity")
+        twist = _json_int(doc, "twist")
+        supp1 = _json_class(doc, "supp1")
+        supp2 = _json_class(doc, "supp2")
+    except (KeyError, TypeError) as exc:
         raise SpecValidationError(f"malformed spec document: {exc}") from exc
     s1 = make_semilattice(twist, supp1)
     s2 = make_semilattice(nullity - twist, supp2)

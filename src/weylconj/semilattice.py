@@ -154,10 +154,6 @@ def make_semilattice(dim: int, subsets: Iterable[Iterable[int]]) -> Semilattice:
     return Semilattice(dim, masks)
 
 
-def semilattice_from_masks(dim: int, masks: Iterable[int]) -> Semilattice:
-    return make_semilattice(dim, (elems_of(m) for m in masks))
-
-
 def _permuted_mask(mask: int, perm: Sequence[int]) -> int:
     out = 0
     while mask:

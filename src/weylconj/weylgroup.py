@@ -3,9 +3,10 @@
 The ambient space is the finite realisation extended by the isotropic
 directions sigma_1..sigma_nu and a dual copy lambda_1..lambda_nu with
 (sigma_r, lambda_s) = delta_rs; reflections then act faithfully enough
-to separate the translation and central parts.  Everything is exact
-rational arithmetic, so each identity below is checked with zero
-tolerance.
+to separate the translation and central parts.  Arithmetic is
+integer-only: roots have integer coordinates, every Cartan number is an
+integer, and each matrix is a `Mat`, integers over one denominator, so
+each identity below is checked with zero tolerance.
 
 The verifiers exercise, as matrix identities, the relations the
 presented group imposes on its distinguished generators: the conjugation
@@ -19,11 +20,10 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Sequence
 
-from .exactmat import Mat, commutator
+from .exactmat import Mat, commutator, row_reduce
 from .rootsystem import (
     Root,
     RootClass,
@@ -32,6 +32,7 @@ from .rootsystem import (
     conj_exponent,
     generating_roots,
     root_class,
+    sigma_vec,
 )
 from .semilattice import elems_of
 
@@ -85,28 +86,15 @@ def reflection(spec: RootSystemSpec, root: Root) -> Mat:
     n = len(alpha)
     galpha = [sum(gram[c][d] * alpha[d] for d in range(n) if alpha[d]) for c in range(n)]
     aa = sum(alpha[c] * galpha[c] for c in range(n) if alpha[c])
-    if all(isinstance(x, int) for x in alpha):
-        num = [
-            [aa * (r == c) - 2 * alpha[r] * galpha[c] for c in range(n)]
-            for r in range(n)
-        ]
-        return Mat(num, aa)
-    rows = [
-        [
-            Fraction(int(r == c)) - Fraction(2 * alpha[r] * galpha[c], 1) / aa
-            for c in range(n)
-        ]
+    num = [
+        [aa * (r == c) - 2 * alpha[r] * galpha[c] for c in range(n)]
         for r in range(n)
     ]
-    return Mat.from_fractions(rows)
+    return Mat(num, aa)
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
     return Root(root.finite, tuple(a + b for a, b in zip(root.iso, delta)))
-
-
-def _sigma_vec(spec: RootSystemSpec, r: int, coeff: int = 1) -> tuple[int, ...]:
-    return tuple(coeff if q == r - 1 else 0 for q in range(spec.nullity))
 
 
 def is_root(spec: RootSystemSpec, root: Root) -> bool:
@@ -123,7 +111,7 @@ def translation(spec: RootSystemSpec, i: int, r: int) -> Mat:
     """t_{i,r}: the basic translation along sigma_r attached to the i-th simple root."""
     base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
     return translation_element(
-        spec, base, _sigma_vec(spec, r, spec.translation_step(i, r))
+        spec, base, sigma_vec(spec, r, spec.translation_step(i, r))
     )
 
 
@@ -139,7 +127,7 @@ def central_word(spec: RootSystemSpec, side: int, mask: int) -> Mat:
     tau = tuple(-(mask >> q & 1) for q in range(spec.nullity))
     word = translation_element(spec, theta, tau)
     for r in elems_of(mask):
-        word = word @ translation_element(spec, theta, _sigma_vec(spec, r))
+        word = word @ translation_element(spec, theta, sigma_vec(spec, r))
     return word
 
 
@@ -168,22 +156,22 @@ def central_image(
         if pair_mask in spec.s1.supp:
             return _pair_word(spec, alpha, r, s)
         return commutator(
-            translation_element(spec, alpha, _sigma_vec(spec, r)),
-            translation_element(spec, alpha, _sigma_vec(spec, s)),
+            translation_element(spec, alpha, sigma_vec(spec, r)),
+            translation_element(spec, alpha, sigma_vec(spec, s)),
         )
     if r > t:
         if (pair_mask >> t) in spec.s2.supp:
             return _pair_word(spec, beta, r, s)
         return commutator(
-            translation_element(spec, beta, _sigma_vec(spec, r)),
-            translation_element(spec, beta, _sigma_vec(spec, s)),
+            translation_element(spec, beta, sigma_vec(spec, r)),
+            translation_element(spec, beta, sigma_vec(spec, s)),
         )
     fr = spec.roots
     if fr.pairing(alpha.finite, beta.finite) >= 0:
         raise ValueError("mixed-pair bases must pair negatively")
     return commutator(
-        translation_element(spec, beta, _sigma_vec(spec, s)),
-        translation_element(spec, alpha, _sigma_vec(spec, r)),
+        translation_element(spec, beta, sigma_vec(spec, s)),
+        translation_element(spec, alpha, sigma_vec(spec, r)),
     )
 
 
@@ -191,8 +179,8 @@ def _pair_word(spec: RootSystemSpec, base: Root, r: int, s: int) -> Mat:
     tau = tuple(-1 if q in (r - 1, s - 1) else 0 for q in range(spec.nullity))
     return (
         translation_element(spec, base, tau)
-        @ translation_element(spec, base, _sigma_vec(spec, r))
-        @ translation_element(spec, base, _sigma_vec(spec, s))
+        @ translation_element(spec, base, sigma_vec(spec, r))
+        @ translation_element(spec, base, sigma_vec(spec, s))
     )
 
 
@@ -315,14 +303,14 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
         base = Root(spec.roots.simple[i - 1], zero)
         for r in range(1, nu + 1):
             step = spec.translation_step(i, r)
-            tmat = translation_element(spec, base, _sigma_vec(spec, r, step))
+            tmat = translation_element(spec, base, sigma_vec(spec, r, step))
             acc = Mat.identity(ambient_dim(spec))
             for n in range(1, 4):
                 acc = acc @ tmat
-                direct = translation_element(spec, base, _sigma_vec(spec, r, n * step))
+                direct = translation_element(spec, base, sigma_vec(spec, r, n * step))
                 items.append(CheckItem("power", (i, r, n), acc == direct))
                 inv_direct = translation_element(
-                    spec, base, _sigma_vec(spec, r, -n * step)
+                    spec, base, sigma_vec(spec, r, -n * step)
                 )
                 items.append(
                     CheckItem("power", (i, r, -n), acc.inv() == inv_direct)
@@ -333,10 +321,10 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
         base = Root(spec.roots.simple[i - 1], zero)
         for r in range(1, nu + 1):
             step = spec.translation_step(i, r)
-            sigma = _sigma_vec(spec, r, step)
+            sigma = sigma_vec(spec, r, step)
             ref = translation_element(spec, base, sigma)
             for n in (-2, -1, 1, 2):
-                shifted = _add_iso(base, _sigma_vec(spec, r, n * step))
+                shifted = _add_iso(base, sigma_vec(spec, r, n * step))
                 items.append(
                     CheckItem(
                         "base-shift",
@@ -349,7 +337,7 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
                 CheckItem(
                     "negation",
                     (i, r),
-                    translation_element(spec, base, _sigma_vec(spec, r, -step))
+                    translation_element(spec, base, sigma_vec(spec, r, -step))
                     == translation_element(spec, neg, sigma),
                 )
             )
@@ -362,8 +350,8 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
             for s in range(1, nu + 1):
                 if r == s:
                     continue
-                sig = _sigma_vec(spec, r, spec.translation_step(i, r))
-                del_ = _sigma_vec(spec, s, spec.translation_step(i, s))
+                sig = sigma_vec(spec, r, spec.translation_step(i, r))
+                del_ = sigma_vec(spec, s, spec.translation_step(i, s))
                 needed = [
                     _add_iso(alpha, sig),
                     _add_iso(alpha, del_),
@@ -390,10 +378,10 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
             for s in range(r + 1, nu + 1):
                 com = commutator(
                     translation_element(
-                        spec, a, _sigma_vec(spec, r, spec.translation_step(si, r))
+                        spec, a, sigma_vec(spec, r, spec.translation_step(si, r))
                     ),
                     translation_element(
-                        spec, b, _sigma_vec(spec, s, spec.translation_step(sj, s))
+                        spec, b, sigma_vec(spec, s, spec.translation_step(sj, s))
                     ),
                 )
                 items.append(
@@ -411,8 +399,8 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
             for s in range(1, nu + 1):
                 if r == s:
                     continue
-                sig = _sigma_vec(spec, r, spec.translation_step(i, r))
-                del_ = _sigma_vec(spec, s, spec.translation_step(i, s))
+                sig = sigma_vec(spec, r, spec.translation_step(i, r))
+                del_ = sigma_vec(spec, s, spec.translation_step(i, s))
                 shifted = _add_iso(alpha, sig)
                 if not (
                     is_root(spec, shifted)
@@ -510,20 +498,17 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     nu = spec.nullity
     slack = height_bound + 2
     gens = generating_roots(spec)
-    gen_data = [
-        (g, fr.pairing(g.finite, g.finite)) for g in gens
-    ]
+    finite_parts = sorted(fr.short_roots) + sorted(fr.long_roots)
+    # (x, g^vee) depends only on the finite parts: one integer per pair
+    cartan = {v: [fr.cartan(v, g.finite) for g in gens] for v in finite_parts}
     visited: set[Root] = set(gens)
     frontier = list(gens)
     while frontier:
         nxt = []
         for x in frontier:
-            for g, gg in gen_data:
-                cfrac = 2 * fr.pairing(x.finite, g.finite) / gg
-                if cfrac == 0:
+            for g, c in zip(gens, cartan[x.finite]):
+                if c == 0:
                     continue
-                assert cfrac.denominator == 1
-                c = cfrac.numerator
                 img = Root(
                     tuple(a - c * b for a, b in zip(x.finite, g.finite)),
                     tuple(a - c * b for a, b in zip(x.iso, g.iso)),
@@ -534,7 +519,6 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
         frontier = nxt
 
     target = []
-    finite_parts = sorted(fr.short_roots) + sorted(fr.long_roots)
     for finite in finite_parts:
         for iso in itertools.product(range(-height_bound, height_bound + 1), repeat=nu):
             root = Root(finite, iso)
@@ -572,34 +556,14 @@ class FreenessReport:
         }
 
 
-def _frac_rank(rows: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    for col in range(cols):
-        piv = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
-        if piv is None:
-            continue
-        rows[rank], rows[piv] = rows[piv], rows[rank]
-        p = rows[rank][col]
-        rows[rank] = [x / p for x in rows[rank]]
-        for r in range(len(rows)):
-            if r != rank and rows[r][col]:
-                c = rows[r][col]
-                rows[r] = [x - c * y for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-        if rank == len(rows):
-            break
-    return rank
-
-
 def verify_center_freeness(spec: RootSystemSpec, exponent_bound: int = 2) -> FreenessReport:
     """No bounded non-trivial product of the z_{r,s} images is the identity.
 
     The displacement parts z - 1 are checked linearly independent and
     mutually annihilating, which settles the claim for every exponent
     vector; a direct product sweep over the bounded grid double-checks
-    small cases.
+    small cases.  For z = num / den the displacement is scaled to the
+    integer matrix num - den * 1, which changes neither test.
     """
     _guard(spec)
     nu = spec.nullity
@@ -609,19 +573,17 @@ def verify_center_freeness(spec: RootSystemSpec, exponent_bound: int = 2) -> Fre
     if not pairs:
         return FreenessReport(0, True, True, 0, [])
     disp = [
-        [z.frac(i, j) - int(i == j) for i in range(n) for j in range(n)]
+        Mat([
+            [x - z.den * (i == j) for j, x in enumerate(row)]
+            for i, row in enumerate(z.num)
+        ])
         for z in zs
     ]
-    independent = _frac_rank(disp) == len(pairs)
-    products_vanish = True
-    for za in zs:
-        for zb in zs:
-            prod = za @ zb
-            for i in range(n):
-                for j in range(n):
-                    lhs = prod.frac(i, j) + int(i == j)
-                    if lhs != za.frac(i, j) + zb.frac(i, j):
-                        products_vanish = False
+    _, pivots = row_reduce([[x for row in d.num for x in row] for d in disp])
+    independent = len(pivots) == len(pairs)
+    products_vanish = all(
+        not any(map(any, (da @ db).num)) for da in disp for db in disp
+    )
     grid_failures: list[tuple[int, ...]] = []
     grid_checked = 0
     span = 2 * exponent_bound + 1

@@ -2,15 +2,20 @@
 
 import json
 
-from weylconj.center import CenterStructure
+import pytest
+
+from weylconj import cli
+from weylconj.center import CenterStructure, DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
+    EXIT_INVARIANT,
     EXIT_NO_PBC,
     EXIT_OK,
     cross_check,
     main,
 )
 from weylconj.integral import DecisionReport
+from weylconj.rootsystem import CartanDataError, IntegralityViolation
 
 F4_DOC = {
     "type": "F4", "rank": 4, "nullity": 3, "twist": 1,
@@ -31,6 +36,51 @@ def write(tmp_path, doc, name="spec.json"):
     path = tmp_path / name
     path.write_text(json.dumps(doc))
     return str(path)
+
+
+NOT_COERCED = {
+    "float rank": {**B3_LATTICE_DOC, "rank": 3.7},
+    "bool rank": {**B3_LATTICE_DOC, "rank": True},
+    "float nullity": {**B3_LATTICE_DOC, "nullity": 3.0},
+    "string class": {**B3_LATTICE_DOC, "supp1": "ab"},
+    "float coordinate": {
+        **B3_LATTICE_DOC,
+        "supp1": [[], [1.0], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]],
+    },
+}
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("doc", NOT_COERCED.values(), ids=NOT_COERCED.keys())
+def test_malformed_spec_is_one_line_input_error(tmp_path, capsys, command, doc):
+    assert main([command, write(tmp_path, doc)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "breach",
+    [
+        IntegralityViolation("a_(1,2)(1) = 3/2 is not an integer"),
+        CartanDataError("B3: alpha_1 = (1, 0, 0) and alpha_2 = (0, 1, 0) are orthogonal"),
+        DivisibilityChainBroken("d_1 = 2 does not divide d_2 = 3"),
+    ],
+    ids=lambda exc: type(exc).__name__,
+)
+@pytest.mark.parametrize(
+    "command,target", [("check", "center_structure"), ("verify", "verify_center_freeness")]
+)
+def test_invariant_breach_is_one_line_exit_2(
+    tmp_path, capsys, monkeypatch, breach, command, target
+):
+    def broken(*args, **kwargs):
+        raise breach
+
+    monkeypatch.setattr(cli, target, broken)
+    assert main([command, write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"invariant breach: {breach}"]
 
 
 class TestCheck:

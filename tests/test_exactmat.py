@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylconj.exactmat import Mat, commutator
+from weylconj.exactmat import Mat, commutator, row_reduce
 
 
 class TestCanonical:
@@ -22,10 +22,6 @@ class TestCanonical:
         a = Mat([[2, 0], [0, 2]], den=4)
         b = Mat([[1, 0], [0, 1]], den=2)
         assert a == b and hash(a) == hash(b)
-
-    def test_from_fractions(self):
-        m = Mat.from_fractions([[Fraction(1, 2), Fraction(1, 3)]])
-        assert m.num == ((3, 2),) and m.den == 6
 
 
 class TestArithmetic:
@@ -67,7 +63,62 @@ def test_product_matches_fraction_arithmetic(a, b):
     ma = Mat(a[0], a[1])
     mb = Mat(b[0], b[1])
     prod = ma @ mb
+    def frac(m, i, j):
+        return Fraction(m.num[i][j], m.den)
+
     for i in range(2):
         for j in range(2):
-            expected = sum(ma.frac(i, k) * mb.frac(k, j) for k in range(2))
-            assert prod.frac(i, j) == expected
+            expected = sum(frac(ma, i, k) * frac(mb, k, j) for k in range(2))
+            assert frac(prod, i, j) == expected
+
+
+def fraction_rref(rows):
+    """Reference: Gauss-Jordan over the rationals; (reduced rows, pivot columns)."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    pivots = []
+    for col in range(len(rows[0]) if rows else 0):
+        top = len(pivots)
+        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
+        if piv is None:
+            continue
+        rows[top], rows[piv] = rows[piv], rows[top]
+        rows[top] = [x / rows[top][col] for x in rows[top]]
+        for r in range(len(rows)):
+            if r != top and rows[r][col]:
+                c = rows[r][col]
+                rows[r] = [x - c * y for x, y in zip(rows[r], rows[top])]
+        pivots.append(col)
+    return rows[: len(pivots)], pivots
+
+
+entry = st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 7])
+small_matrix = st.integers(1, 5).flatmap(
+    lambda ncols: st.lists(
+        st.lists(entry, min_size=ncols, max_size=ncols), min_size=1, max_size=5
+    )
+)
+square_matrix = st.integers(1, 5).flatmap(
+    lambda n: st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+@given(small_matrix)
+@settings(max_examples=300, deadline=None)
+def test_row_reduce_matches_rational_elimination(rows):
+    got, pivots = row_reduce([list(row) for row in rows])
+    ref, ref_pivots = fraction_rref(rows)
+    assert pivots == ref_pivots
+    for row, ref_row in zip(got, ref):
+        assert [Fraction(x, got[0][pivots[0]]) for x in row] == ref_row
+
+
+@given(square_matrix, st.integers(1, 4))
+@settings(max_examples=300, deadline=None)
+def test_inverse_matches_rational_elimination(rows, den):
+    m = Mat(rows, den)
+    n = len(rows)
+    if len(fraction_rref(rows)[1]) < n:
+        with pytest.raises(ZeroDivisionError):
+            m.inv()
+    else:
+        assert m.inv() @ m == Mat.identity(n) == m @ m.inv()

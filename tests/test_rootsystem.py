@@ -5,8 +5,11 @@ from fractions import Fraction
 
 import pytest
 
+from weylconj import rootsystem
 from weylconj.rootsystem import (
+    CartanDataError,
     IndexRange,
+    IntegralityViolation,
     LatticeRequired,
     RankOutOfRange,
     Root,
@@ -16,6 +19,7 @@ from weylconj.rootsystem import (
     classify_vector,
     commutator_coeff,
     conj_exponent,
+    exact_div,
     finite_roots,
     generating_roots,
     make_spec,
@@ -125,6 +129,23 @@ class TestFiniteRoots:
             finite_roots("C", 2)
         with pytest.raises(RankOutOfRange):
             finite_roots("G2", 3)
+
+    def test_asymmetric_cartan_data_names_the_entry(self, monkeypatch):
+        monkeypatch.setattr(
+            rootsystem, "_chain_data", lambda family, rank: ([1, 1], {(1, 2): (-1, -2)})
+        )
+        with pytest.raises(CartanDataError, match=r"at \(2, 1\): -2 != -1"):
+            finite_roots.__wrapped__("B", 2)
+
+    def test_orthogonal_distinguished_roots_named(self, monkeypatch):
+        monkeypatch.setattr(rootsystem, "_chain_data", lambda family, rank: ([1, 2], {}))
+        with pytest.raises(CartanDataError, match=r"\(0, 1\) are orthogonal"):
+            finite_roots.__wrapped__("B", 2)
+
+    def test_exact_div(self):
+        assert exact_div(-6, 3, "q") == -2
+        with pytest.raises(IntegralityViolation, match="q = 3/2 is not an integer"):
+            exact_div(3, 2, "q")
 
 
 class TestSpecValidation:

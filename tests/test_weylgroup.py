@@ -1,5 +1,7 @@
 """Exact matrix checks for reflections, translations and central elements."""
 
+from fractions import Fraction
+
 import pytest
 
 from weylconj.exactmat import Mat, commutator
@@ -38,8 +40,10 @@ def spec_b2_mixed():
 
 
 def apply_mat(m: Mat, vec):
-    rows = m.rows()
-    return tuple(sum(row[j] * vec[j] for j in range(len(vec))) for row in rows)
+    return tuple(
+        Fraction(sum(row[j] * vec[j] for j in range(len(vec))), m.den)
+        for row in m.num
+    )
 
 
 def embed(spec, root: Root):
