@@ -8,7 +8,9 @@ on any failed matrix identity, `construct` exits 2 if the search comes
 up empty against the existence guarantee.  A library invariant that
 breaks (`InvariantBreach`: a non-integral quotient, bad Cartan data, a
 broken Smith divisibility chain) exits 2 with a one-line message from
-every subcommand.
+every subcommand.  A command-line usage error (unknown subcommand, a
+non-integer or negative count) exits 1 with one `error:` line, so 2
+always means a broken invariant.
 """
 
 from __future__ import annotations
@@ -271,8 +273,29 @@ def _cmd_construct(args) -> int:
     return EXIT_OK
 
 
+class _UsageError(Exception):
+    """A malformed command line; `main` reports it as an input error."""
+
+
+class _Parser(argparse.ArgumentParser):
+    # argparse's own handler prints the usage and exits 2, which is
+    # EXIT_INVARIANT here; subparsers inherit this class.
+    def error(self, message: str):
+        raise _UsageError(message)
+
+
+def _non_negative_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="weylconj",
         description="Decide the presentation by conjugation for extended affine Weyl groups",
     )
@@ -282,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide one spec file")
     p_check.add_argument("spec", help="JSON spec document")
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--max-witnesses", type=int, default=16)
+    p_check.add_argument("--max-witnesses", type=_non_negative_int, default=16)
     p_check.set_defaults(func=_cmd_check)
 
     p_cls = sub.add_parser("classify", help="sweep all semilattice pairs for a slice")
@@ -297,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_ver = sub.add_parser("verify", help="run the matrix identity suite on a spec")
     p_ver.add_argument("spec")
-    p_ver.add_argument("--height", type=int, default=1,
+    p_ver.add_argument("--height", type=_non_negative_int, default=1,
                        help="isotropic box bound for the orbit cover")
     p_ver.add_argument("--json", action="store_true")
     p_ver.set_defaults(func=_cmd_verify)
@@ -314,7 +337,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except _UsageError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
     try:
         return args.func(args)
     except InvariantBreach as exc:

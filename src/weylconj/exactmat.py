@@ -4,9 +4,12 @@ Built for the reflection representation, where every entry is a rational
 with tiny denominator and products must stay exact.  Arithmetic is
 integer-only: a `Mat` is an integer matrix plus one positive integer
 denominator, stored canonically (gcd of all numerators and the
-denominator equal to 1) so equality and hashing are structural.  One
-fraction-free elimination routine, `row_reduce`, serves both the inverse
-and rank computations.
+denominator equal to 1) so equality and hashing are structural.  The
+product is a sparse row combination: row i of `a @ b` is the sum of
+`x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the zeros
+that make up most of a reflection-word matrix.  One fraction-free
+elimination routine, `row_reduce`, serves both the inverse and rank
+computations.
 """
 
 from __future__ import annotations
@@ -46,13 +49,20 @@ class Mat:
         return len(self.num)
 
     def __matmul__(self, other: "Mat") -> "Mat":
-        a, b = self.num, other.num
-        kk = len(b)
-        bt = list(zip(*b))
-        num = [
-            [sum(arow[k] * bcol[k] for k in range(kk)) for bcol in bt]
-            for arow in a
-        ]
+        # sparse row combination (see the module docstring): a zero
+        # entry of `a` costs one test, not a pass over a row of `b`
+        b = other.num
+        zero = (0,) * (len(b[0]) if b else 0)
+        num = []
+        for arow in self.num:
+            acc = None
+            for x, brow in zip(arow, b):
+                if x:
+                    if acc is None:
+                        acc = brow if x == 1 else [x * y for y in brow]
+                    else:
+                        acc = [s + x * y for s, y in zip(acc, brow)]
+            num.append(zero if acc is None else acc)
         return Mat(num, self.den * other.den)
 
     def __pow__(self, e: int) -> "Mat":

@@ -21,6 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import sub
 from typing import Sequence
 
 from .exactmat import Mat, commutator, row_reduce
@@ -493,27 +494,39 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     Expands inside a box two steps slacker than the requested bound and
     reports which non-isotropic roots inside the bound were not reached.
     The claim certified is only about the bounded slice.
+
+    The BFS runs over (finite-part index, iso tuple) states.  Reflecting
+    x in g maps x to x - (x, g^vee) g, and the Cartan number (x, g^vee)
+    depends only on the finite parts, so an index table built once per
+    finite part lists, for each generator g with (x, g^vee) = c != 0,
+    the index of the finite part x - c g and the iso shift c g.iso.
+    Each BFS edge is then one table entry and one tuple subtraction.
     """
     fr = spec.roots
     nu = spec.nullity
     slack = height_bound + 2
     gens = generating_roots(spec)
     finite_parts = sorted(fr.short_roots) + sorted(fr.long_roots)
-    # (x, g^vee) depends only on the finite parts: one integer per pair
-    cartan = {v: [fr.cartan(v, g.finite) for g in gens] for v in finite_parts}
-    visited: set[Root] = set(gens)
-    frontier = list(gens)
+    index = {v: i for i, v in enumerate(finite_parts)}
+    edges = []
+    for v in finite_parts:
+        row = []
+        for g in gens:
+            c = fr.cartan(v, g.finite)
+            if c:
+                image = tuple(a - c * b for a, b in zip(v, g.finite))
+                row.append((index[image], tuple(c * b for b in g.iso)))
+        edges.append(row)
+    box = frozenset(range(-slack, slack + 1))  # allowed iso coordinates
+    visited = {(index[g.finite], g.iso) for g in gens}
+    frontier = list(visited)
     while frontier:
         nxt = []
-        for x in frontier:
-            for g, c in zip(gens, cartan[x.finite]):
-                if c == 0:
-                    continue
-                img = Root(
-                    tuple(a - c * b for a, b in zip(x.finite, g.finite)),
-                    tuple(a - c * b for a, b in zip(x.iso, g.iso)),
-                )
-                if img not in visited and all(abs(q) <= slack for q in img.iso):
+        for i, iso in frontier:
+            for j, shift in edges[i]:
+                moved = tuple(map(sub, iso, shift))
+                img = (j, moved)
+                if img not in visited and box.issuperset(moved):
                     visited.add(img)
                     nxt.append(img)
         frontier = nxt
@@ -524,7 +537,9 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
             root = Root(finite, iso)
             if is_root(spec, root):
                 target.append(root)
-    unreached = [root for root in target if root not in visited]
+    unreached = [
+        root for root in target if (index[root.finite], root.iso) not in visited
+    ]
     return CoverReport(
         bound=height_bound,
         slack=slack,

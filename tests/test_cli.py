@@ -261,3 +261,66 @@ class TestConstruct:
     def test_bad_parameters(self):
         assert main(["construct", "B", "3", "3", "--m1", "3"]) == EXIT_INPUT
         assert main(["construct", "B", "3", "3"]) == EXIT_INPUT
+
+
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["classify", "B", "x", "4", "4"],
+            [],
+            ["frobnicate"],
+            ["check"],
+            ["verify", "spec.json", "--height", "x"],
+            ["check", "spec.json", "--no-such-flag"],
+        ],
+        ids=["non-integer rank", "no command", "unknown command", "missing spec",
+             "non-integer height", "unknown flag"],
+    )
+    def test_usage_error_is_one_line_input_error(self, capsys, argv):
+        assert main(argv) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["verify", "--height", "-1"], ["check", "--max-witnesses", "-1"]],
+        ids=["verify height", "check max-witnesses"],
+    )
+    def test_negative_count_is_one_line_input_error(self, tmp_path, capsys, argv):
+        command, *flags = argv
+        assert main([command, write(tmp_path, B3_LATTICE_DOC), *flags]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: argument {flags[0]}: must be non-negative, got -1"
+        ]
+
+    def test_zero_counts_are_accepted(self, tmp_path, capsys):
+        path = write(tmp_path, B3_LATTICE_DOC)
+        assert main(["check", path, "--json", "--max-witnesses", "0"]) == EXIT_NO_PBC
+        assert json.loads(capsys.readouterr().out)["decision"]["witnesses"] == []
+        assert main(["verify", path, "--json", "--height", "0"]) == EXIT_OK
+        assert json.loads(capsys.readouterr().out)["orbit_cover"]["target"] > 0
+
+    @pytest.mark.parametrize("argv", [["--help"], ["--version"], ["verify", "--help"]])
+    def test_help_and_version_exit_0(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 0
+        assert capsys.readouterr().out
+
+    def test_process_exit_code(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylconj.cli", "classify", "B", "x", "4", "4"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == EXIT_INPUT
+        assert proc.stderr.splitlines() == [
+            "error: argument rank: invalid int value: 'x'"
+        ]

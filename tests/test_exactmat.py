@@ -102,6 +102,56 @@ square_matrix = st.integers(1, 5).flatmap(
 )
 
 
+def dense_product(a, b):
+    """Reference: the textbook product, one dot product per output entry."""
+    cols = list(zip(*b))
+    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
+
+
+sparse_entry = st.sampled_from([0, 0, 0, 0, 0, 0, 1, -1, 2, -3])
+
+
+def zero_heavy_rows(nrows, ncols):
+    """Mostly zero integer rows, with whole rows or columns forced to zero."""
+    entries = st.lists(sparse_entry, min_size=nrows * ncols, max_size=nrows * ncols)
+    return st.tuples(entries, st.sets(st.integers(0, nrows - 1)),
+                     st.sets(st.integers(0, ncols - 1))).map(
+        lambda t: [
+            [0 if i in t[1] or j in t[2] else t[0][i * ncols + j] for j in range(ncols)]
+            for i in range(nrows)
+        ]
+    )
+
+
+product_operands = st.tuples(
+    st.integers(1, 9), st.integers(1, 9), st.integers(1, 9)
+).flatmap(
+    lambda dims: st.tuples(
+        zero_heavy_rows(dims[0], dims[1]),
+        st.integers(-6, 6).filter(bool),
+        zero_heavy_rows(dims[1], dims[2]),
+        st.integers(-6, 6).filter(bool),
+    )
+)
+
+
+@given(product_operands)
+@settings(max_examples=150, deadline=None)
+def test_sparse_product_matches_dense_reference(operands):
+    a_rows, a_den, b_rows, b_den = operands
+    a, b = Mat(a_rows, a_den), Mat(b_rows, b_den)
+    assert a @ b == Mat(dense_product(a.num, b.num), a.den * b.den)
+    # the same product from the operands before their canonical reduction
+    assert a @ b == Mat(dense_product(a_rows, b_rows), a_den * b_den)
+
+
+def test_product_with_zero_rows_and_columns():
+    a = Mat([[0, 0, 0], [2, 0, -1]], den=3)
+    b = Mat([[0, 1], [0, 5], [0, -2]], den=-2)
+    assert (a @ b).num == ((0, 0), (0, -2)) and (a @ b).den == 3
+    assert (Mat([[0, 0], [0, 0]]) @ Mat([[1, 2], [3, 4]])).num == ((0, 0), (0, 0))
+
+
 @given(small_matrix)
 @settings(max_examples=300, deadline=None)
 def test_row_reduce_matches_rational_elimination(rows):

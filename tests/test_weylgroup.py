@@ -1,18 +1,22 @@
 """Exact matrix checks for reflections, translations and central elements."""
 
+import itertools
 from fractions import Fraction
 
 import pytest
 
+from weylconj import weylgroup
 from weylconj.exactmat import Mat, commutator
-from weylconj.rootsystem import FiniteRoots, Root, make_spec
+from weylconj.rootsystem import FiniteRoots, Root, generating_roots, make_spec
 from weylconj.semilattice import Semilattice, make_semilattice
 from weylconj.weylgroup import (
+    CoverReport,
     NotARoot,
     ambient_dim,
     ambient_gram,
     central_image,
     central_word,
+    is_root,
     orbit_cover,
     reflection,
     translation,
@@ -231,7 +235,78 @@ class TestVerifiers:
             assert verify_translation_identities(spec).passed, label
 
 
+def reference_orbit_cover(spec, height_bound: int, gens=None) -> CoverReport:
+    """Reference: the same BFS with `Root` tuples as states, no index table."""
+    fr = spec.roots
+    nu = spec.nullity
+    slack = height_bound + 2
+    gens = generating_roots(spec) if gens is None else gens
+    finite_parts = sorted(fr.short_roots) + sorted(fr.long_roots)
+    cartan = {v: [fr.cartan(v, g.finite) for g in gens] for v in finite_parts}
+    visited = set(gens)
+    frontier = list(gens)
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for g, c in zip(gens, cartan[x.finite]):
+                if c == 0:
+                    continue
+                img = Root(
+                    tuple(a - c * b for a, b in zip(x.finite, g.finite)),
+                    tuple(a - c * b for a, b in zip(x.iso, g.iso)),
+                )
+                if img not in visited and all(abs(q) <= slack for q in img.iso):
+                    visited.add(img)
+                    nxt.append(img)
+        frontier = nxt
+    target = [
+        Root(finite, iso)
+        for finite in finite_parts
+        for iso in itertools.product(range(-height_bound, height_bound + 1), repeat=nu)
+        if is_root(spec, Root(finite, iso))
+    ]
+    unreached = [root for root in target if root not in visited]
+    return CoverReport(
+        bound=height_bound,
+        slack=slack,
+        target_count=len(target),
+        reached_count=len(target) - len(unreached),
+        unreached=unreached,
+    )
+
+
+def corpus_cover_cases():
+    from weylconj.corpus import reference_corpus
+
+    # the reference needs up to 2.3 s for one nullity-4 spec at height 1
+    for label, spec in reference_corpus():
+        if spec.nullity <= 2:
+            heights = (0, 1, 2)
+        elif spec.nullity == 3:
+            heights = (1,)
+        else:
+            heights = ()
+        for height in heights:
+            yield pytest.param(spec, height, id=f"{label} h{height}")
+
+
 class TestOrbitCover:
+    @pytest.mark.parametrize("spec,height", corpus_cover_cases())
+    def test_matches_reference_bfs(self, spec, height):
+        assert orbit_cover(spec, height).to_json() == (
+            reference_orbit_cover(spec, height).to_json()
+        )
+
+    def test_matches_reference_with_unreached_roots(self, monkeypatch):
+        # without its last affine generator the B2 set leaves roots
+        # unreached, which the corpus cases above never do
+        spec = spec_b2()
+        gens = generating_roots(spec)[:-1]
+        monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens)
+        got = orbit_cover(spec, 1)
+        assert got.unreached
+        assert got.to_json() == reference_orbit_cover(spec, 1, gens).to_json()
+
     def test_b2_nu1(self):
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0)
         report = orbit_cover(spec, 2)
