@@ -36,11 +36,14 @@ from .rootsystem import (
     InvariantBreach,
     RootSystemSpec,
     SpecValidationError,
+    make_spec,
     spec_from_json,
     spec_to_json,
+    validate_slice,
 )
 from .semilattice import DimTooLarge, SemilatticeError, elems_of
 from .weylgroup import (
+    Representation,
     orbit_cover,
     verify_center_freeness,
     verify_choice_independence,
@@ -140,14 +143,13 @@ def _cmd_classify(args) -> int:
         print("error: classification sweeps are guarded at nullity <= 4", file=sys.stderr)
         return EXIT_INPUT
     try:
+        validate_slice(args.family, args.rank, args.nullity, args.twist)
         pairs = classification_pairs(
             args.family, args.rank, args.nullity, args.twist, not args.no_perm
         )
     except (DimTooLarge, SemilatticeError, SpecValidationError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    from .rootsystem import make_spec
-
     rows = []
     for s1, s2 in sorted(
         pairs, key=lambda p: (sorted(p[0].supp), sorted(p[1].supp))
@@ -205,17 +207,15 @@ def _cmd_verify(args) -> int:
     started = time.monotonic()
     try:
         spec = _load_spec(args.spec)
+        rep = Representation(spec)
     except (OSError, json.JSONDecodeError, SemilatticeError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    if spec.rank > 4 or spec.nullity > 4:
-        print("error: verification is guarded at rank <= 4, nullity <= 4", file=sys.stderr)
-        return EXIT_INPUT
-    structure = verify_structure_identities(spec)
-    translationv = verify_translation_identities(spec)
-    choice = verify_choice_independence(spec) if spec.nullity >= 2 else None
+    structure = verify_structure_identities(rep)
+    translationv = verify_translation_identities(rep)
+    choice = verify_choice_independence(rep) if spec.nullity >= 2 else None
     cover = orbit_cover(spec, args.height)
-    freeness = verify_center_freeness(spec)
+    freeness = verify_center_freeness(rep)
     elapsed = time.monotonic() - started
     reports = {
         "structure": structure,

@@ -7,9 +7,10 @@ denominator, stored canonically (gcd of all numerators and the
 denominator equal to 1) so equality and hashing are structural.  The
 product is a sparse row combination: row i of `a @ b` is the sum of
 `x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the zeros
-that make up most of a reflection-word matrix.  One fraction-free
-elimination routine, `row_reduce`, serves both the inverse and rank
-computations.
+that make up most of a reflection-word matrix.  Nothing here inverts a
+matrix: every matrix the verifiers build is a word in reflections, and
+its inverse is another word.  The fraction-free elimination
+`row_reduce` serves the rank computation of the center-freeness check.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ class Mat:
             den //= g
         self.num = tuple(tuple(row) for row in num)
         self.den = den
-        self._inv: "Mat | None" = None
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -67,7 +67,7 @@ class Mat:
 
     def __pow__(self, e: int) -> "Mat":
         if e < 0:
-            return self.inv() ** (-e)
+            raise ValueError(f"negative power {e}: raise the inverse word instead")
         out = Mat.identity(self.size)
         base = self
         while e:
@@ -75,22 +75,6 @@ class Mat:
                 out = out @ base
             base = base @ base
             e >>= 1
-        return out
-
-    def inv(self) -> "Mat":
-        if self._inv is not None:
-            return self._inv
-        n = self.size
-        rows, pivots = row_reduce(
-            [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(self.num)]
-        )
-        if pivots[:n] != list(range(n)):
-            raise ZeroDivisionError("singular matrix")
-        # rows = p [I | num^-1], and (num / den)^-1 = den num^-1
-        d = self.den
-        out = Mat([[d * x for x in row[n:]] for row in rows], rows[0][0])
-        self._inv = out
-        out._inv = self
         return out
 
     def transpose(self) -> "Mat":
@@ -146,8 +130,3 @@ def row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
         prev = p
         pivots.append(col)
     return rows, pivots
-
-
-def commutator(x: Mat, y: Mat) -> Mat:
-    """x^-1 y^-1 x y."""
-    return x.inv() @ y.inv() @ x @ y

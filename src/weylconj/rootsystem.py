@@ -34,6 +34,9 @@ from typing import Iterable, NamedTuple, Sequence
 from .semilattice import Semilattice, make_semilattice
 
 FAMILIES = ("B", "C", "F4", "G2")
+# Bound on a spec document's nullity: the Smith normal form behind `check`
+# keeps a transform of side nu(nu-1)/2, so its memory grows as nu^4.
+MAX_NULLITY = 16
 
 
 class SpecValidationError(ValueError):
@@ -317,6 +320,15 @@ class RootSystemSpec:
         return Root((0,) * dim, (0,) * self.nullity)
 
 
+def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
+    """Reject a type, rank, nullity and twist that no spec can have."""
+    _validate_family_rank(family, rank)
+    if nullity < 0:
+        raise SpecValidationError("nullity must be non-negative")
+    if not 0 <= twist <= nullity:
+        raise TwistOutOfRange(f"twist {twist} outside 0..{nullity}")
+
+
 def make_spec(
     family: str,
     rank: int,
@@ -327,11 +339,7 @@ def make_spec(
     roots: FiniteRoots | None = None,
 ) -> RootSystemSpec:
     """Validate and assemble an extended affine root system description."""
-    _validate_family_rank(family, rank)
-    if nullity < 0:
-        raise SpecValidationError("nullity must be non-negative")
-    if not 0 <= twist <= nullity:
-        raise TwistOutOfRange(f"twist {twist} outside 0..{nullity}")
+    validate_slice(family, rank, nullity, twist)
     if s1.dim != twist:
         raise SpecValidationError(f"S1 has dimension {s1.dim}, expected twist {twist}")
     if s2.dim != nullity - twist:
@@ -498,7 +506,8 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
     "twist": t, "supp1": [[...]], "supp2": [[...]]}; supp2 uses local
     indices 1..nu-t.  An optional "label" is ignored here.  The numbers
     must be JSON integers (not booleans, not floats) and each supporting
-    class a list of integer lists; nothing is coerced.
+    class a list of integer lists; nothing is coerced.  The nullity is at
+    most `MAX_NULLITY`.
     """
     try:
         family = doc["type"]
@@ -509,6 +518,8 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
         supp2 = _json_class(doc, "supp2")
     except (KeyError, TypeError) as exc:
         raise SpecValidationError(f"malformed spec document: {exc}") from exc
+    if nullity > MAX_NULLITY:
+        raise SpecValidationError(f"nullity {nullity} exceeds the bound {MAX_NULLITY}")
     s1 = make_semilattice(twist, supp1)
     s2 = make_semilattice(nullity - twist, supp2)
     return make_spec(family, rank, nullity, twist, s1, s2)

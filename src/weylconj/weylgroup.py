@@ -8,6 +8,12 @@ integer-only: roots have integer coordinates, every Cartan number is an
 integer, and each matrix is a `Mat`, integers over one denominator, so
 each identity below is checked with zero tolerance.
 
+Group elements are words: tuples of translation factors (root, sigma),
+each t_root^sigma = w_(root+sigma) w_root.  Reflections are involutions,
+so a word's inverse is the reversed word of factors (root + sigma,
+-sigma) and no matrix is ever inverted.  A `Representation` owns the
+matrices of one spec, cached by reflection root and by word.
+
 The verifiers exercise, as matrix identities, the relations the
 presented group imposes on its distinguished generators: the conjugation
 relation w_i t_{j,r} w_i = t_{j,r} t_{i,r}^(-a), the commutator relation
@@ -20,15 +26,16 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from functools import lru_cache
-from operator import sub
+from functools import reduce
+from operator import matmul, sub
 from typing import Sequence
 
-from .exactmat import Mat, commutator, row_reduce
+from .exactmat import Mat, row_reduce
 from .rootsystem import (
     Root,
     RootClass,
     RootSystemSpec,
+    SpecValidationError,
     commutator_coeff,
     conj_exponent,
     generating_roots,
@@ -36,6 +43,8 @@ from .rootsystem import (
     sigma_vec,
 )
 from .semilattice import elems_of
+
+Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
 
 class NotARoot(ValueError):
@@ -46,50 +55,28 @@ class IdentityFailure(RuntimeError):
     pass
 
 
-def _guard(spec: RootSystemSpec, max_nullity: int = 4, max_rank: int = 4) -> None:
-    if spec.nullity > max_nullity or spec.rank > max_rank:
-        raise ValueError(
-            f"matrix verification guarded at rank <= {max_rank}, nullity <= {max_nullity}"
-        )
-
-
-@lru_cache(maxsize=None)
-def ambient_gram(spec: RootSystemSpec) -> tuple[tuple[int, ...], ...]:
-    """Gram matrix on (finite realisation) + span(sigma) + span(lambda)."""
-    f = len(spec.roots.simple[0])
-    nu = spec.nullity
-    n = f + 2 * nu
-    rows = [[0] * n for _ in range(n)]
-    for i in range(f):
-        for j in range(f):
-            rows[i][j] = spec.roots.gram[i][j]
-    for r in range(nu):
-        rows[f + r][f + nu + r] = 1
-        rows[f + nu + r][f + r] = 1
-    return tuple(tuple(row) for row in rows)
-
-
 def ambient_dim(spec: RootSystemSpec) -> int:
     return len(spec.roots.simple[0]) + 2 * spec.nullity
 
 
-def _embed(spec: RootSystemSpec, root: Root) -> tuple:
-    return tuple(root.finite) + tuple(root.iso) + (0,) * spec.nullity
-
-
-@lru_cache(maxsize=None)
 def reflection(spec: RootSystemSpec, root: Root) -> Mat:
-    """Matrix of u -> u - (u, alpha^vee) alpha for a non-isotropic root."""
-    if root_class(spec, root) not in (RootClass.SHORT, RootClass.LONG):
+    """Matrix of u -> u - (u, alpha^vee) alpha for a non-isotropic root.
+
+    alpha has ambient coordinates (finite, iso, 0..0).  The form pairs
+    sigma_r with lambda_r only, so G alpha = (gram finite, 0..0, iso)
+    and (alpha, alpha) is the finite pairing.
+    """
+    if not is_root(spec, root):
         raise NotARoot(f"{root} is not a non-isotropic root of the system")
-    gram = ambient_gram(spec)
-    alpha = _embed(spec, root)
-    n = len(alpha)
-    galpha = [sum(gram[c][d] * alpha[d] for d in range(n) if alpha[d]) for c in range(n)]
-    aa = sum(alpha[c] * galpha[c] for c in range(n) if alpha[c])
+    fr = spec.roots
+    zero = (0,) * spec.nullity
+    alpha = root.finite + root.iso + zero
+    gfinite = tuple(sum(g * x for g, x in zip(row, root.finite)) for row in fr.gram)
+    galpha = gfinite + zero + root.iso
+    aa = fr.pairing(root.finite, root.finite)
     num = [
-        [aa * (r == c) - 2 * alpha[r] * galpha[c] for c in range(n)]
-        for r in range(n)
+        [aa * (r == c) - 2 * a * g for c, g in enumerate(galpha)]
+        for r, a in enumerate(alpha)
     ]
     return Mat(num, aa)
 
@@ -98,22 +85,72 @@ def _add_iso(root: Root, delta: Sequence[int]) -> Root:
     return Root(root.finite, tuple(a + b for a, b in zip(root.iso, delta)))
 
 
+def _neg(vec: Sequence[int]) -> tuple[int, ...]:
+    return tuple(-x for x in vec)
+
+
 def is_root(spec: RootSystemSpec, root: Root) -> bool:
     return root_class(spec, root) in (RootClass.SHORT, RootClass.LONG)
 
 
-@lru_cache(maxsize=None)
-def translation_element(spec: RootSystemSpec, root: Root, sigma: tuple) -> Mat:
-    """Image of the pair word w_(alpha+sigma) w_alpha."""
-    return reflection(spec, _add_iso(root, sigma)) @ reflection(spec, root)
+def translation_word(root: Root, sigma: Sequence[int]) -> Word:
+    """The one-factor word t_root^sigma = w_(root+sigma) w_root."""
+    return ((root, sigma),)
 
 
-def translation(spec: RootSystemSpec, i: int, r: int) -> Mat:
+def inverse(word: Word) -> Word:
+    """The inverse word: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), reversed."""
+    return tuple((_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word))
+
+
+def commutator(x: Word, y: Word) -> Word:
+    """The word x^-1 y^-1 x y."""
+    return inverse(x) + inverse(y) + x + y
+
+
+class Representation:
+    """The reflection representation of one spec, guarded at rank and nullity <= 4."""
+
+    def __init__(self, spec: RootSystemSpec):
+        if spec.rank > 4 or spec.nullity > 4:
+            raise SpecValidationError("verification is guarded at rank <= 4, nullity <= 4")
+        self.spec = spec
+        self.dim = ambient_dim(spec)
+        self._reflections: dict[Root, Mat] = {}
+        self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
+
+    def reflection(self, root: Root) -> Mat:
+        got = self._reflections.get(root)
+        if got is None:
+            got = self._reflections[root] = reflection(self.spec, root)
+        return got
+
+    def mat(self, word: Word) -> Mat:
+        """The matrix of a word."""
+        got = self._words.get(word)
+        if got is None:
+            if len(word) == 1:
+                ((root, sigma),) = word
+                got = self.reflection(_add_iso(root, sigma)) @ self.reflection(root)
+            else:
+                got = reduce(matmul, [self.mat((factor,)) for factor in word])
+            self._words[word] = got
+        return got
+
+    def power(self, word: Word, e: int) -> Mat:
+        """The matrix of word^e; a negative power raises the inverse word."""
+        base = word if e >= 0 else inverse(word)
+        key = base * abs(e)
+        got = self._words.get(key)
+        if got is None:
+            got = self._words[key] = self.mat(base) ** abs(e)
+        return got
+
+
+def translation(spec: RootSystemSpec, i: int, r: int) -> Word:
     """t_{i,r}: the basic translation along sigma_r attached to the i-th simple root."""
     base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
-    return translation_element(
-        spec, base, sigma_vec(spec, r, spec.translation_step(i, r))
-    )
+    return translation_word(base, sigma_vec(spec, r, spec.translation_step(i, r)))
 
 
 def _theta_root(spec: RootSystemSpec, side: int) -> Root:
@@ -121,14 +158,13 @@ def _theta_root(spec: RootSystemSpec, side: int) -> Root:
     return Root(finite, (0,) * spec.nullity)
 
 
-@lru_cache(maxsize=None)
-def central_word(spec: RootSystemSpec, side: int, mask: int) -> Mat:
+def central_word(spec: RootSystemSpec, side: int, mask: int) -> Word:
     """psi(z_J) for J in the supporting class of side 1 or 2 (global mask)."""
     theta = _theta_root(spec, side)
     tau = tuple(-(mask >> q & 1) for q in range(spec.nullity))
-    word = translation_element(spec, theta, tau)
+    word = translation_word(theta, tau)
     for r in elems_of(mask):
-        word = word @ translation_element(spec, theta, sigma_vec(spec, r))
+        word += translation_word(theta, sigma_vec(spec, r))
     return word
 
 
@@ -138,7 +174,7 @@ def central_image(
     s: int,
     short_base: Root | None = None,
     long_base: Root | None = None,
-) -> Mat:
+) -> Word:
     """psi(z_{r,s}) for a global pair r < s.
 
     Supported pairs use the three-translation product word, unsupported
@@ -153,35 +189,29 @@ def central_image(
     alpha = short_base if short_base is not None else _theta_root(spec, 1)
     beta = long_base if long_base is not None else _theta_root(spec, 2)
     pair_mask = (1 << (r - 1)) | (1 << (s - 1))
-    if s <= t:
-        if pair_mask in spec.s1.supp:
-            return _pair_word(spec, alpha, r, s)
+    if s <= t or r > t:  # both directions on one side
+        base, supp, shift = (alpha, spec.s1.supp, 0) if s <= t else (beta, spec.s2.supp, t)
+        if (pair_mask >> shift) in supp:
+            return _pair_word(spec, base, r, s)
         return commutator(
-            translation_element(spec, alpha, sigma_vec(spec, r)),
-            translation_element(spec, alpha, sigma_vec(spec, s)),
-        )
-    if r > t:
-        if (pair_mask >> t) in spec.s2.supp:
-            return _pair_word(spec, beta, r, s)
-        return commutator(
-            translation_element(spec, beta, sigma_vec(spec, r)),
-            translation_element(spec, beta, sigma_vec(spec, s)),
+            translation_word(base, sigma_vec(spec, r)),
+            translation_word(base, sigma_vec(spec, s)),
         )
     fr = spec.roots
     if fr.pairing(alpha.finite, beta.finite) >= 0:
         raise ValueError("mixed-pair bases must pair negatively")
     return commutator(
-        translation_element(spec, beta, sigma_vec(spec, s)),
-        translation_element(spec, alpha, sigma_vec(spec, r)),
+        translation_word(beta, sigma_vec(spec, s)),
+        translation_word(alpha, sigma_vec(spec, r)),
     )
 
 
-def _pair_word(spec: RootSystemSpec, base: Root, r: int, s: int) -> Mat:
+def _pair_word(spec: RootSystemSpec, base: Root, r: int, s: int) -> Word:
     tau = tuple(-1 if q in (r - 1, s - 1) else 0 for q in range(spec.nullity))
     return (
-        translation_element(spec, base, tau)
-        @ translation_element(spec, base, sigma_vec(spec, r))
-        @ translation_element(spec, base, sigma_vec(spec, s))
+        translation_word(base, tau)
+        + translation_word(base, sigma_vec(spec, r))
+        + translation_word(base, sigma_vec(spec, s))
     )
 
 
@@ -221,53 +251,42 @@ class VerifyReport:
             raise IdentityFailure(f"{len(bad)} identities failed; first: {bad[0]}")
 
 
-def _pow_cached(mat: Mat, e: int, cache: dict) -> Mat:
-    key = (id(mat), e)
-    got = cache.get(key)
-    if got is None:
-        got = mat**e
-        cache[key] = got
-    return got
-
-
-def verify_structure_identities(spec: RootSystemSpec) -> VerifyReport:
+def verify_structure_identities(rep: Representation) -> VerifyReport:
     """Check the conjugation, commutator and square relations as exact matrices."""
-    _guard(spec)
+    spec = rep.spec
     nu, rank, t = spec.nullity, spec.rank, spec.twist
     items: list[CheckItem] = []
-    refl = [
-        reflection(spec, Root(a, (0,) * nu)) for a in spec.roots.simple
-    ]
+    refl = [rep.reflection(Root(a, (0,) * nu)) for a in spec.roots.simple]
     trans = {
         (i, r): translation(spec, i, r)
         for i in range(1, rank + 1)
         for r in range(1, nu + 1)
     }
-    zmat = {
+    zword = {
         (r, s): central_image(spec, r, s)
         for r in range(1, nu + 1)
         for s in range(r + 1, nu + 1)
     }
-    powers: dict = {}
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
-                lhs = refl[i - 1] @ trans[(j, r)] @ refl[i - 1]
-                rhs = trans[(j, r)] @ _pow_cached(trans[(i, r)], -a, powers)
+                tjr = rep.mat(trans[(j, r)])
+                lhs = refl[i - 1] @ tjr @ refl[i - 1]
+                rhs = tjr @ rep.power(trans[(i, r)], -a)
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 for s in range(r, nu + 1):
-                    lhs = commutator(trans[(i, r)], trans[(j, s)])
+                    lhs = rep.mat(commutator(trans[(i, r)], trans[(j, s)]))
                     if r == s:
                         ok = lhs.is_identity()
                     else:
                         e = commutator_coeff(spec, i, j, r, s) // spec.pair_divisor(r, s)
-                        ok = lhs == _pow_cached(zmat[(r, s)], e, powers)
+                        ok = lhs == rep.power(zword[(r, s)], e)
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, semi, shift in ((1, spec.s1, 0), (2, spec.s2, t)):
@@ -275,46 +294,47 @@ def verify_structure_identities(spec: RootSystemSpec) -> VerifyReport:
             mask = local << shift
             if mask.bit_count() < 2:
                 continue
-            zj = central_word(spec, side, mask)
-            rhs = Mat.identity(ambient_dim(spec))
+            zj = rep.mat(central_word(spec, side, mask))
+            rhs = rep.mat(())
             members = elems_of(mask)
             for r, s in itertools.combinations(members, 2):
                 e = 2 // spec.pair_divisor(r, s)
-                rhs = rhs @ _pow_cached(zmat[(r, s)], e, powers)
+                rhs = rhs @ rep.power(zword[(r, s)], e)
             items.append(
                 CheckItem("square", (side, members), zj @ zj == rhs)
             )
     return VerifyReport(items)
 
 
-def _centrality(spec: RootSystemSpec, mat: Mat, gens: list[Mat]) -> bool:
+def _centrality(mat: Mat, gens: list[Mat]) -> bool:
     return all(mat @ w == w @ mat for w in gens)
 
 
-def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
+def verify_translation_identities(rep: Representation) -> VerifyReport:
     """Check the elementary translation identities on a deterministic sample."""
-    _guard(spec)
+    spec = rep.spec
     nu, rank = spec.nullity, spec.rank
     zero = (0,) * nu
     items: list[CheckItem] = []
-    pi_refl = [reflection(spec, g) for g in generating_roots(spec)]
+    pi_refl = [rep.reflection(g) for g in generating_roots(spec)]
+
+    def t(root: Root, sigma: Sequence[int]) -> Mat:
+        return rep.mat(translation_word(root, sigma))
 
     # power law (t^sigma)^n = t^(n sigma) and inverse symmetry
     for i in range(1, rank + 1):
         base = Root(spec.roots.simple[i - 1], zero)
         for r in range(1, nu + 1):
             step = spec.translation_step(i, r)
-            tmat = translation_element(spec, base, sigma_vec(spec, r, step))
-            acc = Mat.identity(ambient_dim(spec))
+            tmat = t(base, sigma_vec(spec, r, step))
+            acc = rep.mat(())
             for n in range(1, 4):
                 acc = acc @ tmat
-                direct = translation_element(spec, base, sigma_vec(spec, r, n * step))
+                direct = t(base, sigma_vec(spec, r, n * step))
                 items.append(CheckItem("power", (i, r, n), acc == direct))
-                inv_direct = translation_element(
-                    spec, base, sigma_vec(spec, r, -n * step)
-                )
+                inv_direct = t(base, sigma_vec(spec, r, -n * step))
                 items.append(
-                    CheckItem("power", (i, r, -n), acc.inv() == inv_direct)
+                    CheckItem("power", (i, r, -n), (acc @ inv_direct).is_identity())
                 )
 
     # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
@@ -323,23 +343,18 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
         for r in range(1, nu + 1):
             step = spec.translation_step(i, r)
             sigma = sigma_vec(spec, r, step)
-            ref = translation_element(spec, base, sigma)
+            ref = t(base, sigma)
             for n in (-2, -1, 1, 2):
                 shifted = _add_iso(base, sigma_vec(spec, r, n * step))
                 items.append(
-                    CheckItem(
-                        "base-shift",
-                        (i, r, n),
-                        translation_element(spec, shifted, sigma) == ref,
-                    )
+                    CheckItem("base-shift", (i, r, n), t(shifted, sigma) == ref)
                 )
-            neg = Root(tuple(-x for x in base.finite), zero)
+            neg = Root(_neg(base.finite), zero)
             items.append(
                 CheckItem(
                     "negation",
                     (i, r),
-                    translation_element(spec, base, sigma_vec(spec, r, -step))
-                    == translation_element(spec, neg, sigma),
+                    t(base, sigma_vec(spec, r, -step)) == t(neg, sigma),
                 )
             )
 
@@ -356,19 +371,15 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
                 needed = [
                     _add_iso(alpha, sig),
                     _add_iso(alpha, del_),
-                    _add_iso(_add_iso(alpha, sig), tuple(-x for x in del_)),
+                    _add_iso(_add_iso(alpha, sig), _neg(del_)),
                     _add_iso(_add_iso(alpha, del_), sig),
-                    _add_iso(alpha, tuple(-x for x in sig)),
-                    _add_iso(alpha, tuple(-x for x in del_)),
+                    _add_iso(alpha, _neg(sig)),
+                    _add_iso(alpha, _neg(del_)),
                 ]
                 if not all(is_root(spec, root) for root in needed):
                     continue
-                lhs = translation_element(
-                    spec, _add_iso(alpha, sig), tuple(-x for x in del_)
-                ) @ translation_element(spec, alpha, del_)
-                rhs = translation_element(
-                    spec, _add_iso(alpha, del_), sig
-                ) @ translation_element(spec, alpha, tuple(-x for x in sig))
+                lhs = t(_add_iso(alpha, sig), _neg(del_)) @ t(alpha, del_)
+                rhs = t(_add_iso(alpha, del_), sig) @ t(alpha, _neg(sig))
                 items.append(CheckItem("exchange", (side, r, s), lhs == rhs))
 
     # centrality of commutators, difference words and defect words
@@ -378,18 +389,14 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
                 com = commutator(
-                    translation_element(
-                        spec, a, sigma_vec(spec, r, spec.translation_step(si, r))
-                    ),
-                    translation_element(
-                        spec, b, sigma_vec(spec, s, spec.translation_step(sj, s))
-                    ),
+                    translation_word(a, sigma_vec(spec, r, spec.translation_step(si, r))),
+                    translation_word(b, sigma_vec(spec, s, spec.translation_step(sj, s))),
                 )
                 items.append(
                     CheckItem(
                         "central-commutator",
                         (si, sj, r, s),
-                        _centrality(spec, com, pi_refl),
+                        _centrality(rep.mat(com), pi_refl),
                     )
                 )
 
@@ -406,17 +413,15 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
                 if not (
                     is_root(spec, shifted)
                     and is_root(spec, _add_iso(shifted, del_))
-                    and is_root(spec, _add_iso(alpha, tuple(-x for x in del_)))
+                    and is_root(spec, _add_iso(alpha, _neg(del_)))
                 ):
                     continue
-                word = translation_element(spec, shifted, del_) @ translation_element(
-                    spec, alpha, tuple(-x for x in del_)
-                )
+                word = t(shifted, del_) @ t(alpha, _neg(del_))
                 items.append(
                     CheckItem(
                         "central-difference",
                         (side, r, s),
-                        _centrality(spec, word, pi_refl),
+                        _centrality(word, pi_refl),
                     )
                 )
 
@@ -429,15 +434,15 @@ def verify_translation_identities(spec: RootSystemSpec) -> VerifyReport:
                 CheckItem(
                     "central-defect",
                     (side, elems_of(mask)),
-                    _centrality(spec, central_word(spec, side, mask), pi_refl),
+                    _centrality(rep.mat(central_word(spec, side, mask)), pi_refl),
                 )
             )
     return VerifyReport(items)
 
 
-def verify_choice_independence(spec: RootSystemSpec) -> VerifyReport:
+def verify_choice_independence(rep: Representation) -> VerifyReport:
     """z_{r,s} must not depend on which short/long roots realise its word."""
-    _guard(spec)
+    spec = rep.spec
     fr = spec.roots
     items: list[CheckItem] = []
     zero = (0,) * spec.nullity
@@ -454,11 +459,11 @@ def verify_choice_independence(spec: RootSystemSpec) -> VerifyReport:
     alt = next(p for p in alt_pairs if p != default)
     for r in range(1, spec.nullity + 1):
         for s in range(r + 1, spec.nullity + 1):
-            base = central_image(spec, r, s)
-            other = central_image(
+            base = rep.mat(central_image(spec, r, s))
+            other = rep.mat(central_image(
                 spec, r, s, short_base=alt_short if s <= spec.twist else alt[0],
                 long_base=alt[1],
-            )
+            ))
             items.append(CheckItem("choice-independence", (r, s), base == other))
     return VerifyReport(items)
 
@@ -571,7 +576,7 @@ class FreenessReport:
         }
 
 
-def verify_center_freeness(spec: RootSystemSpec, exponent_bound: int = 2) -> FreenessReport:
+def verify_center_freeness(rep: Representation, exponent_bound: int = 2) -> FreenessReport:
     """No bounded non-trivial product of the z_{r,s} images is the identity.
 
     The displacement parts z - 1 are checked linearly independent and
@@ -580,11 +585,11 @@ def verify_center_freeness(spec: RootSystemSpec, exponent_bound: int = 2) -> Fre
     small cases.  For z = num / den the displacement is scaled to the
     integer matrix num - den * 1, which changes neither test.
     """
-    _guard(spec)
+    spec = rep.spec
     nu = spec.nullity
-    n = ambient_dim(spec)
     pairs = [(r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
-    zs = [central_image(spec, r, s) for r, s in pairs]
+    zwords = [central_image(spec, r, s) for r, s in pairs]
+    zs = [rep.mat(w) for w in zwords]
     if not pairs:
         return FreenessReport(0, True, True, 0, [])
     disp = [
@@ -603,16 +608,15 @@ def verify_center_freeness(spec: RootSystemSpec, exponent_bound: int = 2) -> Fre
     grid_checked = 0
     span = 2 * exponent_bound + 1
     if span ** len(pairs) <= 4096:
-        powcache: dict = {}
         for exps in itertools.product(
             range(-exponent_bound, exponent_bound + 1), repeat=len(pairs)
         ):
             if not any(exps):
                 continue
-            word = Mat.identity(n)
-            for z, e in zip(zs, exps):
+            word = rep.mat(())
+            for z, e in zip(zwords, exps):
                 if e:
-                    word = word @ _pow_cached(z, e, powcache)
+                    word = word @ rep.power(z, e)
             grid_checked += 1
             if word.is_identity():
                 grid_failures.append(exps)

@@ -20,6 +20,7 @@ from weylconj.integral import (
 from weylconj.rootsystem import make_spec
 from weylconj.semilattice import Semilattice, enumerate_semilattices
 from weylconj.weylgroup import (
+    Representation,
     verify_structure_identities,
     verify_translation_identities,
 )
@@ -147,12 +148,13 @@ def test_criterion_6_matrix_identity_suite():
     ]
     total_items = 0
     for label, spec in specs:
-        structure = verify_structure_identities(spec)
+        rep = Representation(spec)
+        structure = verify_structure_identities(rep)
         assert structure.passed, (label, structure.failures()[:3])
         commutator_items = structure.counts()["commutator"]
         expected = spec.rank**2 * (spec.nullity * (spec.nullity + 1) // 2)
         assert commutator_items == expected, label
-        lemmas = verify_translation_identities(spec)
+        lemmas = verify_translation_identities(rep)
         assert lemmas.passed, (label, lemmas.failures()[:3])
         total_items += len(structure.items) + len(lemmas.items)
     elapsed = time.monotonic() - started

@@ -3,6 +3,8 @@
 import json
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from weylconj import cli
 from weylconj.center import CenterStructure, DivisibilityChainBroken
@@ -15,7 +17,7 @@ from weylconj.cli import (
     main,
 )
 from weylconj.integral import DecisionReport
-from weylconj.rootsystem import CartanDataError, IntegralityViolation
+from weylconj.rootsystem import MAX_NULLITY, CartanDataError, IntegralityViolation
 
 F4_DOC = {
     "type": "F4", "rank": 4, "nullity": 3, "twist": 1,
@@ -120,6 +122,22 @@ class TestCheck:
                "supp1": supp1, "supp2": [[]]}
         assert main(["check", write(tmp_path, doc)]) == EXIT_INPUT
 
+    @pytest.mark.parametrize("nullity", [MAX_NULLITY, MAX_NULLITY + 1])
+    def test_nullity_bound(self, tmp_path, capsys, nullity):
+        # one essential member: cheap at the bound, refused one past it
+        doc = {"type": "B", "rank": 3, "nullity": nullity, "twist": nullity,
+               "supp1": [[]] + [[r] for r in range(1, nullity + 1)] + [[1, 2, 3]],
+               "supp2": [[]]}
+        code = main(["check", write(tmp_path, doc)])
+        captured = capsys.readouterr()
+        if nullity <= MAX_NULLITY:
+            assert code == EXIT_OK and captured.err == ""
+        else:
+            assert code == EXIT_INPUT and captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: nullity {nullity} exceeds the bound {MAX_NULLITY}"
+            ]
+
     def test_max_witnesses_flag(self, tmp_path, capsys):
         import itertools
 
@@ -222,6 +240,21 @@ class TestClassify:
     def test_nullity_guard(self):
         assert main(["classify", "B", "2", "5", "2", "--json"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv,message",
+        [
+            (["B", "1", "2", "1"], "type B requires rank >= 2"),
+            (["G2", "3", "2", "1"], "type G2 has rank 2"),
+            (["B", "2", "2", "5"], "twist 5 outside 0..2"),
+        ],
+        ids=["B rank 1", "G2 rank 3", "twist above nullity"],
+    )
+    def test_invalid_slice_is_one_line_input_error(self, capsys, argv, message):
+        assert main(["classify", *argv]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {message}"]
+
 
 class TestVerify:
     def test_g2_all_pass(self, tmp_path, capsys):
@@ -240,6 +273,16 @@ class TestVerify:
 
     def test_corrupted_spec(self, tmp_path):
         assert main(["verify", write(tmp_path, B3_BAD_DOC)]) == EXIT_INPUT
+
+    def test_guard_is_one_line_input_error(self, tmp_path, capsys):
+        doc = {"type": "B", "rank": 2, "nullity": 5, "twist": 5,
+               "supp1": [[]] + [[r] for r in range(1, 6)], "supp2": [[]]}
+        assert main(["verify", write(tmp_path, doc)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: verification is guarded at rank <= 4, nullity <= 4"
+        ]
 
 
 class TestConstruct:
@@ -324,3 +367,72 @@ class TestUsage:
         assert proc.stderr.splitlines() == [
             "error: argument rank: invalid int value: 'x'"
         ]
+
+
+json_scalar = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 20),
+    st.floats(allow_nan=False, allow_infinity=False), st.text(max_size=3),
+)
+json_value = st.recursive(
+    json_scalar,
+    lambda inner: (
+        st.lists(inner, max_size=4)
+        | st.dictionaries(st.text(max_size=4), inner, max_size=4)
+    ),
+    max_leaves=8,
+)
+supporting_class = st.lists(st.lists(st.integers(-1, 5), max_size=4), max_size=10)
+spec_fields = {
+    "type": st.sampled_from(["B", "C", "F4", "G2", "A"]),
+    "rank": st.integers(-1, 6),
+    "nullity": st.integers(-1, 5) | st.sampled_from([MAX_NULLITY, MAX_NULLITY + 1, 10**6]),
+    "twist": st.integers(-1, 6),
+    "supp1": supporting_class,
+    "supp2": supporting_class,
+}
+DROP = object()
+VALID_DOCS = [
+    F4_DOC,
+    B3_LATTICE_DOC,
+    {"type": "G2", "rank": 2, "nullity": 2, "twist": 1,
+     "supp1": [[], [1]], "supp2": [[], [1]]},
+    {"type": "B", "rank": 2, "nullity": 3, "twist": 2,
+     "supp1": [[], [1], [2]], "supp2": [[], [1]]},
+]
+
+
+def edited(doc: dict, edits) -> dict:
+    doc = dict(doc)
+    for key, value in edits:
+        if value is DROP:
+            del doc[key]
+        else:
+            doc[key] = value
+    return doc
+
+
+# an arbitrary JSON value, or a valid document with none, one or two
+# fields replaced by an in-type value, an arbitrary JSON value or nothing
+field_edit = st.sampled_from(sorted(spec_fields)).flatmap(
+    lambda key: st.tuples(st.just(key), spec_fields[key] | json_value | st.just(DROP))
+)
+json_documents = st.one_of(
+    json_value,
+    st.builds(
+        edited, st.sampled_from(VALID_DOCS),
+        st.just(()) | st.lists(field_edit, min_size=1, max_size=2,
+                               unique_by=lambda edit: edit[0]),
+    ),
+)
+
+
+@given(json_documents)
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_check_fuzz_exits_cleanly(tmp_path, capsys, doc):
+    # an answer or one error line, never a traceback (which would
+    # escape `main` here)
+    code = main(["check", write(tmp_path, doc)])
+    captured = capsys.readouterr()
+    assert code in (EXIT_OK, EXIT_INPUT, EXIT_NO_PBC)
+    assert len(captured.err.splitlines()) <= 1

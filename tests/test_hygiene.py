@@ -2,7 +2,9 @@
 
 Invariants are raised as typed exceptions so that `python -O` cannot skip
 them, and all arithmetic is on integers (a matrix is integers over one
-denominator), so the `fractions` module is never imported.
+denominator), so the `fractions` module is never imported.  The matrix
+modules keep no module-level caches: a `weylgroup.Representation` owns
+the matrices of one spec and is dropped with it.
 """
 
 import ast
@@ -33,4 +35,26 @@ def test_no_assert_and_no_fractions(path):
         elif isinstance(node, ast.ImportFrom):
             if (node.module or "").split(".")[0] == "fractions":
                 offences.append(f"line {node.lineno}: from {node.module} import")
+    assert offences == []
+
+
+@pytest.mark.parametrize("name", ["exactmat.py", "weylgroup.py"])
+def test_no_module_level_caches_in_matrix_modules(name):
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    offences = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            offences += [
+                f"line {node.lineno}: from functools import {alias.name}"
+                for alias in node.names
+                if alias.name in ("lru_cache", "cache")
+            ]
+        elif (
+            isinstance(node, ast.Attribute)
+            and node.attr in ("lru_cache", "cache")
+            and isinstance(node.value, ast.Name)
+            and node.value.id == "functools"
+        ):
+            offences.append(f"line {node.lineno}: functools.{node.attr}")
     assert offences == []

@@ -6,21 +6,29 @@ from fractions import Fraction
 import pytest
 
 from weylconj import weylgroup
-from weylconj.exactmat import Mat, commutator
-from weylconj.rootsystem import FiniteRoots, Root, generating_roots, make_spec
+from weylconj.exactmat import Mat
+from weylconj.rootsystem import (
+    FiniteRoots,
+    Root,
+    SpecValidationError,
+    generating_roots,
+    make_spec,
+)
 from weylconj.semilattice import Semilattice, make_semilattice
 from weylconj.weylgroup import (
     CoverReport,
     NotARoot,
+    Representation,
     ambient_dim,
-    ambient_gram,
     central_image,
     central_word,
+    commutator,
+    inverse,
     is_root,
     orbit_cover,
     reflection,
     translation,
-    translation_element,
+    translation_word,
     verify_center_freeness,
     verify_choice_independence,
     verify_structure_identities,
@@ -54,6 +62,18 @@ def embed(spec, root: Root):
     return tuple(root.finite) + tuple(root.iso) + (0,) * spec.nullity
 
 
+def ambient_gram(spec):
+    """Reference: the whole form on V + span(sigma) + span(lambda), (sigma_r, lambda_r) = 1."""
+    f = len(spec.roots.simple[0])
+    nu = spec.nullity
+    rows = [[0] * (f + 2 * nu) for _ in range(f + 2 * nu)]
+    for i in range(f):
+        rows[i][:f] = spec.roots.gram[i]
+    for r in range(nu):
+        rows[f + r][f + nu + r] = rows[f + nu + r][f + r] = 1
+    return rows
+
+
 class TestReflection:
     def test_involution(self):
         spec = spec_b2()
@@ -63,7 +83,7 @@ class TestReflection:
 
     def test_form_preserved(self):
         spec = spec_g2()
-        gram = Mat([list(r) for r in ambient_gram(spec)])
+        gram = Mat(ambient_gram(spec))
         for g in (
             Root(spec.roots.theta1, (1, 0)),
             Root(spec.roots.theta2, (3, 0)),
@@ -132,7 +152,7 @@ class TestTranslation:
         fr = spec.roots
         # k_{1,r} = 1 for short theta1; k_{2,2} = 1 since direction 2 is untwisted
         for j, r in ((1, 1), (1, 2), (2, 2)):
-            tm = translation(spec, j, r)
+            tm = Representation(spec).mat(translation(spec, j, r))
             theta = embed(spec, Root(fr.simple[j - 1], (0, 0)))
             moved = apply_mat(tm, theta)
             expected = list(theta)
@@ -144,20 +164,23 @@ class TestTranslation:
         n = ambient_dim(spec)
         f = len(spec.roots.theta1)
         for i, r in ((1, 1), (2, 1), (2, 2)):
-            tm = translation(spec, i, r)
+            tm = Representation(spec).mat(translation(spec, i, r))
             for q in range(spec.nullity):
                 e = tuple(1 if c == f + q else 0 for c in range(n))
                 assert apply_mat(tm, e) == e
 
     def test_power_law(self):
         spec = spec_b2()
+        rep = Representation(spec)
         base = Root(spec.roots.theta2, (0, 0))
-        tm = translation(spec, 2, 1)
+        word = translation(spec, 2, 1)
+        tm = rep.mat(word)
         acc = Mat.identity(ambient_dim(spec))
         for n in range(1, 4):
             acc = acc @ tm
-            assert acc == translation_element(spec, base, (2 * n, 0))
-        assert tm ** -2 == translation_element(spec, base, (-4, 0))
+            assert acc == rep.mat(translation_word(base, (2 * n, 0)))
+            assert rep.power(word, n) == acc
+        assert rep.power(word, -2) == rep.mat(translation_word(base, (-4, 0)))
 
 
 class TestCentralImages:
@@ -165,15 +188,16 @@ class TestCentralImages:
         from weylconj.rootsystem import generating_roots
 
         spec = spec_b2_mixed()
+        rep = Representation(spec)
         gens = [reflection(spec, g) for g in generating_roots(spec)]
         for r in range(1, spec.nullity + 1):
             for s in range(r + 1, spec.nullity + 1):
-                z = central_image(spec, r, s)
+                z = rep.mat(central_image(spec, r, s))
                 assert all(z @ w == w @ z for w in gens)
 
     def test_choice_independence(self):
         for spec in (spec_b2(), spec_g2(), spec_b2_mixed()):
-            report = verify_choice_independence(spec)
+            report = verify_choice_independence(Representation(spec))
             assert report.passed
 
     def test_nu1_has_no_pairs(self):
@@ -184,9 +208,45 @@ class TestCentralImages:
     def test_supported_pair_word_squares_correctly(self):
         # z_J^2 for a supported pair J = {r,s} collapses to z_{r,s}^2
         spec = make_spec("B", 2, 2, 2, LAT(2), Z0)
-        zj = central_word(spec, 1, 0b11)
-        z = central_image(spec, 1, 2)
+        rep = Representation(spec)
+        zj = rep.mat(central_word(spec, 1, 0b11))
+        z = rep.mat(central_image(spec, 1, 2))
         assert zj @ zj == z @ z
+
+
+class TestWords:
+    def test_identity_and_inverse(self):
+        spec = spec_b2_mixed()
+        rep = Representation(spec)
+        ident = rep.mat(())
+        assert ident.is_identity()
+        x, y = translation(spec, 1, 1), translation(spec, 2, 3)
+        for word in (x, x + y, commutator(x, y), central_image(spec, 1, 3)):
+            m = rep.mat(word)
+            assert ident @ m == m == m @ ident
+            assert inverse(inverse(word)) == word
+            assert (m @ rep.mat(inverse(word))).is_identity()
+            assert (rep.mat(inverse(word)) @ m).is_identity()
+        assert inverse(x + y) == inverse(y) + inverse(x)
+
+    def test_commutator_of_commuting_is_identity(self):
+        # translations along one direction commute; across directions
+        # their commutator is the central z_{1,2}, not the identity
+        spec = spec_b2()
+        rep = Representation(spec)
+        x, y = translation(spec, 1, 1), translation(spec, 2, 1)
+        assert commutator(x, y) == inverse(x) + inverse(y) + x + y
+        assert rep.mat(commutator(x, y)).is_identity()
+        assert not rep.mat(commutator(x, translation(spec, 2, 2))).is_identity()
+
+    def test_negative_power_raises_the_inverse_word(self):
+        spec = spec_g2()
+        rep = Representation(spec)
+        word = central_image(spec, 1, 2)
+        for e in (1, 2, 3):
+            assert rep.power(word, -e) == rep.power(inverse(word), e)
+            assert (rep.power(word, e) @ rep.power(word, -e)).is_identity()
+        assert rep.power(word, 0).is_identity()
 
 
 class TestVerifiers:
@@ -198,16 +258,17 @@ class TestVerifiers:
         ids=["B2", "G2", "B2mix", "B3", "C3"],
     )
     def test_all_identities_pass(self, spec):
-        assert verify_structure_identities(spec).passed
-        assert verify_translation_identities(spec).passed
+        rep = Representation(spec)
+        assert verify_structure_identities(rep).passed
+        assert verify_translation_identities(rep).passed
 
     def test_guard(self):
         spec = make_spec("B", 2, 5, 2, LAT(2), LAT(3))
-        with pytest.raises(ValueError):
-            verify_structure_identities(spec)
+        with pytest.raises(SpecValidationError, match="guarded at rank <= 4, nullity <= 4"):
+            Representation(spec)
 
     def test_report_serialization(self):
-        report = verify_structure_identities(spec_b2())
+        report = verify_structure_identities(Representation(spec_b2()))
         payload = report.to_json()
         assert all(item["pass"] for item in payload)
         assert report.counts()["commutator"] > 0
@@ -222,17 +283,18 @@ class TestVerifiers:
             bad.raise_on_failure()
 
     def test_rank4_chain(self):
-        spec = make_spec("B", 4, 1, 1, LAT(1), Z0)
-        assert verify_structure_identities(spec).passed
-        assert verify_translation_identities(spec).passed
+        rep = Representation(make_spec("B", 4, 1, 1, LAT(1), Z0))
+        assert verify_structure_identities(rep).passed
+        assert verify_translation_identities(rep).passed
 
     def test_whole_corpus_identities(self):
         # every corpus spec fits the rank <= 4, nullity <= 4 guard
         from weylconj.corpus import reference_corpus
 
         for label, spec in reference_corpus():
-            assert verify_structure_identities(spec).passed, label
-            assert verify_translation_identities(spec).passed, label
+            rep = Representation(spec)
+            assert verify_structure_identities(rep).passed, label
+            assert verify_translation_identities(rep).passed, label
 
 
 def reference_orbit_cover(spec, height_bound: int, gens=None) -> CoverReport:
@@ -328,18 +390,19 @@ class TestOrbitCover:
 
 class TestFreeness:
     def test_nu2_single_pair(self):
-        report = verify_center_freeness(spec_b2())
+        rep = Representation(spec_b2())
+        report = verify_center_freeness(rep)
         assert report.pairs == 1 and report.passed
-        assert central_image(spec_b2(), 1, 2) != Mat.identity(ambient_dim(spec_b2()))
+        assert not rep.mat(central_image(spec_b2(), 1, 2)).is_identity()
 
     def test_nu3_three_pairs(self):
         spec = make_spec("B", 3, 3, 2, LAT(2), LAT(1))
-        report = verify_center_freeness(spec)
+        report = verify_center_freeness(Representation(spec))
         assert report.pairs == 3 and report.passed
 
     def test_nu1_vacuous(self):
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0)
-        report = verify_center_freeness(spec)
+        report = verify_center_freeness(Representation(spec))
         assert report.pairs == 0 and report.passed
 
 
@@ -371,8 +434,8 @@ class TestRealizationIndependence:
                 verify_structure_identities,
                 verify_translation_identities,
             ):
-                rep_a = verifier(default)
-                rep_b = verifier(other)
+                rep_a = verifier(Representation(default))
+                rep_b = verifier(Representation(other))
                 assert rep_a.passed and rep_b.passed
             cov_a = orbit_cover(default, 1)
             cov_b = orbit_cover(other, 1)
