@@ -10,7 +10,7 @@ import argparse
 from collections import defaultdict
 
 from weylconj.corpus import classification_pairs
-from weylconj.integral import count_collections, minimality_screen
+from weylconj.integral import count_collections
 from weylconj.rootsystem import make_spec
 
 SLICES = [
@@ -32,9 +32,8 @@ def run_slice(family, rank, nullity, twist, up_to_permutation):
     for s1, s2 in pairs:
         spec = make_spec(family, rank, nullity, twist, s1, s2)
         decision = count_collections(spec)
-        screen = minimality_screen(spec)
-        if screen.verdict != "unknown":
-            if (screen.verdict == "minimal") != decision.has_pbc:
+        if decision.screen != "unknown":
+            if (decision.screen == "minimal") != decision.has_pbc:
                 disagreements += 1
         key = (s1.index, s2.index)
         by_index[key][0 if decision.has_pbc else 1] += 1

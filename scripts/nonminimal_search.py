@@ -32,7 +32,8 @@ def main():
 
     for label, spec in found:
         decision = count_collections(spec)
-        assert decision.inc > 1, label
+        if decision.inc <= 1:
+            raise SystemExit(f"{label}: the re-count found Inc = {decision.inc}")
         if args.json:
             print(json.dumps(spec_to_json(spec, label=label)))
         else:

@@ -30,7 +30,6 @@ from .integral import (
     construct_nonminimal,
     count_collections,
     decide_by_reduction,
-    minimality_screen,
 )
 from .rootsystem import (
     InvariantBreach,
@@ -156,7 +155,6 @@ def _cmd_classify(args) -> int:
     ):
         spec = make_spec(args.family, args.rank, args.nullity, args.twist, s1, s2)
         decision = count_collections(spec)
-        screen = minimality_screen(spec)
         rows.append(
             {
                 "s1": s1.to_subsets(),
@@ -166,7 +164,7 @@ def _cmd_classify(args) -> int:
                 "inc": decision.inc,
                 "n0": decision.n0,
                 "pbc": decision.has_pbc,
-                "screen": screen.verdict,
+                "screen": decision.screen,
             }
         )
     decisive = [r for r in rows if r["screen"] != "unknown"]

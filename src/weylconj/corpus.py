@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .rootsystem import RootSystemSpec, make_spec
+from .rootsystem import RootSystemSpec, free_sides, make_spec
 from .semilattice import Semilattice, enumerate_semilattices, make_semilattice
 
 
@@ -112,35 +112,23 @@ def random_spec(rng: random.Random) -> RootSystemSpec:
         chosen = [m for m in free if rng.random() < 0.5]
         return Semilattice(dim, frozenset(base + chosen))
 
-    if family in ("F4", "G2"):
-        s1 = Semilattice.lattice(twist)
-        s2 = Semilattice.lattice(nullity - twist)
-    elif family == "B" and rank >= 3:
-        s1 = random_semilattice(twist)
-        s2 = Semilattice.lattice(nullity - twist)
-    elif family == "C":
-        s1 = Semilattice.lattice(twist)
-        s2 = random_semilattice(nullity - twist)
-    else:
-        s1 = random_semilattice(twist)
-        s2 = random_semilattice(nullity - twist)
+    free = free_sides(family, rank)
+    s1, s2 = (
+        random_semilattice(dim) if number in free else Semilattice.lattice(dim)
+        for number, dim in ((1, twist), (2, nullity - twist))
+    )
     return make_spec(family, rank, nullity, twist, s1, s2)
 
 
 def classification_pairs(
     family: str, rank: int, nullity: int, twist: int, up_to_permutation: bool
 ) -> list[tuple[Semilattice, Semilattice]]:
-    """All admissible (S1, S2) pairs for a classification sweep."""
-    if family in ("F4", "G2"):
-        s1s = [Semilattice.lattice(twist)]
-        s2s = [Semilattice.lattice(nullity - twist)]
-    elif family == "B" and rank >= 3:
-        s1s = list(enumerate_semilattices(twist, up_to_permutation))
-        s2s = [Semilattice.lattice(nullity - twist)]
-    elif family == "C":
-        s1s = [Semilattice.lattice(twist)]
-        s2s = list(enumerate_semilattices(nullity - twist, up_to_permutation))
-    else:
-        s1s = list(enumerate_semilattices(twist, up_to_permutation))
-        s2s = list(enumerate_semilattices(nullity - twist, up_to_permutation))
+    """All admissible (S1, S2) pairs: every semilattice on a free side, else the lattice."""
+    free = free_sides(family, rank)
+    s1s, s2s = (
+        list(enumerate_semilattices(dim, up_to_permutation))
+        if number in free
+        else [Semilattice.lattice(dim)]
+        for number, dim in ((1, twist), (2, nullity - twist))
+    )
     return [(s1, s2) for s1 in s1s for s2 in s2s]

@@ -1,15 +1,19 @@
 """Integral collections and the presentation-by-conjugation decision.
 
 For the relevant essential supporting-class members J (subsets of the
-isotropic directions of size >= 3, drawn from S1 and/or S2 depending on
-type), an assignment eps: J -> {0,1} is *integral* when for every pair
-r < s the divisor Delta(r,s) divides the number of chosen J strictly
-containing {r,s}.  The extended affine Weyl group has the presentation
-by conjugation exactly when the trivial assignment is the only integral
-one; the count Inc is always a power of two (the integral assignments
-form a GF(2)-subspace under coordinatewise XOR) and n0 = log2(Inc)
-counts the 2-torsion factors in the kernel of the canonical epimorphism
-from the presented group.
+isotropic directions of size >= 3, drawn from the semilattices the type
+leaves free, see `RootSystemSpec.sides`), an assignment eps: J -> {0,1}
+is *integral* when for every pair r < s the divisor Delta(r,s) divides
+the number of chosen J strictly containing {r,s}.  The extended affine
+Weyl group has the presentation by conjugation exactly when the trivial
+assignment is the only integral one; the count Inc is always a power of
+two (the integral assignments form a GF(2)-subspace under coordinatewise
+XOR) and n0 = log2(Inc) counts the 2-torsion factors in the kernel of
+the canonical epimorphism from the presented group.
+
+The per-semilattice reduction, the closed form and the minimality screen
+each loop over the free sides the same way, so the rule which side a
+type draws on is stated once, in `rootsystem.free_sides`.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 from typing import Callable, Iterator, Mapping, Sequence
 
 from .semilattice import Semilattice, elems_of, enumerate_semilattices
-from .rootsystem import InvariantBreach, RootSystemSpec, make_spec
+from .rootsystem import InvariantBreach, RootSystemSpec, make_spec, validate_slice
 
 MAX_FAMILY = 24
 WITNESS_CAP = 16
@@ -33,6 +37,14 @@ class NotPowerOfTwo(InvariantBreach):
     """Enumeration produced a count that is not a power of two: an implementation bug."""
 
 
+class VerdictMismatch(InvariantBreach):
+    """A decision report whose verdict does not follow from its count."""
+
+
+class ContradictoryScreen(InvariantBreach):
+    """The minimality screen fired both a minimal and a non-minimal condition."""
+
+
 class SearchExhausted(RuntimeError):
     """The non-minimal construction found no witness; contradicts the existence result."""
 
@@ -40,19 +52,16 @@ class SearchExhausted(RuntimeError):
 def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
     """The index family governing collections, as sorted global bitmasks.
 
-    B2 draws on both semilattices, B_l (l>2) only on S1, C_l only on S2
-    (shifted into the upper coordinates), F4 and G2 on neither.
+    The essential members of every free side, shifted into global
+    coordinates: B2 draws on both semilattices, B_l (l>2) only on S1,
+    C_l only on S2, F4 and G2 on neither.
     """
-    t = spec.twist
-    if spec.family == "B" and spec.rank == 2:
-        masks = set(spec.s1.essential_supp())
-        masks |= {m << t for m in spec.s2.essential_supp()}
-    elif spec.family == "B":
-        masks = set(spec.s1.essential_supp())
-    elif spec.family == "C":
-        masks = {m << t for m in spec.s2.essential_supp()}
-    else:
-        masks = set()
+    masks = {
+        m << side.shift
+        for side in spec.sides
+        if side.free
+        for m in side.semilattice.essential_supp()
+    }
     return tuple(sorted(masks))
 
 
@@ -122,12 +131,13 @@ class DecisionReport:
     has_pbc: bool
     witnesses: tuple[tuple[int, ...], ...]  # chosen-J masks of non-trivial collections
     corollary_notes: tuple[str, ...] = ()
+    screen: str = "unknown"  # the minimality_screen verdict
 
     def __post_init__(self) -> None:
         if self.inc != 1 << self.n0:
             raise NotPowerOfTwo(f"inc = {self.inc} is not 2^{self.n0}")
         if self.has_pbc != (self.inc == 1):
-            raise ValueError("has_pbc must mirror inc == 1")
+            raise VerdictMismatch(f"has_pbc = {self.has_pbc} but inc = {self.inc}")
 
     def to_json(self) -> dict:
         return {
@@ -165,6 +175,7 @@ def count_collections(
         has_pbc=inc == 1,
         witnesses=tuple(sorted(witnesses)),
         corollary_notes=tuple(notes),
+        screen=screen.verdict,
     )
 
 
@@ -182,17 +193,12 @@ def semilattice_collection_count(s: Semilattice) -> int:
 
 
 def decide_by_reduction(spec: RootSystemSpec) -> bool:
-    """Presentation-by-conjugation verdict via the per-semilattice reduction."""
-    if spec.family in ("F4", "G2"):
-        return True
-    if spec.family == "B" and spec.rank == 2:
-        return (
-            semilattice_collection_count(spec.s1) == 1
-            and semilattice_collection_count(spec.s2) == 1
-        )
-    if spec.family == "B":
-        return semilattice_collection_count(spec.s1) == 1
-    return semilattice_collection_count(spec.s2) == 1
+    """Presentation-by-conjugation verdict: each free side alone has Inc = 1."""
+    return all(
+        semilattice_collection_count(side.semilattice) == 1
+        for side in spec.sides
+        if side.free
+    )
 
 
 def closed_form_exponent(spec: RootSystemSpec) -> int | None:
@@ -207,19 +213,10 @@ def closed_form_exponent(spec: RootSystemSpec) -> int | None:
             for t in range(r + 1, s.dim + 1)
         )
 
-    if spec.family == "B" and spec.rank == 2:
-        if all_pairs_supported(spec.s1) and all_pairs_supported(spec.s2):
-            return len(spec.s1.essential_supp()) + len(spec.s2.essential_supp())
-        return None
-    if spec.family == "B":
-        if all_pairs_supported(spec.s1):
-            return len(spec.s1.essential_supp())
-        return None
-    if spec.family == "C":
-        if all_pairs_supported(spec.s2):
-            return len(spec.s2.essential_supp())
-        return None
-    return 0
+    free = [side.semilattice for side in spec.sides if side.free]
+    if all(all_pairs_supported(s) for s in free):
+        return sum(len(s.essential_supp()) for s in free)
+    return None
 
 
 @dataclass(frozen=True)
@@ -228,7 +225,11 @@ class ScreenResult:
     reasons: tuple[str, ...]
 
 
-def _not_minimal_reasons(s: Semilattice, side: str, span: int) -> list[str]:
+# How the screen's reasons name a side's dimension: in the index gap, in the low bound.
+_DIM_NAMES = {"S1": ("t", "twist"), "S2": ("(nu - t)", "nu - twist")}
+
+
+def _not_minimal_reasons(s: Semilattice, side: str) -> list[str]:
     reasons = []
     for j in sorted(s.essential_supp()):
         members = elems_of(j)
@@ -239,10 +240,10 @@ def _not_minimal_reasons(s: Semilattice, side: str, span: int) -> list[str]:
                 f"essential member {list(members)} of {side} has all pairs supported"
             )
             break
-    if span >= 3 and s.is_lattice:
+    if s.dim >= 3 and s.is_lattice:
         reasons.append(f"{side} is a lattice of dimension >= 3")
-    if span > 3 and s.index == (1 << span) - 2:
-        reasons.append(f"{side} has near-full index 2^{span} - 2")
+    if s.dim > 3 and s.index == (1 << s.dim) - 2:
+        reasons.append(f"{side} has near-full index 2^{s.dim} - 2")
     return reasons
 
 
@@ -254,32 +255,29 @@ def minimality_screen(spec: RootSystemSpec) -> ScreenResult:
     returns "unknown" when nothing fires.  Decisive verdicts always
     agree with the full enumeration.
     """
-    t, nu = spec.twist, spec.nullity
+    free = [side for side in spec.sides if side.free]
     minimal: list[str] = []
     not_minimal: list[str] = []
-    if spec.family in ("F4", "G2"):
+    if not free:
         minimal.append("empty essential family for this type")
-    elif spec.family == "B" and spec.rank == 2:
-        if spec.s1.index - t <= 3 and spec.s2.index - (nu - t) <= 3:
-            minimal.append("ind(S1) - t <= 3 and ind(S2) - (nu - t) <= 3")
-        if t <= 3 and nu - t <= 3 and spec.s1.index != 7 and spec.s2.index != 7:
-            minimal.append("both blocks have dimension <= 3 and index != 7")
-        not_minimal += _not_minimal_reasons(spec.s1, "S1", t)
-        not_minimal += _not_minimal_reasons(spec.s2, "S2", nu - t)
-    elif spec.family == "B":
-        if spec.s1.index - t <= 3:
-            minimal.append("ind(S1) - t <= 3")
-        if t <= 3 and spec.s1.index != 7:
-            minimal.append("twist <= 3 and ind(S1) != 7")
-        not_minimal += _not_minimal_reasons(spec.s1, "S1", t)
-    else:  # C
-        if spec.s2.index - (nu - t) <= 3:
-            minimal.append("ind(S2) - (nu - t) <= 3")
-        if nu - t <= 3 and spec.s2.index != 7:
-            minimal.append("nu - twist <= 3 and ind(S2) != 7")
-        not_minimal += _not_minimal_reasons(spec.s2, "S2", nu - t)
-    if minimal and not_minimal:  # pragma: no cover
-        raise RuntimeError(f"contradictory screen: {minimal} vs {not_minimal}")
+    else:
+        if all(side.semilattice.index - side.semilattice.dim <= 3 for side in free):
+            minimal.append(" and ".join(
+                f"ind({side.name}) - {_DIM_NAMES[side.name][0]} <= 3" for side in free
+            ))
+        if all(side.semilattice.dim <= 3 and side.semilattice.index != 7 for side in free):
+            minimal.append(
+                "both blocks have dimension <= 3 and index != 7" if len(free) == 2
+                else f"{_DIM_NAMES[free[0].name][1]} <= 3 and ind({free[0].name}) != 7"
+            )
+    for side in free:
+        not_minimal += _not_minimal_reasons(side.semilattice, side.name)
+    if minimal and not_minimal:
+        raise ContradictoryScreen(
+            f"contradictory screen for {spec.family}{spec.rank} nu={spec.nullity} "
+            f"t={spec.twist} S1={spec.s1.to_subsets()} S2={spec.s2.to_subsets()}: "
+            f"minimal {minimal} vs not minimal {not_minimal}"
+        )
     if minimal:
         return ScreenResult("minimal", tuple(minimal))
     if not_minimal:
@@ -311,7 +309,7 @@ def construct_nonminimal(
             raise ValueError("type B requires m1")
         if not 7 <= t + 4 <= m1 <= (1 << t) - 1:
             raise ValueError(f"need 7 <= t+4 <= m1 <= 2^t - 1, got t={t}, m1={m1}")
-        span, target = t, m1
+        varying, span, target = 0, t, m1
     else:
         if m2 is None:
             raise ValueError("type C requires m2")
@@ -319,19 +317,15 @@ def construct_nonminimal(
             raise ValueError(
                 f"need 7 <= nu-t+4 <= m2 <= 2^(nu-t) - 1, got nu-t={nullity - t}, m2={m2}"
             )
-        span, target = nullity - t, m2
+        varying, span, target = 1, nullity - t, m2
+    validate_slice(family, rank, nullity, t)
     for cand in enumerate_semilattices(span, up_to_permutation=True):
         if cand.index != target:
             continue
         if semilattice_collection_count(cand) > 1:
-            if family == "B":
-                spec = make_spec(
-                    family, rank, nullity, t, cand, Semilattice.lattice(nullity - t)
-                )
-            else:
-                spec = make_spec(
-                    family, rank, nullity, t, Semilattice.lattice(t), cand
-                )
+            semis = [Semilattice.lattice(t), Semilattice.lattice(nullity - t)]
+            semis[varying] = cand
+            spec = make_spec(family, rank, nullity, t, *semis)
             report = count_collections(spec)
             if report.inc > 1:
                 return spec

@@ -22,13 +22,17 @@ consists of the vectors
 
 with S = S1 (+) <S2>; roots are stored as (finite part, nu integer
 isotropic coordinates).
+
+`free_sides` states which semilattices the type leaves free (B2 both,
+B_l (l >= 3) S1, C_l S2, F4/G2 neither; every other side is a lattice),
+and `RootSystemSpec.sides` carries that flag for every module that asks.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
 from .semilattice import Semilattice, make_semilattice
@@ -37,6 +41,9 @@ FAMILIES = ("B", "C", "F4", "G2")
 # Bound on a spec document's nullity: the Smith normal form behind `check`
 # keeps a transform of side nu(nu-1)/2, so its memory grows as nu^4.
 MAX_NULLITY = 16
+# Bound on the rank: `finite_roots` builds 2 rank^2 roots at about rank^2
+# work each, so a spec's time grows as rank^4.
+MAX_RANK = 32
 
 
 class SpecValidationError(ValueError):
@@ -77,6 +84,10 @@ class CartanDataError(InvariantBreach):
     """The Cartan data do not define the expected finite root system."""
 
 
+class GeneratorMisclassified(InvariantBreach):
+    """An affine generator is not a short or long root of its own system."""
+
+
 Vec = tuple  # integer coordinate tuple
 
 
@@ -95,10 +106,6 @@ def _pairing(gram: Sequence[Sequence[int]], u: Vec, v: Vec) -> int:
             row = gram[i]
             total += ui * sum(row[j] * vj for j, vj in enumerate(v) if vj)
     return total
-
-
-def _vec_add(u: Vec, v: Vec) -> Vec:
-    return tuple(a + b for a, b in zip(u, v))
 
 
 def _vec_sub_scaled(u: Vec, c, v: Vec) -> Vec:
@@ -263,6 +270,25 @@ class Root(NamedTuple):
     iso: tuple[int, ...]
 
 
+def free_sides(family: str, rank: int) -> tuple[int, ...]:
+    """The sides (1 for S1, 2 for S2) the type leaves free; the rest are lattices."""
+    if family == "B":
+        return (1, 2) if rank == 2 else (1,)
+    if family == "C":
+        return (2,)
+    return ()
+
+
+class Side(NamedTuple):
+    """One semilattice of a spec, placed in the global isotropic coordinates."""
+
+    number: int  # 1 or 2
+    name: str  # "S1" or "S2"
+    semilattice: Semilattice
+    shift: int  # local coordinate q is global coordinate q + shift: 0 or twist
+    free: bool  # False when the type forces a lattice
+
+
 class RootClass(enum.Enum):
     SHORT = "short"
     LONG = "long"
@@ -291,6 +317,15 @@ class RootSystemSpec:
     def k(self) -> int:
         return self.roots.k
 
+    @cached_property
+    def sides(self) -> tuple[Side, Side]:
+        """S1 and S2 with their global shift and whether the type leaves them free."""
+        free = free_sides(self.family, self.rank)
+        return (
+            Side(1, "S1", self.s1, 0, 1 in free),
+            Side(2, "S2", self.s2, self.twist, 2 in free),
+        )
+
     def k_r(self, r: int) -> int:
         """Scale of the isotropic direction r: k on the twisted block, else 1."""
         if not 1 <= r <= self.nullity:
@@ -315,14 +350,12 @@ class RootSystemSpec:
             return 1
         return self.s2.pair_divisor(r - t, s - t)
 
-    def zero_root(self) -> Root:
-        dim = len(self.roots.simple[0])
-        return Root((0,) * dim, (0,) * self.nullity)
-
 
 def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
-    """Reject a type, rank, nullity and twist that no spec can have."""
+    """Reject a type, rank (at most `MAX_RANK`), nullity and twist; builds no roots."""
     _validate_family_rank(family, rank)
+    if rank > MAX_RANK:
+        raise RankOutOfRange(f"rank {rank} exceeds the bound {MAX_RANK}")
     if nullity < 0:
         raise SpecValidationError("nullity must be non-negative")
     if not 0 <= twist <= nullity:
@@ -346,18 +379,13 @@ def make_spec(
         raise SpecValidationError(
             f"S2 has dimension {s2.dim}, expected nullity - twist = {nullity - twist}"
         )
-    if family in ("F4", "G2"):
-        if not s1.is_lattice:
-            raise LatticeRequired("S1", family)
-        if not s2.is_lattice:
-            raise LatticeRequired("S2", family)
-    elif family == "B" and rank >= 3 and not s2.is_lattice:
-        raise LatticeRequired("S2", family)
-    elif family == "C" and not s1.is_lattice:
-        raise LatticeRequired("S1", family)
     if roots is None:
         roots = finite_roots(family, rank)
-    return RootSystemSpec(family, rank, nullity, twist, s1, s2, roots)
+    spec = RootSystemSpec(family, rank, nullity, twist, s1, s2, roots)
+    for side in spec.sides:
+        if not side.free and not side.semilattice.is_lattice:
+            raise LatticeRequired(side.name, family)
+    return spec
 
 
 def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
@@ -446,26 +474,18 @@ def _tau(spec: RootSystemSpec, mask: int) -> tuple[int, ...]:
 def generating_roots(spec: RootSystemSpec) -> list[Root]:
     """The finite-type simple roots plus the type-dependent affine generators.
 
-    The raw list repeats theta_j whenever the empty set indexes a shift;
-    duplicates are removed, keeping first occurrence order.
+    Side j contributes theta_j shifted by tau_J: J runs over the whole
+    supporting class of a free side and over the singletons of a lattice
+    side.  The raw list repeats theta_j whenever the empty set indexes a
+    shift; duplicates are removed, keeping first occurrence order.
     """
     fr = spec.roots
-    t, nu = spec.twist, spec.nullity
-    zero = (0,) * nu
-    raw: list[Root] = [Root(a, zero) for a in fr.simple]
-    th1, th2 = fr.theta1, fr.theta2
-    if spec.family == "B" and spec.rank == 2:
-        raw += [Root(th1, _tau(spec, m)) for m in sorted(spec.s1.supp)]
-        raw += [Root(th2, _tau(spec, m << t)) for m in sorted(spec.s2.supp)]
-    elif spec.family == "B":
-        raw += [Root(th1, _tau(spec, m)) for m in sorted(spec.s1.supp)]
-        raw += [Root(th2, sigma_vec(spec, r)) for r in range(t + 1, nu + 1)]
-    elif spec.family == "C":
-        raw += [Root(th1, sigma_vec(spec, r)) for r in range(1, t + 1)]
-        raw += [Root(th2, _tau(spec, m << t)) for m in sorted(spec.s2.supp)]
-    else:  # F4, G2
-        raw += [Root(th1, sigma_vec(spec, r)) for r in range(1, t + 1)]
-        raw += [Root(th2, sigma_vec(spec, s)) for s in range(t + 1, nu + 1)]
+    raw: list[Root] = [Root(a, (0,) * spec.nullity) for a in fr.simple]
+    for side in spec.sides:
+        theta = fr.simple[side.number - 1]
+        semi = side.semilattice
+        masks = sorted(semi.supp) if side.free else [1 << q for q in range(semi.dim)]
+        raw += [Root(theta, _tau(spec, m << side.shift)) for m in masks]
     out: list[Root] = []
     seen = set()
     for root in raw:
@@ -474,8 +494,8 @@ def generating_roots(spec: RootSystemSpec) -> list[Root]:
             out.append(root)
     for root in out:
         cls = root_class(spec, root)
-        if cls not in (RootClass.SHORT, RootClass.LONG):  # pragma: no cover
-            raise RuntimeError(f"generator {root} classified {cls}")
+        if cls not in (RootClass.SHORT, RootClass.LONG):
+            raise GeneratorMisclassified(f"generator {root} classified {cls.value}")
     return out
 
 
@@ -507,7 +527,7 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
     indices 1..nu-t.  An optional "label" is ignored here.  The numbers
     must be JSON integers (not booleans, not floats) and each supporting
     class a list of integer lists; nothing is coerced.  The nullity is at
-    most `MAX_NULLITY`.
+    most `MAX_NULLITY` and the rank at most `MAX_RANK`.
     """
     try:
         family = doc["type"]

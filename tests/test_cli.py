@@ -6,7 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylconj import cli
+from weylconj import cli, integral, rootsystem
 from weylconj.center import CenterStructure, DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
@@ -17,7 +17,13 @@ from weylconj.cli import (
     main,
 )
 from weylconj.integral import DecisionReport
-from weylconj.rootsystem import MAX_NULLITY, CartanDataError, IntegralityViolation
+from weylconj.rootsystem import (
+    MAX_NULLITY,
+    MAX_RANK,
+    CartanDataError,
+    IntegralityViolation,
+    RootClass,
+)
 
 F4_DOC = {
     "type": "F4", "rank": 4, "nullity": 3, "twist": 1,
@@ -83,6 +89,63 @@ def test_invariant_breach_is_one_line_exit_2(
     assert main([command, write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
     err = capsys.readouterr().err.splitlines()
     assert err == [f"invariant breach: {breach}"]
+
+
+B3_NU1_DOC = {
+    "type": "B", "rank": 3, "nullity": 1, "twist": 1,
+    "supp1": [[], [1]], "supp2": [[]],
+}
+
+
+def test_contradictory_screen_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # B3, nullity 1: the index gap fires "minimal"; force a non-minimal reason too
+    monkeypatch.setattr(integral, "_not_minimal_reasons", lambda s, side: ["forced"])
+    assert main(["check", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("invariant breach: contradictory screen for B3 nu=1 t=1 ")
+    assert main(["classify", "B", "3", "1", "1"]) == EXIT_INVARIANT
+    assert len(capsys.readouterr().err.splitlines()) == 1
+
+
+def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(rootsystem, "root_class", lambda spec, root: RootClass.NONE)
+    assert main(["verify", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invariant breach: generator Root(finite=(1, 0, 0), ")
+    assert line.endswith(" classified none")
+
+
+def test_verdict_mismatch_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    def mislabelled(spec, max_witnesses):
+        return DecisionReport(inc=2, n0=1, has_pbc=True, witnesses=())
+
+    monkeypatch.setattr(cli, "count_collections", mislabelled)
+    assert main(["check", write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
+    assert capsys.readouterr().err.splitlines() == [
+        "invariant breach: has_pbc = True but inc = 2"
+    ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["check", "SPEC"],
+        ["classify", "B", str(MAX_RANK + 1), "2", "2"],
+        ["construct", "B", "3", "3", "--m1", "7", "--rank", str(MAX_RANK + 1)],
+    ],
+    ids=["check", "classify", "construct"],
+)
+def test_rank_above_bound_is_one_line_input_error(tmp_path, capsys, argv):
+    doc = {**B3_NU1_DOC, "rank": MAX_RANK + 1}
+    argv = [write(tmp_path, doc) if arg == "SPEC" else arg for arg in argv]
+    assert main(argv) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"error: rank {MAX_RANK + 1} exceeds the bound {MAX_RANK}"
+    ]
 
 
 class TestCheck:
@@ -239,6 +302,20 @@ class TestClassify:
 
     def test_nullity_guard(self):
         assert main(["classify", "B", "2", "5", "2", "--json"]) == EXIT_INPUT
+
+    def test_each_row_is_screened_once(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(spec):
+            calls.append(spec)
+            return screen(spec)
+
+        screen = integral.minimality_screen
+        monkeypatch.setattr(integral, "minimality_screen", counted)
+        assert main(["classify", "B", "2", "3", "2", "--json"]) == EXIT_OK
+        rows = json.loads(capsys.readouterr().out)["rows"]
+        assert len(calls) == len(rows) > 0
+        assert [row["screen"] for row in rows] == [screen(s).verdict for s in calls]
 
     @pytest.mark.parametrize(
         "argv,message",

@@ -168,6 +168,16 @@ class TestSpecValidation:
         with pytest.raises(LatticeRequired):
             make_spec("F4", 4, 3, 2, Semilattice.minimal(2), Semilattice.lattice(1))
 
+    def test_rank_bound(self, monkeypatch):
+        def no_roots(*args):
+            raise AssertionError("validate_slice built roots")
+
+        monkeypatch.setattr(rootsystem, "finite_roots", no_roots)
+        rootsystem.validate_slice("B", rootsystem.MAX_RANK, 2, 1)
+        rootsystem.validate_slice("C", rootsystem.MAX_RANK, 2, 1)
+        with pytest.raises(RankOutOfRange, match="exceeds the bound"):
+            rootsystem.validate_slice("B", rootsystem.MAX_RANK + 1, 2, 1)
+
     def test_twist_bounds(self):
         with pytest.raises(TwistOutOfRange):
             make_spec("B", 2, 2, 3, Semilattice.lattice(3), Semilattice.lattice(0))

@@ -273,15 +273,6 @@ class TestVerifiers:
         assert all(item["pass"] for item in payload)
         assert report.counts()["commutator"] > 0
 
-    def test_raise_on_failure(self):
-        from weylconj.weylgroup import CheckItem, IdentityFailure, VerifyReport
-
-        good = VerifyReport([CheckItem("x", (1,), True)])
-        good.raise_on_failure()
-        bad = VerifyReport([CheckItem("x", (1,), True), CheckItem("y", (2,), False)])
-        with pytest.raises(IdentityFailure):
-            bad.raise_on_failure()
-
     def test_rank4_chain(self):
         rep = Representation(make_spec("B", 4, 1, 1, LAT(1), Z0))
         assert verify_structure_identities(rep).passed
