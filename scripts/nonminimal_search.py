@@ -3,8 +3,11 @@
 
 For twist 3 the only admissible target index is 7 (the full lattice);
 for twist 4 every index between 8 and 15 admits a witness among the
-2^11 rank-4 supporting classes.  Each witness is re-certified by full
-enumeration before printing.
+2^11 rank-4 supporting classes.  At dimension 5 every index between 9
+and 31 admits one, for type B with t = 5 (varying S1) and for type C
+with nu - t = 5 (varying S2); the search there visits only the classes
+of the target index.  Each witness is re-certified by full enumeration
+before printing.
 """
 
 import argparse
@@ -29,6 +32,12 @@ def main():
     for m1 in range(8, 16):
         spec = construct_nonminimal("B", 4, 4, m1=m1)
         found.append((f"B t=4 m1={m1}", spec))
+    for m1 in range(9, 32):
+        spec = construct_nonminimal("B", 5, 5, m1=m1)
+        found.append((f"B t=5 m1={m1}", spec))
+    for m2 in range(9, 32):
+        spec = construct_nonminimal("C", 5, 0, m2=m2)
+        found.append((f"C nu-t=5 m2={m2}", spec))
 
     for label, spec in found:
         decision = count_collections(spec)

@@ -12,6 +12,13 @@ defining datum.
 
 Subsets are canonicalised as bitmasks with coordinate 1 at the lowest
 bit; iteration over a subset is always in ascending coordinate order.
+
+Coordinate permutations act on classes.  The canonical member of an
+orbit is its least class, comparing classes as sorted tuples of masks.
+`enumerate_semilattices` treats a class as a bitset over the free
+subsets (size >= 2, ascending mask order), so that this comparison is a
+few integer operations (`_precedes`) and a permuted class is a few table
+lookups (`_image_tables`).
 """
 
 from __future__ import annotations
@@ -163,37 +170,125 @@ def _permuted_mask(mask: int, perm: Sequence[int]) -> int:
     return out
 
 
-def _canonical_key(masks: Iterable[int]) -> tuple[int, ...]:
-    return tuple(sorted(masks))
+# Width of the pieces a class bitset is cut into for the image lookups.
+_CHUNK_BITS = 6
+
+
+def _free_masks(dim: int) -> list[int]:
+    """The subsets of size >= 2, in ascending mask order: bit i of a class bitset is the i-th."""
+    return [m for m in range(1 << dim) if m.bit_count() >= 2]
+
+
+def _below_top(free: Sequence[int], dim: int) -> int:
+    """Bitset of the free subsets that sort below the largest singleton."""
+    top = 1 << (dim - 1) if dim else 0
+    return sum(1 << i for i, m in enumerate(free) if m < top)
+
+
+def _precedes(a: int, b: int, below_top: int) -> bool:
+    """Whether class bitset a sorts before b, compared as sorted mask tuples.
+
+    The tuples agree up to the lowest differing free subset x.  The class
+    holding x sorts first exactly when the other class has a member above
+    x: a higher free subset, or the largest singleton when x is below it.
+    """
+    diff = a ^ b
+    if not diff:
+        return False
+    low = diff & -diff
+    if low & below_top:
+        return bool(a & low)
+    if a & low:
+        return bool(b >> low.bit_length())
+    return not a >> low.bit_length()
+
+
+def _image_tables(dim: int, free: Sequence[int]) -> list[list[tuple[int, int, list[int]]]]:
+    """Per non-identity permutation, (shift, mask, table) for each chunk of a class bitset.
+
+    table[v] is the image under the permutation of the free subsets whose
+    bits within the chunk are v, so a class's image is the OR of one
+    lookup per chunk.
+    """
+    position = {m: i for i, m in enumerate(free)}
+    tables = []
+    for perm in itertools.islice(itertools.permutations(range(dim)), 1, None):
+        images = [1 << position[_permuted_mask(m, perm)] for m in free]
+        chunks = []
+        for shift in range(0, len(free), _CHUNK_BITS):
+            table = [0]
+            for image in images[shift : shift + _CHUNK_BITS]:
+                table += [t | image for t in table]
+            chunks.append((shift, len(table) - 1, table))
+        tables.append(chunks)
+    return tables
+
+
+def _is_least(bits: int, tables: list[list[tuple[int, int, list[int]]]], below_top: int) -> bool:
+    """Whether no permuted image of the class bitset sorts before it."""
+    for chunks in tables:
+        image = 0
+        for shift, mask, table in chunks:
+            image |= table[bits >> shift & mask]
+        if _precedes(image, bits, below_top):
+            return False
+    return True
+
+
+def _raw_classes(width: int, count: int | None) -> Iterator[int]:
+    """Class bitsets over `width` free bits in ascending order, only those with `count` bits if given."""
+    if count is None:
+        yield from range(1 << width)
+        return
+    if not 0 <= count <= width:
+        return
+    bits = (1 << count) - 1
+    while bits < 1 << width:
+        yield bits
+        if not bits:
+            return
+        # Gosper's step: the next larger integer with the same number of set bits
+        low = bits & -bits
+        ripple = bits + low
+        bits = ripple | ((bits ^ ripple) >> 2) // low
 
 
 def enumerate_semilattices(
-    dim: int, up_to_permutation: bool = False
+    dim: int, up_to_permutation: bool = False, index: int | None = None
 ) -> Iterator[Semilattice]:
-    """Yield every semilattice of the given dimension.
+    """Yield every semilattice of the given dimension, lazily.
 
     The free choices are the subsets of size >= 2, so there are
-    2^(2^dim - dim - 1) classes in all.  With up_to_permutation=True only
-    the lexicographically-least representative of each orbit under
-    coordinate permutations is yielded.  Guarded at dim <= 5.
+    2^(2^dim - dim - 1) classes in all.  A class is a bitset over those
+    subsets in ascending mask order, and classes are visited in ascending
+    bitset order.  With `index` only the classes of that index are
+    visited, those with index - dim free members.
+
+    With up_to_permutation=True only the least member of each orbit under
+    coordinate permutations is yielded, least when the classes are
+    compared as sorted mask tuples.  A class is tested on bitsets: one
+    image table per permutation, built once per call, gives each permuted
+    class with a few lookups, and the class is dropped at the first image
+    that sorts before it.  Every raw class is still visited, at up to
+    dim! images each, so a full listing is feasible up to dim 4; at dim 5
+    only the first classes of a listing or of an `index` slice are.
+    Guarded at dim <= 5.
     """
     if dim > 5:
         raise DimTooLarge(f"enumeration guarded at dim <= 5, got {dim}")
     if dim < 0:
         raise SemilatticeError("dimension must be non-negative")
     base = [0] + [1 << i for i in range(dim)]
-    free = [m for m in range(1 << dim) if m.bit_count() >= 2]
-    perms = list(itertools.permutations(range(dim))) if up_to_permutation else []
-    for bits in range(1 << len(free)):
+    free = _free_masks(dim)
+    if up_to_permutation:
+        tables = _image_tables(dim, free)
+        below_top = _below_top(free, dim)
+    count = None if index is None else index - dim
+    for bits in _raw_classes(len(free), count):
+        if up_to_permutation and not _is_least(bits, tables, below_top):
+            continue
         masks = list(base)
         for i, m in enumerate(free):
             if bits >> i & 1:
                 masks.append(m)
-        if up_to_permutation:
-            key = _canonical_key(masks)
-            if any(
-                _canonical_key(_permuted_mask(m, p) for m in masks) < key
-                for p in perms
-            ):
-                continue
         yield Semilattice(dim, frozenset(masks))

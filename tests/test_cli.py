@@ -382,6 +382,40 @@ class TestConstruct:
         assert main(["construct", "B", "3", "3", "--m1", "3"]) == EXIT_INPUT
         assert main(["construct", "B", "3", "3"]) == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "argv",
+        [["construct", "B", "5", "5", "--m1", "31"], ["construct", "C", "5", "0", "--m2", "31"]],
+        ids=["B-m1-31", "C-m2-31"],
+    )
+    def test_twist5_full_lattice(self, argv, capsys):
+        # the index-31 class is the full lattice, the last one a scan over
+        # all index-31 candidates in raw order would reach
+        assert main(argv) == EXIT_OK
+        doc = json.loads(capsys.readouterr().out)
+        inc = integral.count_collections(rootsystem.spec_from_json(doc)).inc
+        assert inc > 1
+        assert doc["label"].endswith(f"Inc={inc}")
+
+    # Outputs of the raw-scan search, recorded before it scanned only the
+    # target index: the twist-5 search order must not drift.
+    TWIST5_PINNED = {
+        9: {"type": "B", "rank": 3, "nullity": 5, "twist": 5,
+            "supp1": [[], [1], [2], [1, 2], [3], [1, 3], [2, 3], [1, 2, 3], [4], [5]],
+            "supp2": [[]],
+            "label": "non-minimal B3 nu=5 t=5 ind(S1)=9 ind(S2)=0 Inc=2"},
+        22: {"type": "B", "rank": 3, "nullity": 5, "twist": 5,
+             "supp1": [[], [1], [2], [1, 2], [3], [1, 3], [2, 3], [1, 2, 3], [4], [1, 4],
+                       [2, 4], [1, 2, 4], [3, 4], [1, 3, 4], [2, 3, 4], [1, 2, 3, 4], [5],
+                       [1, 5], [2, 5], [1, 2, 5], [3, 5], [1, 3, 5], [2, 3, 5]],
+             "supp2": [[]],
+             "label": "non-minimal B3 nu=5 t=5 ind(S1)=22 ind(S2)=0 Inc=256"},
+    }
+
+    @pytest.mark.parametrize("m1", sorted(TWIST5_PINNED))
+    def test_twist5_pinned(self, m1, capsys):
+        assert main(["construct", "B", "5", "5", "--m1", str(m1)]) == EXIT_OK
+        assert capsys.readouterr().out == json.dumps(self.TWIST5_PINNED[m1], indent=2) + "\n"
+
 
 class TestUsage:
     @pytest.mark.parametrize(

@@ -1,12 +1,18 @@
 """Supporting-class validation, membership and enumeration."""
 
 import itertools
+import math
+from functools import lru_cache
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from weylconj.semilattice import (
+    _below_top,
+    _free_masks,
+    _permuted_mask,
+    _precedes,
     DimTooLarge,
     DimensionMismatch,
     IndexOrderError,
@@ -19,6 +25,35 @@ from weylconj.semilattice import (
     mask_of,
     OutOfRangeIndex,
 )
+
+
+def _canonical_key(masks):
+    return tuple(sorted(masks))
+
+
+def reference_enumerate(dim, up_to_permutation=False):
+    """The raw scan: every class, kept when no permuted sorted tuple is smaller."""
+    base = [0] + [1 << i for i in range(dim)]
+    free = [m for m in range(1 << dim) if m.bit_count() >= 2]
+    perms = list(itertools.permutations(range(dim))) if up_to_permutation else []
+    for bits in range(1 << len(free)):
+        masks = list(base)
+        for i, m in enumerate(free):
+            if bits >> i & 1:
+                masks.append(m)
+        if up_to_permutation:
+            key = _canonical_key(masks)
+            if any(
+                _canonical_key(_permuted_mask(m, p) for m in masks) < key
+                for p in perms
+            ):
+                continue
+        yield Semilattice(dim, frozenset(masks))
+
+
+@lru_cache(maxsize=None)
+def reference_list(dim, up_to_permutation):
+    return tuple(reference_enumerate(dim, up_to_permutation))
 
 
 def brute_force_points(s: Semilattice, radius: int):
@@ -159,33 +194,126 @@ class TestEnumeration:
             list(enumerate_semilattices(6))
 
     def test_up_to_permutation_dim3(self):
-        raw = [frozenset(s.supp) for s in enumerate_semilattices(3)]
-        # oracle: explicit orbit partition under coordinate permutations
-        def permute_class(supp, perm):
-            out = set()
-            for mask in supp:
-                new = 0
-                for i in range(3):
-                    if mask >> i & 1:
-                        new |= 1 << perm[i]
-                out.add(new)
-            return frozenset(out)
+        check_orbit_representatives(3)
 
-        orbits = set()
-        for supp in raw:
-            orbit = frozenset(
-                permute_class(supp, p) for p in itertools.permutations(range(3))
-            )
-            orbits.add(orbit)
-        reps = list(enumerate_semilattices(3, up_to_permutation=True))
-        assert len(reps) == len(orbits)
-        # each representative is the lexicographically least of its orbit
-        for rep in reps:
-            orbit = {
-                tuple(sorted(permute_class(rep.supp, p)))
-                for p in itertools.permutations(range(3))
-            }
-            assert tuple(sorted(rep.supp)) == min(orbit)
+    def test_up_to_permutation_dim4(self):
+        check_orbit_representatives(4)
+
+
+def check_orbit_representatives(dim):
+    """One representative per orbit, each the least of its orbit."""
+    raw = [frozenset(s.supp) for s in enumerate_semilattices(dim)]
+    # oracle: explicit orbit partition under coordinate permutations
+    def permute_class(supp, perm):
+        out = set()
+        for mask in supp:
+            new = 0
+            for i in range(dim):
+                if mask >> i & 1:
+                    new |= 1 << perm[i]
+            out.add(new)
+        return frozenset(out)
+
+    orbits = set()
+    for supp in raw:
+        orbit = frozenset(
+            permute_class(supp, p) for p in itertools.permutations(range(dim))
+        )
+        orbits.add(orbit)
+    reps = list(enumerate_semilattices(dim, up_to_permutation=True))
+    assert len(reps) == len(orbits)
+    # each representative is the lexicographically least of its orbit
+    for rep in reps:
+        orbit = {
+            tuple(sorted(permute_class(rep.supp, p)))
+            for p in itertools.permutations(range(dim))
+        }
+        assert tuple(sorted(rep.supp)) == min(orbit)
+
+
+class TestAgainstRawScan:
+    """The bitset test against the raw d!-scan it replaced."""
+
+    @pytest.mark.parametrize("up_to_permutation", [False, True])
+    @pytest.mark.parametrize("dim", range(5))
+    def test_same_sequence(self, dim, up_to_permutation):
+        expected = list(reference_list(dim, up_to_permutation))
+        assert list(enumerate_semilattices(dim, up_to_permutation)) == expected
+
+    @pytest.mark.parametrize("up_to_permutation", [False, True])
+    @pytest.mark.parametrize("dim", range(5))
+    def test_every_index(self, dim, up_to_permutation):
+        expected = reference_list(dim, up_to_permutation)
+        # one index below and one above the range yield nothing
+        for index in range(dim - 1, (1 << dim) + 1):
+            got = list(enumerate_semilattices(dim, up_to_permutation, index=index))
+            assert got == [s for s in expected if s.index == index], index
+
+    def test_first_classes_dim5(self):
+        expected = list(itertools.islice(reference_enumerate(5, True), 300))
+        got = list(itertools.islice(enumerate_semilattices(5, True), 300))
+        assert got == expected
+
+    def test_full_lattice_dim5(self):
+        assert list(enumerate_semilattices(5, True, index=31)) == [Semilattice.lattice(5)]
+
+
+def _free_cycles(perm, free):
+    seen, cycles = set(), 0
+    for m in free:
+        if m in seen:
+            continue
+        cycles += 1
+        while m not in seen:
+            seen.add(m)
+            m = _permuted_mask(m, perm)
+    return cycles
+
+
+class TestBurnside:
+    @pytest.mark.parametrize("dim, orbits", [(0, 1), (1, 1), (2, 2), (3, 8), (4, 180)])
+    def test_orbit_count(self, dim, orbits):
+        free = _free_masks(dim)
+        perms = list(itertools.permutations(range(dim)))
+        burnside = sum(1 << _free_cycles(p, free) for p in perms)
+        assert burnside % len(perms) == 0
+        assert burnside // len(perms) == orbits
+        assert sum(1 for _ in enumerate_semilattices(dim, True)) == orbits
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_orbit_sizes_sum_to_raw_count(self, dim):
+        perms = list(itertools.permutations(range(dim)))
+        total = 0
+        for rep in enumerate_semilattices(dim, True):
+            orbit = {frozenset(_permuted_mask(m, p) for m in rep.supp) for p in perms}
+            assert math.factorial(dim) % len(orbit) == 0
+            total += len(orbit)
+        assert total == 1 << ((1 << dim) - dim - 1)
+
+
+@st.composite
+def class_pairs(draw):
+    dim = draw(st.sampled_from([4, 5]))
+    width = len(_free_masks(dim))
+    a = draw(st.integers(0, (1 << width) - 1))
+    # a near neighbour half the time, so long common prefixes are drawn too
+    b = draw(st.one_of(st.integers(0, (1 << width) - 1),
+                       st.integers(0, width - 1).map(lambda i: a ^ (1 << i))))
+    return dim, a, b
+
+
+@given(class_pairs())
+def test_bitset_order_is_sorted_tuple_order(pair):
+    dim, a, b = pair
+    free = _free_masks(dim)
+    base = [0] + [1 << i for i in range(dim)]
+
+    def key(bits):
+        return _canonical_key(base + [m for i, m in enumerate(free) if bits >> i & 1])
+
+    below_top = _below_top(free, dim)
+    assert _precedes(a, b, below_top) == (key(a) < key(b))
+    assert _precedes(b, a, below_top) == (key(b) < key(a))
 
 
 coords3 = st.tuples(*[st.integers(-6, 6)] * 3)
