@@ -25,18 +25,18 @@ def main():
     found = []
     started = time.monotonic()
 
-    spec = construct_nonminimal("B", 3, 3, m1=7)
+    spec, _ = construct_nonminimal("B", 3, 3, m1=7)
     found.append(("B t=3 m1=7", spec))
-    spec = construct_nonminimal("C", 3, 0, m2=7)
+    spec, _ = construct_nonminimal("C", 3, 0, m2=7)
     found.append(("C nu-t=3 m2=7", spec))
     for m1 in range(8, 16):
-        spec = construct_nonminimal("B", 4, 4, m1=m1)
+        spec, _ = construct_nonminimal("B", 4, 4, m1=m1)
         found.append((f"B t=4 m1={m1}", spec))
     for m1 in range(9, 32):
-        spec = construct_nonminimal("B", 5, 5, m1=m1)
+        spec, _ = construct_nonminimal("B", 5, 5, m1=m1)
         found.append((f"B t=5 m1={m1}", spec))
     for m2 in range(9, 32):
-        spec = construct_nonminimal("C", 5, 0, m2=m2)
+        spec, _ = construct_nonminimal("C", 5, 0, m2=m2)
         found.append((f"C nu-t=5 m2={m2}", spec))
 
     for label, spec in found:

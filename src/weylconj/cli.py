@@ -80,14 +80,14 @@ def _load_spec(path: str) -> RootSystemSpec:
     return spec_from_json(doc)
 
 
-def _type_label(spec: RootSystemSpec) -> str:
-    return spec.family if spec.family in ("F4", "G2") else f"{spec.family}{spec.rank}"
+def _type_label(family: str, rank: int) -> str:
+    return family if family in ("F4", "G2") else f"{family}{rank}"
 
 
 def _spec_line(spec: RootSystemSpec) -> str:
     return (
-        f"type {_type_label(spec)}, nullity {spec.nullity}, twist {spec.twist}, "
-        f"ind(S1)={spec.s1.index}, ind(S2)={spec.s2.index}"
+        f"type {_type_label(spec.family, spec.rank)}, nullity {spec.nullity}, "
+        f"twist {spec.twist}, ind(S1)={spec.s1.index}, ind(S2)={spec.s2.index}"
     )
 
 
@@ -181,9 +181,9 @@ def _cmd_classify(args) -> int:
     if args.json:
         print(json.dumps({"rows": rows, "summary": summary}, indent=2))
     else:
-        type_label = args.family if args.family in ("F4", "G2") else f"{args.family}{args.rank}"
         print(
-            f"classification {type_label}, nullity {args.nullity}, twist {args.twist}"
+            f"classification {_type_label(args.family, args.rank)}, "
+            f"nullity {args.nullity}, twist {args.twist}"
         )
         for r in rows:
             print(
@@ -253,7 +253,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_construct(args) -> int:
     try:
-        spec = construct_nonminimal(
+        spec, decision = construct_nonminimal(
             args.family, args.nullity, args.twist, m1=args.m1, m2=args.m2, rank=args.rank
         )
     except (ValueError, SemilatticeError, SpecValidationError) as exc:
@@ -262,10 +262,10 @@ def _cmd_construct(args) -> int:
     except SearchExhausted as exc:
         print(f"search exhausted: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
-    decision = count_collections(spec)
     label = (
-        f"non-minimal {_type_label(spec)} nu={spec.nullity} t={spec.twist} "
-        f"ind(S1)={spec.s1.index} ind(S2)={spec.s2.index} Inc={decision.inc}"
+        f"non-minimal {_type_label(spec.family, spec.rank)} nu={spec.nullity} "
+        f"t={spec.twist} ind(S1)={spec.s1.index} ind(S2)={spec.s2.index} "
+        f"Inc={decision.inc}"
     )
     print(json.dumps(spec_to_json(spec, label=label), indent=2))
     return EXIT_OK

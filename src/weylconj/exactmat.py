@@ -1,44 +1,25 @@
-"""Small exact rational matrices: integer entries over one common denominator.
+"""Small exact integer matrices.
 
-Built for the reflection representation, where every entry is a rational
-with tiny denominator and products must stay exact.  Arithmetic is
-integer-only: a `Mat` is an integer matrix plus one positive integer
-denominator, stored canonically (gcd of all numerators and the
-denominator equal to 1) so equality and hashing are structural.  The
-product is a sparse row combination: row i of `a @ b` is the sum of
-`x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the zeros
-that make up most of a reflection-word matrix.  Nothing here inverts a
-matrix: every matrix the verifiers build is a word in reflections, and
-its inverse is another word.  The fraction-free elimination
-`row_reduce` serves the rank computation of the center-freeness check.
+Built for the reflection representation, whose basis is chosen so that
+every reflection has integer entries (see `weylgroup`); products of
+integer matrices stay integers, so a `Mat` is a tuple of integer rows and
+equality and hashing are structural.  The product is a sparse row
+combination: row i of `a @ b` is the sum of `x * b[k]` over the nonzero
+entries `x = a[i][k]`, which skips the zeros that make up most of a
+reflection-word matrix.  Nothing here inverts a matrix: every matrix the
+verifiers build is a word in reflections, and its inverse is another
+word.  The fraction-free elimination `row_reduce` serves the rank
+computation of the center-freeness check.
 """
 
 from __future__ import annotations
 
-from math import gcd
 from typing import Sequence
 
 
 class Mat:
-    def __init__(self, num: Sequence[Sequence[int]], den: int = 1):
-        if den == 0:
-            raise ZeroDivisionError("denominator must be non-zero")
-        if den < 0:
-            den = -den
-            num = [[-x for x in row] for row in num]
-        g = den
-        for row in num:
-            for x in row:
-                g = gcd(g, x)
-                if g == 1:
-                    break
-            if g == 1:
-                break
-        if g > 1:
-            num = [[x // g for x in row] for row in num]
-            den //= g
-        self.num = tuple(tuple(row) for row in num)
-        self.den = den
+    def __init__(self, rows: Sequence[Sequence[int]]):
+        self.rows = tuple(tuple(row) for row in rows)
 
     @classmethod
     def identity(cls, n: int) -> "Mat":
@@ -46,15 +27,15 @@ class Mat:
 
     @property
     def size(self) -> int:
-        return len(self.num)
+        return len(self.rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         # sparse row combination (see the module docstring): a zero
         # entry of `a` costs one test, not a pass over a row of `b`
-        b = other.num
+        b = other.rows
         zero = (0,) * (len(b[0]) if b else 0)
-        num = []
-        for arow in self.num:
+        rows = []
+        for arow in self.rows:
             acc = None
             for x, brow in zip(arow, b):
                 if x:
@@ -62,8 +43,8 @@ class Mat:
                         acc = brow if x == 1 else [x * y for y in brow]
                     else:
                         acc = [s + x * y for s, y in zip(acc, brow)]
-            num.append(zero if acc is None else acc)
-        return Mat(num, self.den * other.den)
+            rows.append(zero if acc is None else acc)
+        return Mat(rows)
 
     def __pow__(self, e: int) -> "Mat":
         if e < 0:
@@ -78,27 +59,25 @@ class Mat:
         return out
 
     def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.num)), self.den)
+        return Mat(list(zip(*self.rows)))
 
     def is_identity(self) -> bool:
-        if self.den != 1:
-            return False
         return all(
             x == (1 if i == j else 0)
-            for i, row in enumerate(self.num)
+            for i, row in enumerate(self.rows)
             for j, x in enumerate(row)
         )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Mat):
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        return self.rows == other.rows
 
     def __hash__(self) -> int:
-        return hash((self.num, self.den))
+        return hash(self.rows)
 
     def __repr__(self) -> str:
-        return f"Mat({self.num!r}, den={self.den})"
+        return f"Mat({self.rows!r})"
 
 
 def row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:

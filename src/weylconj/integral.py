@@ -292,7 +292,7 @@ def construct_nonminimal(
     m1: int | None = None,
     m2: int | None = None,
     rank: int = 3,
-) -> RootSystemSpec:
+) -> tuple[RootSystemSpec, DecisionReport]:
     """Search for a non-minimal system with the demanded semilattice indices.
 
     For type B the varying side is S1 (index m1, with 7 <= t+4 <= m1 <=
@@ -300,8 +300,9 @@ def construct_nonminimal(
     runs over the permutation representatives of the target index in the
     varying dimension, in ascending raw order, and keeps the first one
     admitting a non-trivial collection; the result is re-certified by
-    full enumeration.  Visiting only the target index keeps dimension 5
-    (twist 5 for B, nu - t = 5 for C) within a second for every index.
+    full enumeration, and that count's report is returned with the spec.
+    Visiting only the target index keeps dimension 5 (twist 5 for B,
+    nu - t = 5 for C) within a second for every index.
     """
     if family not in ("B", "C"):
         raise ValueError("the construction applies to types B and C")
@@ -328,7 +329,7 @@ def construct_nonminimal(
             spec = make_spec(family, rank, nullity, t, *semis)
             report = count_collections(spec)
             if report.inc > 1:
-                return spec
+                return spec, report
     raise SearchExhausted(
         f"no index-{target} semilattice of dimension {span} with a non-trivial collection"
     )

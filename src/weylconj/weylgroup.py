@@ -1,12 +1,16 @@
 """Exact reflection representation of the extended affine Weyl group.
 
 The ambient space is the finite realisation extended by the isotropic
-directions sigma_1..sigma_nu and a dual copy lambda_1..lambda_nu with
-(sigma_r, lambda_s) = delta_rs; reflections then act faithfully enough
-to separate the translation and central parts.  Arithmetic is
-integer-only: roots have integer coordinates, every Cartan number is an
-integer, and each matrix is a `Mat`, integers over one denominator, so
-each identity below is checked with zero tolerance.
+directions sigma_1..sigma_nu and a scaled dual copy lambda'_1..lambda'_nu
+with (sigma_r, lambda'_s) = k delta_rs; reflections then act faithfully
+enough to separate the translation and central parts.  The factor k
+makes every reflection an integer matrix (see `reflection`).  A matrix
+M in this basis is P M_0 P^-1 for its matrix M_0 in the unscaled basis
+lambda_r, P = diag(1, .., 1, 1/k, .., 1/k), and conjugation changes no
+identity below.  Arithmetic is integer-only: roots have integer
+coordinates, every coefficient of a reflection is an integer, and each
+matrix is an integer `Mat`, so each identity below is checked with zero
+tolerance.
 
 Group elements are words: tuples of translation factors (root, sigma),
 each t_root^sigma = w_(root+sigma) w_root.  Reflections are involutions,
@@ -38,6 +42,7 @@ from .rootsystem import (
     SpecValidationError,
     commutator_coeff,
     conj_exponent,
+    exact_div,
     generating_roots,
     root_class,
     sigma_vec,
@@ -59,8 +64,11 @@ def reflection(spec: RootSystemSpec, root: Root) -> Mat:
     """Matrix of u -> u - (u, alpha^vee) alpha for a non-isotropic root.
 
     alpha has ambient coordinates (finite, iso, 0..0).  The form pairs
-    sigma_r with lambda_r only, so G alpha = (gram finite, 0..0, iso)
-    and (alpha, alpha) is the finite pairing.
+    sigma_r with lambda'_r only, as k, so G alpha = (gram finite, 0..0,
+    k iso) and (alpha, alpha) is the finite pairing.  The coefficient
+    (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha) is a Cartan integer
+    on the finite columns, 0 on the sigma columns and k iso_r (short
+    alpha) or iso_r (long alpha) on the lambda' columns.
     """
     if not is_root(spec, root):
         raise NotARoot(f"{root} is not a non-isotropic root of the system")
@@ -68,13 +76,11 @@ def reflection(spec: RootSystemSpec, root: Root) -> Mat:
     zero = (0,) * spec.nullity
     alpha = root.finite + root.iso + zero
     gfinite = tuple(sum(g * x for g, x in zip(row, root.finite)) for row in fr.gram)
-    galpha = gfinite + zero + root.iso
+    galpha = gfinite + zero + tuple(fr.k * x for x in root.iso)
     aa = fr.pairing(root.finite, root.finite)
-    num = [
-        [aa * (r == c) - 2 * a * g for c, g in enumerate(galpha)]
-        for r, a in enumerate(alpha)
-    ]
-    return Mat(num, aa)
+    coeff = [exact_div(2 * g, aa, f"(e_{c}, {root}^vee)") for c, g in enumerate(galpha)]
+    return Mat([[(r == c) - a * x for c, x in enumerate(coeff)]
+                for r, a in enumerate(alpha)])
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
@@ -573,8 +579,7 @@ def verify_center_freeness(rep: Representation, exponent_bound: int = 2) -> Free
     The displacement parts z - 1 are checked linearly independent and
     mutually annihilating, which settles the claim for every exponent
     vector; a direct product sweep over the bounded grid double-checks
-    small cases.  For z = num / den the displacement is scaled to the
-    integer matrix num - den * 1, which changes neither test.
+    small cases.
     """
     spec = rep.spec
     nu = spec.nullity
@@ -584,16 +589,13 @@ def verify_center_freeness(rep: Representation, exponent_bound: int = 2) -> Free
     if not pairs:
         return FreenessReport(0, True, True, 0, [])
     disp = [
-        Mat([
-            [x - z.den * (i == j) for j, x in enumerate(row)]
-            for i, row in enumerate(z.num)
-        ])
+        Mat([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(z.rows)])
         for z in zs
     ]
-    _, pivots = row_reduce([[x for row in d.num for x in row] for d in disp])
+    _, pivots = row_reduce([[x for row in d.rows for x in row] for d in disp])
     independent = len(pivots) == len(pairs)
     products_vanish = all(
-        not any(map(any, (da @ db).num)) for da in disp for db in disp
+        not any(map(any, (da @ db).rows)) for da in disp for db in disp
     )
     grid_failures: list[tuple[int, ...]] = []
     grid_checked = 0

@@ -165,17 +165,17 @@ def test_criterion_6_matrix_identity_suite():
 
 def test_criterion_7_nonminimal_construction():
     started = time.monotonic()
-    spec = construct_nonminimal("B", 3, 3, m1=7)
+    spec, decision = construct_nonminimal("B", 3, 3, m1=7)
     assert spec.s1.index == 7 and spec.s2.index == 0
-    assert not count_collections(spec).has_pbc
-    spec = construct_nonminimal("C", 3, 0, m2=7)
+    assert not decision.has_pbc and not count_collections(spec).has_pbc
+    spec, decision = construct_nonminimal("C", 3, 0, m2=7)
     assert spec.s2.index == 7 and spec.s1.index == 0
-    assert not count_collections(spec).has_pbc
+    assert not decision.has_pbc and not count_collections(spec).has_pbc
     for m1 in range(8, 16):
-        spec = construct_nonminimal("B", 4, 4, m1=m1)
+        spec, decision = construct_nonminimal("B", 4, 4, m1=m1)
         assert spec.s1.index == m1
         assert spec.s2.index == 0
-        assert not count_collections(spec).has_pbc, m1
+        assert not decision.has_pbc and not count_collections(spec).has_pbc, m1
     elapsed = time.monotonic() - started
     report(7, elapsed < 60.0,
            f"witnesses at t=3 (m1=7), C-side (m2=7) and every m1 in 8..15 at t=4 "

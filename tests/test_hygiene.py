@@ -1,8 +1,8 @@
 """Source-level rules for the library: no `assert`, no rational arithmetic.
 
 Invariants are raised as typed exceptions so that `python -O` cannot skip
-them, and all arithmetic is on integers (a matrix is integers over one
-denominator), so the `fractions` module is never imported.  The matrix
+them, and all arithmetic is on integers (a matrix has integer entries),
+so the `fractions` module is never imported.  The matrix
 modules keep no module-level caches: a `weylgroup.Representation` owns
 the matrices of one spec and is dropped with it.
 """

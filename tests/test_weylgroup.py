@@ -9,6 +9,7 @@ from weylconj import weylgroup
 from weylconj.exactmat import Mat
 from weylconj.rootsystem import (
     FiniteRoots,
+    IntegralityViolation,
     Root,
     SpecValidationError,
     generating_roots,
@@ -52,10 +53,7 @@ def spec_b2_mixed():
 
 
 def apply_mat(m: Mat, vec):
-    return tuple(
-        Fraction(sum(row[j] * vec[j] for j in range(len(vec))), m.den)
-        for row in m.num
-    )
+    return tuple(sum(x * v for x, v in zip(row, vec)) for row in m.rows)
 
 
 def embed(spec, root: Root):
@@ -63,15 +61,60 @@ def embed(spec, root: Root):
 
 
 def ambient_gram(spec):
-    """Reference: the whole form on V + span(sigma) + span(lambda), (sigma_r, lambda_r) = 1."""
+    """Reference: the whole form on V + span(sigma) + span(lambda'), (sigma_r, lambda'_r) = k."""
     f = len(spec.roots.simple[0])
     nu = spec.nullity
     rows = [[0] * (f + 2 * nu) for _ in range(f + 2 * nu)]
     for i in range(f):
         rows[i][:f] = spec.roots.gram[i]
     for r in range(nu):
-        rows[f + r][f + nu + r] = rows[f + nu + r][f + r] = 1
+        rows[f + r][f + nu + r] = rows[f + nu + r][f + r] = spec.roots.k
     return rows
+
+
+def unscaled_reflection(spec, root: Root):
+    """Reference: (aa I - 2 alpha (G alpha)^T) / aa over the unscaled dual basis lambda_r."""
+    fr = spec.roots
+    zero = (0,) * spec.nullity
+    alpha = root.finite + root.iso + zero
+    gfinite = tuple(sum(g * x for g, x in zip(row, root.finite)) for row in fr.gram)
+    galpha = gfinite + zero + root.iso
+    aa = fr.pairing(root.finite, root.finite)
+    return [
+        [Fraction(aa * (r == c) - 2 * a * g, aa) for c, g in enumerate(galpha)]
+        for r, a in enumerate(alpha)
+    ]
+
+
+def scale_dual_basis(spec, rows):
+    """P M P^-1 with P = diag(1, .., 1, 1/k, .., 1/k): M over the basis lambda'_r = k lambda_r."""
+    f, nu = len(spec.roots.simple[0]), spec.nullity
+    p = [Fraction(1)] * (f + nu) + [Fraction(1, spec.roots.k)] * nu
+    return [[p[r] * x / p[c] for c, x in enumerate(row)] for r, row in enumerate(rows)]
+
+
+def corpus_generators():
+    from weylconj.corpus import reference_corpus
+
+    for label, spec in reference_corpus():
+        if spec.nullity <= 4:
+            for g in generating_roots(spec):
+                yield label, spec, g
+
+
+def half_scaled_b2_realization() -> FiniteRoots:
+    """Classical B2 coordinates doubled: the basis vector e_1 / 2 pairs as 1/2 with (e_1 + e_2)^vee."""
+    short = frozenset([(2, 0), (-2, 0), (0, 2), (0, -2)])
+    long_ = frozenset([(2, 2), (2, -2), (-2, 2), (-2, -2)])
+    return FiniteRoots(
+        family="B",
+        rank=2,
+        simple=((0, 2), (2, -2)),
+        short_roots=short,
+        long_roots=long_,
+        gram=((2, 0), (0, 2)),
+        k=2,
+    )
 
 
 class TestReflection:
@@ -83,14 +126,35 @@ class TestReflection:
 
     def test_form_preserved(self):
         spec = spec_g2()
-        gram = Mat(ambient_gram(spec))
-        for g in (
-            Root(spec.roots.theta1, (1, 0)),
-            Root(spec.roots.theta2, (3, 0)),
-            Root(spec.roots.theta2, (0, 1)),
-        ):
+        cases = [
+            ("G2", spec, g)
+            for g in (
+                Root(spec.roots.theta1, (1, 0)),
+                Root(spec.roots.theta2, (3, 0)),
+                Root(spec.roots.theta2, (0, 1)),
+            )
+        ] + list(corpus_generators())
+        for label, spec, g in cases:
+            gram = Mat(ambient_gram(spec))
             w = reflection(spec, g)
-            assert w.transpose() @ gram @ w == gram
+            assert w.transpose() @ gram @ w == gram, (label, g)
+
+    def test_matches_unscaled_formula_conjugated(self):
+        # the formula over the unscaled dual basis, with its rational
+        # entries, kept as the oracle of the integer matrices
+        checked = 0
+        for label, spec, g in corpus_generators():
+            expected = scale_dual_basis(spec, unscaled_reflection(spec, g))
+            assert [list(row) for row in reflection(spec, g).rows] == expected, (label, g)
+            checked += 1
+        assert checked == 430
+
+    def test_non_integral_coefficient_raises(self):
+        spec = make_spec("B", 2, 1, 1, LAT(1), Z0, roots=half_scaled_b2_realization())
+        short, long_ = spec.roots.simple
+        assert reflection(spec, Root(short, (0,))).rows  # every coefficient integral
+        with pytest.raises(IntegralityViolation, match=r"\(e_0, .*\^vee\) = 8/16"):
+            reflection(spec, Root(long_, (0,)))
 
     def test_orthogonal_reflections_commute(self):
         spec = make_spec("B", 3, 1, 1, LAT(1), Z0)
