@@ -11,7 +11,8 @@ decomposition: the free rank always comes out as nu(nu-1)/2 (each
 relation row pivots on its own z_J column) and the torsion subgroup is
 an elementary abelian 2-group whose order equals the number of integral
 collections.  That equality is the independent cross-check for the
-enumeration path.
+enumeration path.  The rows, and the residues in `kernel_exponents`,
+are read from the spec's pair-incidence table, `RootSystemSpec.incidence`.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .integral import essential_family, is_integral, pair_residues
+from .integral import is_integral
 from .rootsystem import InvariantBreach, RootSystemSpec, exact_div
 
 
@@ -35,7 +36,6 @@ class DivisibilityChainBroken(InvariantBreach):
 class CenterPresentation:
     """Relation matrix over generators (z_{r,s} for r<s) + (z_J for J in family)."""
 
-    nullity: int
     pairs: tuple[tuple[int, int], ...]
     family: tuple[int, ...]
     rows: tuple[tuple[int, ...], ...]
@@ -47,24 +47,16 @@ class CenterPresentation:
 
 def center_presentation(spec: RootSystemSpec) -> CenterPresentation:
     """One row per essential member: +2 on its own column, -2/Delta on its pairs."""
-    nu = spec.nullity
-    pairs = tuple(
-        (r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)
-    )
+    table, pairs = spec.incidence, spec.incidence.pairs
     coeffs = [
-        exact_div(-2, spec.pair_divisor(r, s), f"-2/Delta({r},{s})") for r, s in pairs
+        exact_div(-2, delta, f"-2/Delta({r},{s})") for (r, s), delta in zip(pairs, table.divisors)
     ]
-    family = essential_family(spec)
     rows = []
-    for jpos, j in enumerate(family):
-        row = [0] * (len(pairs) + len(family))
-        for pos, (r, s) in enumerate(pairs):
-            pm = (1 << (r - 1)) | (1 << (s - 1))
-            if pm & j == pm:
-                row[pos] = coeffs[pos]
-        row[len(pairs) + jpos] = 2
+    for jpos in range(len(table.family)):
+        row = [c if members >> jpos & 1 else 0 for c, members in zip(coeffs, table.rows)]
+        row += [2 if pos == jpos else 0 for pos in range(len(table.family))]
         rows.append(tuple(row))
-    return CenterPresentation(nu, pairs, family, tuple(rows))
+    return CenterPresentation(pairs, table.family, tuple(rows))
 
 
 @dataclass(frozen=True)
@@ -224,11 +216,10 @@ def kernel_exponents(spec: RootSystemSpec, eps: Mapping[int, int]) -> tuple[int,
     """
     if not is_integral(spec, eps):
         raise NotIntegral("assignment is not an integral collection")
-    pres = center_presentation(spec)
-    residues = pair_residues(spec, eps)
-    coords = [-(residues[p][0] // residues[p][1]) for p in pres.pairs]
-    coords += [eps[j] for j in pres.family]
-    return tuple(coords)
+    table = spec.incidence
+    weights = [eps[j] for j in table.family]
+    coords = [-(total // delta) for total, delta in zip(table.pair_sums(weights), table.divisors)]
+    return tuple(coords + weights)
 
 
 def in_row_space(snf: SmithDecomposition, vector: Sequence[int]) -> bool:

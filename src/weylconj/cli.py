@@ -24,6 +24,7 @@ from . import __version__
 from .center import CenterStructure, center_structure
 from .corpus import classification_pairs
 from .integral import (
+    WITNESS_CAP,
     DecisionReport,
     FamilyTooLarge,
     SearchExhausted,
@@ -43,6 +44,7 @@ from .rootsystem import (
 from .semilattice import DimTooLarge, SemilatticeError, elems_of
 from .weylgroup import (
     Representation,
+    check_cover_height,
     orbit_cover,
     verify_center_freeness,
     verify_choice_independence,
@@ -168,15 +170,13 @@ def _cmd_classify(args) -> int:
             }
         )
     decisive = [r for r in rows if r["screen"] != "unknown"]
-    agreements = all(
-        (r["screen"] == "minimal") == r["pbc"] for r in decisive
-    )
+    disagreeing = [r for r in decisive if (r["screen"] == "minimal") != r["pbc"]]
     summary = {
         "rows": len(rows),
         "pbc_true": sum(1 for r in rows if r["pbc"]),
         "pbc_false": sum(1 for r in rows if not r["pbc"]),
         "screen_decisive": len(decisive),
-        "screen_agrees": agreements,
+        "screen_agrees": not disagreeing,
     }
     if args.json:
         print(json.dumps({"rows": rows, "summary": summary}, indent=2))
@@ -195,8 +195,10 @@ def _cmd_classify(args) -> int:
             f"rows {summary['rows']}, pbc yes/no {summary['pbc_true']}/{summary['pbc_false']}, "
             f"screen decisive {summary['screen_decisive']} (agrees: {summary['screen_agrees']})"
         )
-    if not agreements:
-        print("invariant breach: screen disagrees with enumeration", file=sys.stderr)
+    if disagreeing:
+        r = disagreeing[0]
+        print(f"invariant breach: screen disagrees with enumeration at s1={r['s1']} "
+              f"s2={r['s2']}: screen {r['screen']}, inc {r['inc']}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
 
@@ -206,6 +208,7 @@ def _cmd_verify(args) -> int:
     try:
         spec = _load_spec(args.spec)
         rep = Representation(spec)
+        check_cover_height(spec, args.height)
     except (OSError, json.JSONDecodeError, SemilatticeError, SpecValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
@@ -303,7 +306,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide one spec file")
     p_check.add_argument("spec", help="JSON spec document")
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--max-witnesses", type=_non_negative_int, default=16)
+    p_check.add_argument("--max-witnesses", type=_non_negative_int, default=WITNESS_CAP)
     p_check.set_defaults(func=_cmd_check)
 
     p_cls = sub.add_parser("classify", help="sweep all semilattice pairs for a slice")

@@ -11,18 +11,20 @@ two (the integral assignments form a GF(2)-subspace under coordinatewise
 XOR) and n0 = log2(Inc) counts the 2-torsion factors in the kernel of
 the canonical epimorphism from the presented group.
 
-The per-semilattice reduction, the closed form and the minimality screen
-each loop over the free sides the same way, so the rule which side a
-type draws on is stated once, in `rootsystem.free_sides`.
+Every path reads a pair-incidence table (`semilattice.PairIncidence`):
+the count, `is_integral` and the closed form read the spec's table, and
+the reduction and the screen read each free side's own.  The one
+enumeration of integral choices is `_integral_bitsets`.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
-from typing import Callable, Iterator, Mapping, Sequence
+from functools import reduce
+from operator import or_
+from typing import Iterator, Mapping
 
-from .semilattice import Semilattice, elems_of, enumerate_semilattices
+from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import InvariantBreach, RootSystemSpec, make_spec, validate_slice
 
 MAX_FAMILY = 24
@@ -50,76 +52,36 @@ class SearchExhausted(RuntimeError):
 
 
 def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
-    """The index family governing collections, as sorted global bitmasks.
-
-    The essential members of every free side, shifted into global
-    coordinates: B2 draws on both semilattices, B_l (l>2) only on S1,
-    C_l only on S2, F4 and G2 on neither.
-    """
-    masks = {
-        m << side.shift
-        for side in spec.sides
-        if side.free
-        for m in side.semilattice.essential_supp()
-    }
-    return tuple(sorted(masks))
+    """The index family governing collections, as sorted global bitmasks."""
+    return spec.incidence.family
 
 
-def _pair_mask(r: int, s: int) -> int:
-    return (1 << (r - 1)) | (1 << (s - 1))
-
-
-def _parity_constraints(
-    family: Sequence[int], dim: int, divisor: Callable[[int, int], int]
-) -> list[int]:
-    """One mask per pair r < s with divisor 2: the family positions containing the pair."""
-    constraints = []
-    for r in range(1, dim + 1):
-        for s in range(r + 1, dim + 1):
-            if divisor(r, s) == 1:
-                continue
-            pm = _pair_mask(r, s)
-            posmask = 0
-            for pos, j in enumerate(family):
-                if pm & j == pm:
-                    posmask |= 1 << pos
-            constraints.append(posmask)
-    return constraints
-
-
-def pair_residues(
-    spec: RootSystemSpec, eps: Mapping[int, int]
-) -> dict[tuple[int, int], tuple[int, int]]:
-    """Per pair r < s: (sum of chosen J containing the pair, Delta(r,s))."""
-    family = essential_family(spec)
-    out = {}
-    for r in range(1, spec.nullity + 1):
-        for s in range(r + 1, spec.nullity + 1):
-            pm = _pair_mask(r, s)
-            total = sum(eps[j] for j in family if pm & j == pm)
-            out[(r, s)] = (total, spec.pair_divisor(r, s))
-    return out
+def _integral_bitsets(table: PairIncidence) -> Iterator[int]:
+    """Integral choices as bitsets over the table's family positions, in ascending order."""
+    if len(table.family) > MAX_FAMILY:
+        raise FamilyTooLarge(
+            f"|family| = {len(table.family)} exceeds the enumeration guard {MAX_FAMILY}"
+        )
+    constraints = table.parity
+    for bits in range(1 << len(table.family)):
+        if all((bits & c).bit_count() % 2 == 0 for c in constraints):
+            yield bits
 
 
 def is_integral(spec: RootSystemSpec, eps: Mapping[int, int]) -> bool:
     """Whether Delta(r,s) divides the chi-weighted sum for every pair r < s."""
-    family = essential_family(spec)
-    if set(eps) != set(family):
+    table = spec.incidence
+    if set(eps) != set(table.family):
         raise ValueError("assignment must cover exactly the essential family")
-    return all(total % delta == 0 for total, delta in pair_residues(spec, eps).values())
+    sums = table.pair_sums([eps[j] for j in table.family])
+    return all(total % delta == 0 for total, delta in zip(sums, table.divisors))
 
 
 def integral_collections(spec: RootSystemSpec) -> Iterator[dict[int, int]]:
     """All integral assignments, in lexicographic bit order (trivial one first)."""
-    family = essential_family(spec)
-    if len(family) > MAX_FAMILY:
-        raise FamilyTooLarge(
-            f"|family| = {len(family)} exceeds the enumeration guard {MAX_FAMILY}"
-        )
-    constraints = _parity_constraints(family, spec.nullity, spec.pair_divisor)
-    for bits in range(1 << len(family)):
-        if all((bits & c).bit_count() % 2 == 0 for c in constraints):
-            yield {j: bits >> pos & 1 for pos, j in enumerate(family)}
+    table = spec.incidence
+    for bits in _integral_bitsets(table):
+        yield {j: bits >> pos & 1 for pos, j in enumerate(table.family)}
 
 
 @dataclass(frozen=True)
@@ -155,13 +117,13 @@ def count_collections(
     spec: RootSystemSpec, max_witnesses: int = WITNESS_CAP
 ) -> DecisionReport:
     """Count integral collections and decide the presentation by conjugation."""
+    family = spec.incidence.family
     inc = 0
     witnesses: list[tuple[int, ...]] = []
-    for eps in integral_collections(spec):
+    for bits in _integral_bitsets(spec.incidence):
         inc += 1
-        chosen = tuple(sorted(j for j, bit in eps.items() if bit))
-        if chosen and len(witnesses) < max_witnesses:
-            witnesses.append(chosen)
+        if bits and len(witnesses) < max_witnesses:
+            witnesses.append(tuple(j for pos, j in enumerate(family) if bits >> pos & 1))
     if inc & (inc - 1):
         raise NotPowerOfTwo(f"{inc} integral collections")
     screen = minimality_screen(spec)
@@ -181,15 +143,7 @@ def count_collections(
 
 def semilattice_collection_count(s: Semilattice) -> int:
     """Integral collections of a single semilattice against its own pair divisors."""
-    family = sorted(s.essential_supp())
-    if len(family) > MAX_FAMILY:
-        raise FamilyTooLarge(f"|family| = {len(family)}")
-    constraints = _parity_constraints(family, s.dim, s.pair_divisor)
-    return sum(
-        1
-        for bits in range(1 << len(family))
-        if all((bits & c).bit_count() % 2 == 0 for c in constraints)
-    )
+    return sum(1 for _ in _integral_bitsets(s.incidence))
 
 
 def decide_by_reduction(spec: RootSystemSpec) -> bool:
@@ -202,21 +156,11 @@ def decide_by_reduction(spec: RootSystemSpec) -> bool:
 
 
 def closed_form_exponent(spec: RootSystemSpec) -> int | None:
-    """n0 in the closed-form regimes (every relevant pair supported); None otherwise."""
-    if not essential_family(spec):
+    """n0 in the closed-form regimes (no pair has Delta = 2); None otherwise."""
+    table = spec.incidence
+    if not table.family:
         return 0
-
-    def all_pairs_supported(s: Semilattice) -> bool:
-        return all(
-            s.pair_divisor(r, t) == 1
-            for r in range(1, s.dim + 1)
-            for t in range(r + 1, s.dim + 1)
-        )
-
-    free = [side.semilattice for side in spec.sides if side.free]
-    if all(all_pairs_supported(s) for s in free):
-        return sum(len(s.essential_supp()) for s in free)
-    return None
+    return None if table.parity else len(table.family)
 
 
 @dataclass(frozen=True)
@@ -231,15 +175,12 @@ _DIM_NAMES = {"S1": ("t", "twist"), "S2": ("(nu - t)", "nu - twist")}
 
 def _not_minimal_reasons(s: Semilattice, side: str) -> list[str]:
     reasons = []
-    for j in sorted(s.essential_supp()):
-        members = elems_of(j)
-        if all(
-            s.pair_divisor(r, t) == 1 for r, t in itertools.combinations(members, 2)
-        ):
-            reasons.append(
-                f"essential member {list(members)} of {side} has all pairs supported"
-            )
-            break
+    table = s.incidence
+    # members in no Delta = 2 row: every pair inside them is supported
+    supported = ((1 << len(table.family)) - 1) & ~reduce(or_, table.parity, 0)
+    if supported:
+        members = elems_of(table.family[(supported & -supported).bit_length() - 1])
+        reasons.append(f"essential member {list(members)} of {side} has all pairs supported")
     if s.dim >= 3 and s.is_lattice:
         reasons.append(f"{side} is a lattice of dimension >= 3")
     if s.dim > 3 and s.index == (1 << s.dim) - 2:

@@ -35,7 +35,7 @@ from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .semilattice import Semilattice, make_semilattice
+from .semilattice import PairIncidence, Semilattice, make_semilattice, pair_incidence
 
 FAMILIES = ("B", "C", "F4", "G2")
 # Bound on a spec document's nullity: the Smith normal form behind `check`
@@ -140,9 +140,6 @@ class FiniteRoots:
         return exact_div(
             2 * self.pairing(u, v), self.pairing(v, v), f"({u}, {v}^vee)"
         )
-
-    def is_root(self, v: Vec) -> bool:
-        return v in self.short_roots or v in self.long_roots
 
     def reflect(self, v: Vec, alpha: Vec) -> Vec:
         return _vec_sub_scaled(v, self.cartan(v, alpha), alpha)
@@ -325,6 +322,16 @@ class RootSystemSpec:
             Side(1, "S1", self.s1, 0, 1 in free),
             Side(2, "S2", self.s2, self.twist, 2 in free),
         )
+
+    @cached_property
+    def incidence(self) -> PairIncidence:
+        """The free sides' essential members, shifted, against every global pair.
+
+        Not glued from the sides' tables: the count stays independent of the reduction.
+        """
+        free = [side for side in self.sides if side.free]
+        family = {m << side.shift for side in free for m in side.semilattice.essential_supp()}
+        return pair_incidence(self.nullity, family, self.pair_divisor)
 
     def k_r(self, r: int) -> int:
         """Scale of the isotropic direction r: k on the twisted block, else 1."""

@@ -25,7 +25,8 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 
 class SemilatticeError(ValueError):
@@ -83,6 +84,43 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class PairIncidence(NamedTuple):
+    """Per pair r < s: its divisor and the bitset of family positions whose member contains it."""
+
+    dim: int
+    family: tuple[int, ...]  # sorted essential members, as bitmasks
+    divisors: tuple[int, ...]  # per pair, in the order of `pairs`
+    rows: tuple[int, ...]
+    parity: tuple[int, ...]  # the rows with divisor 2: an integral choice meets each evenly
+
+    @property
+    def pairs(self) -> tuple[tuple[int, int], ...]:
+        """Every r < s in 1..dim, in lexicographic order (not stored: a sweep holds many tables)."""
+        return tuple(itertools.combinations(range(1, self.dim + 1), 2))
+
+    def pair_sums(self, weights: Sequence[int]) -> tuple[int, ...]:
+        """Per pair, the total weight of the family positions in its row."""
+        return tuple(sum(w for pos, w in enumerate(weights) if row >> pos & 1) for row in self.rows)
+
+
+def pair_incidence(
+    dim: int, family: Iterable[int], divisor: Callable[[int, int], int]
+) -> PairIncidence:
+    """The incidence table of a family of subsets of 1..dim under a pair divisor."""
+    family = tuple(sorted(family))
+    # cols[r]: the positions whose member contains r; a pair's row is cols[r] & cols[s]
+    cols = [0] * (dim + 1)
+    for pos, j in enumerate(family):
+        for r in range(1, dim + 1):
+            if j >> (r - 1) & 1:
+                cols[r] |= 1 << pos
+    pairs = list(itertools.combinations(range(1, dim + 1), 2))
+    divisors = tuple([divisor(r, s) for r, s in pairs])
+    rows = tuple([cols[r] & cols[s] for r, s in pairs])
+    parity = tuple([row for row, delta in zip(rows, divisors) if delta == 2])
+    return PairIncidence(dim, family, divisors, rows, parity)
+
+
 @dataclass(frozen=True)
 class Semilattice:
     """A semilattice given by dimension and supporting class (as bitmasks)."""
@@ -125,6 +163,10 @@ class Semilattice:
         if not 1 <= r < s <= self.dim:
             raise IndexOrderError(f"need 1 <= r < s <= {self.dim}, got ({r}, {s})")
         return 1 if (1 << (r - 1)) | (1 << (s - 1)) in self.supp else 2
+
+    @cached_property
+    def incidence(self) -> PairIncidence:
+        return pair_incidence(self.dim, self.essential_supp(), self.pair_divisor)
 
     def sum_supports(self) -> frozenset[int]:
         """Odd-coordinate sets of S + S, i.e. symmetric differences of class members."""

@@ -13,10 +13,11 @@ from weylconj.cli import (
     EXIT_INVARIANT,
     EXIT_NO_PBC,
     EXIT_OK,
+    build_parser,
     cross_check,
     main,
 )
-from weylconj.integral import DecisionReport
+from weylconj.integral import WITNESS_CAP, DecisionReport, ScreenResult
 from weylconj.rootsystem import (
     MAX_NULLITY,
     MAX_RANK,
@@ -24,6 +25,7 @@ from weylconj.rootsystem import (
     IntegralityViolation,
     RootClass,
 )
+from weylconj.weylgroup import MAX_COVER_STATES
 
 F4_DOC = {
     "type": "F4", "rank": 4, "nullity": 3, "twist": 1,
@@ -201,6 +203,9 @@ class TestCheck:
                 f"error: nullity {nullity} exceeds the bound {MAX_NULLITY}"
             ]
 
+    def test_max_witnesses_default_is_the_library_cap(self):
+        assert build_parser().parse_args(["check", "SPEC"]).max_witnesses == WITNESS_CAP
+
     def test_max_witnesses_flag(self, tmp_path, capsys):
         import itertools
 
@@ -303,6 +308,20 @@ class TestClassify:
     def test_nullity_guard(self):
         assert main(["classify", "B", "2", "5", "2", "--json"]) == EXIT_INPUT
 
+    def test_screen_breach_names_the_first_disagreeing_row(self, capsys, monkeypatch):
+        forced = ScreenResult("minimal", ("forced",))
+        monkeypatch.setattr(integral, "minimality_screen", lambda spec: forced)
+        assert main(["classify", "B", "3", "4", "4", "--json"]) == EXIT_INVARIANT
+        captured = capsys.readouterr()
+        rows = json.loads(captured.out)["rows"]
+        disagreeing = [r for r in rows if not r["pbc"]]
+        assert len(disagreeing) > 1
+        first = disagreeing[0]
+        assert captured.err.splitlines() == [
+            f"invariant breach: screen disagrees with enumeration at s1={first['s1']} "
+            f"s2={first['s2']}: screen minimal, inc {first['inc']}"
+        ]
+
     def test_each_row_is_screened_once(self, capsys, monkeypatch):
         calls = []
 
@@ -360,6 +379,25 @@ class TestVerify:
         assert captured.err.splitlines() == [
             "error: verification is guarded at rank <= 4, nullity <= 4"
         ]
+
+    @pytest.mark.parametrize("height", [3, 4])
+    def test_height_bound(self, tmp_path, capsys, monkeypatch, height):
+        # B3 at nullity 4: height 3 spans 18 * 11^4 box states, height 4 18 * 13^4
+        if height == 4:  # refused before any suite runs
+            monkeypatch.setattr(cli, "verify_structure_identities", None)
+        doc = {"type": "B", "rank": 3, "nullity": 4, "twist": 4,
+               "supp1": [[]] + [[r] for r in range(1, 5)], "supp2": [[]]}
+        code = main(["verify", write(tmp_path, doc), "--height", str(height), "--json"])
+        captured = capsys.readouterr()
+        if height == 3:
+            assert code == EXIT_OK and captured.err == ""
+            assert json.loads(captured.out)["orbit_cover"]["bound"] == 3
+        else:
+            assert code == EXIT_INPUT and captured.out == ""
+            assert captured.err.splitlines() == [
+                f"error: orbit cover at height 4 spans {18 * 13**4} states, "
+                f"above the bound {MAX_COVER_STATES}"
+            ]
 
 
 class TestConstruct:

@@ -143,8 +143,12 @@ class TestCount:
     def test_enumeration_guard(self):
         spec = make_spec("B", 2, 6, 6, LAT(6), Z0)
         assert len(essential_family(spec)) == 42
-        with pytest.raises(FamilyTooLarge):
+        with pytest.raises(FamilyTooLarge) as spec_err:
             count_collections(spec)
+        with pytest.raises(FamilyTooLarge) as side_err:
+            semilattice_collection_count(LAT(6))
+        assert str(side_err.value) == str(spec_err.value)
+        assert str(spec_err.value) == "|family| = 42 exceeds the enumeration guard 24"
 
 
 class TestClosedForm:

@@ -17,11 +17,13 @@ from weylconj.rootsystem import (
 )
 from weylconj.semilattice import Semilattice, make_semilattice
 from weylconj.weylgroup import (
+    MAX_COVER_STATES,
     CoverReport,
     NotARoot,
     Representation,
     ambient_dim,
     central_image,
+    check_cover_height,
     central_word,
     commutator,
     inverse,
@@ -441,6 +443,25 @@ class TestOrbitCover:
         assert report.passed
         fr = spec.roots
         assert report.target_count == len(fr.short_roots) + len(fr.long_roots)
+
+    @pytest.mark.parametrize(
+        "family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("F4", 4), ("G2", 2)]
+    )
+    def test_height_two_admitted_at_nullity_four(self, family, rank):
+        # the largest box the tests and the benchmark ask for: F4, 48 roots * 9^4 states
+        check_cover_height(make_spec(family, rank, 4, 2, LAT(2), LAT(2)), 2)
+
+    def test_height_bound(self):
+        # B3 at nullity 4: 18 finite roots, (2h + 5)^4 iso tuples each
+        spec = make_spec("B", 3, 4, 4, Semilattice.minimal(4), Z0)
+        assert 18 * 11**4 <= MAX_COVER_STATES < 18 * 13**4
+        check_cover_height(spec, 3)
+        with pytest.raises(SpecValidationError) as err:
+            orbit_cover(spec, 4)
+        assert str(err.value) == (
+            f"orbit cover at height 4 spans {18 * 13**4} states, "
+            f"above the bound {MAX_COVER_STATES}"
+        )
 
 
 class TestFreeness:
