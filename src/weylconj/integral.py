@@ -51,6 +51,14 @@ class SearchExhausted(RuntimeError):
     """The non-minimal construction found no witness; contradicts the existence result."""
 
 
+def _named(spec: RootSystemSpec) -> str:
+    """The spec as a breach names it: type, rank, nullity, twist and both classes."""
+    return (
+        f"{spec.family}{spec.rank} nu={spec.nullity} t={spec.twist} "
+        f"S1={spec.s1.to_subsets()} S2={spec.s2.to_subsets()}"
+    )
+
+
 def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
     """The index family governing collections, as sorted global bitmasks."""
     return spec.incidence.family
@@ -125,7 +133,9 @@ def count_collections(
         if bits and len(witnesses) < max_witnesses:
             witnesses.append(tuple(j for pos, j in enumerate(family) if bits >> pos & 1))
     if inc & (inc - 1):
-        raise NotPowerOfTwo(f"{inc} integral collections")
+        raise NotPowerOfTwo(
+            f"{inc} integral collections for {_named(spec)}: not a power of two"
+        )
     screen = minimality_screen(spec)
     notes = [f"{screen.verdict}: {reason}" for reason in screen.reasons]
     closed = closed_form_exponent(spec)
@@ -215,8 +225,7 @@ def minimality_screen(spec: RootSystemSpec) -> ScreenResult:
         not_minimal += _not_minimal_reasons(side.semilattice, side.name)
     if minimal and not_minimal:
         raise ContradictoryScreen(
-            f"contradictory screen for {spec.family}{spec.rank} nu={spec.nullity} "
-            f"t={spec.twist} S1={spec.s1.to_subsets()} S2={spec.s2.to_subsets()}: "
+            f"contradictory screen for {_named(spec)}: "
             f"minimal {minimal} vs not minimal {not_minimal}"
         )
     if minimal:

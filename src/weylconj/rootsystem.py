@@ -108,10 +108,6 @@ def _pairing(gram: Sequence[Sequence[int]], u: Vec, v: Vec) -> int:
     return total
 
 
-def _vec_sub_scaled(u: Vec, c, v: Vec) -> Vec:
-    return tuple(a - c * b for a, b in zip(u, v))
-
-
 @dataclass(frozen=True)
 class FiniteRoots:
     """A finite root system with distinguished short alpha_1, long alpha_2."""
@@ -140,9 +136,6 @@ class FiniteRoots:
         return exact_div(
             2 * self.pairing(u, v), self.pairing(v, v), f"({u}, {v}^vee)"
         )
-
-    def reflect(self, v: Vec, alpha: Vec) -> Vec:
-        return _vec_sub_scaled(v, self.cartan(v, alpha), alpha)
 
 
 # Cartan data in the required ordering: half squared lengths per simple

@@ -18,6 +18,12 @@ so a word's inverse is the reversed word of factors (root + sigma,
 -sigma) and no matrix is ever inverted.  A `Representation` owns the
 matrices of one spec, cached by reflection root and by word.
 
+Three builders make the paper's elements, and every suite calls them:
+`translation` builds t_{i,r}^n, `central_word` builds z_J on a given
+base root, and `central_image` builds z_{r,s} (a mixed pair's
+commutator, a supported pair's `central_word`, or an unsupported pair's
+commutator, by Delta(r,s)).
+
 The verifiers exercise, as matrix identities, the relations the
 presented group imposes on its distinguished generators: the conjugation
 relation w_i t_{j,r} w_i = t_{j,r} t_{i,r}^(-a), the commutator relation
@@ -32,7 +38,7 @@ import itertools
 from dataclasses import dataclass
 from functools import reduce
 from operator import matmul, sub
-from typing import Sequence
+from typing import Iterator, Sequence
 
 from .exactmat import Mat, row_reduce
 from .rootsystem import (
@@ -152,24 +158,30 @@ class Representation:
         return got
 
 
-def translation(spec: RootSystemSpec, i: int, r: int) -> Word:
-    """t_{i,r}: the basic translation along sigma_r attached to the i-th simple root."""
-    base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
-    return translation_word(base, sigma_vec(spec, r, spec.translation_step(i, r)))
+def _simple_root(spec: RootSystemSpec, i: int) -> Root:
+    """alpha_i with zero isotropic part: the base of t_{i,r} (theta_i for i = 1, 2)."""
+    return Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
 
 
-def _theta_root(spec: RootSystemSpec, side: int) -> Root:
-    finite = spec.roots.theta1 if side == 1 else spec.roots.theta2
-    return Root(finite, (0,) * spec.nullity)
+def translation(spec: RootSystemSpec, i: int, r: int, n: int = 1) -> Word:
+    """t_{i,r}^n: the basic translation along sigma_r attached to the i-th simple root.
+
+    The one-factor word t_(alpha_i)^(n step sigma_r), step the least
+    positive shift that keeps alpha_i a root (`translation_step`).
+    """
+    sigma = sigma_vec(spec, r, n * spec.translation_step(i, r))
+    return translation_word(_simple_root(spec, i), sigma)
 
 
-def central_word(spec: RootSystemSpec, side: int, mask: int) -> Word:
-    """psi(z_J) for J in the supporting class of side 1 or 2 (global mask)."""
-    theta = _theta_root(spec, side)
+def central_word(spec: RootSystemSpec, base: Root, mask: int) -> Word:
+    """psi(z_J) on a base root for a global mask J.
+
+    The word t_base^(-tau_J), then t_base^(sigma_r) for r in J ascending.
+    """
     tau = tuple(-(mask >> q & 1) for q in range(spec.nullity))
-    word = translation_word(theta, tau)
+    word = translation_word(base, tau)
     for r in elems_of(mask):
-        word += translation_word(theta, sigma_vec(spec, r))
+        word += translation_word(base, sigma_vec(spec, r))
     return word
 
 
@@ -182,42 +194,39 @@ def central_image(
 ) -> Word:
     """psi(z_{r,s}) for a global pair r < s.
 
-    Supported pairs use the three-translation product word, unsupported
-    pairs the commutator of the two singleton translations, and mixed
-    pairs the short/long commutator.  The optional bases override the
-    default theta choices (they must pair negatively in the mixed case);
-    the result is choice-independent.
+    A mixed pair (r in S1's block, s in S2's) is the long/short
+    commutator.  On one side, a supported pair (Delta(r,s) = 1) is the
+    central word z_{r,s}, an unsupported one the commutator of the two
+    singleton translations.  The optional bases override the default
+    theta choices (they must pair negatively in the mixed case); the
+    result is choice-independent.
     """
-    if not 1 <= r < s <= spec.nullity:
-        raise ValueError(f"need 1 <= r < s <= {spec.nullity}")
-    t = spec.twist
-    alpha = short_base if short_base is not None else _theta_root(spec, 1)
-    beta = long_base if long_base is not None else _theta_root(spec, 2)
-    pair_mask = (1 << (r - 1)) | (1 << (s - 1))
-    if s <= t or r > t:  # both directions on one side
-        base, supp, shift = (alpha, spec.s1.supp, 0) if s <= t else (beta, spec.s2.supp, t)
-        if (pair_mask >> shift) in supp:
-            return _pair_word(spec, base, r, s)
+    delta = spec.pair_divisor(r, s)  # first: it rejects a pair outside 1 <= r < s <= nu
+    alpha = short_base if short_base is not None else _simple_root(spec, 1)
+    beta = long_base if long_base is not None else _simple_root(spec, 2)
+    if r <= spec.twist < s:
+        if spec.roots.pairing(alpha.finite, beta.finite) >= 0:
+            raise ValueError("mixed-pair bases must pair negatively")
         return commutator(
-            translation_word(base, sigma_vec(spec, r)),
-            translation_word(base, sigma_vec(spec, s)),
+            translation_word(beta, sigma_vec(spec, s)),
+            translation_word(alpha, sigma_vec(spec, r)),
         )
-    fr = spec.roots
-    if fr.pairing(alpha.finite, beta.finite) >= 0:
-        raise ValueError("mixed-pair bases must pair negatively")
+    base = alpha if s <= spec.twist else beta
+    if delta == 1:
+        return central_word(spec, base, (1 << (r - 1)) | (1 << (s - 1)))
     return commutator(
-        translation_word(beta, sigma_vec(spec, s)),
-        translation_word(alpha, sigma_vec(spec, r)),
+        translation_word(base, sigma_vec(spec, r)),
+        translation_word(base, sigma_vec(spec, s)),
     )
 
 
-def _pair_word(spec: RootSystemSpec, base: Root, r: int, s: int) -> Word:
-    tau = tuple(-1 if q in (r - 1, s - 1) else 0 for q in range(spec.nullity))
-    return (
-        translation_word(base, tau)
-        + translation_word(base, sigma_vec(spec, r))
-        + translation_word(base, sigma_vec(spec, s))
-    )
+def _class_members(spec: RootSystemSpec) -> Iterator[tuple[int, int]]:
+    """(side number, global mask) of each supporting-class member of size >= 2."""
+    for side in spec.sides:
+        for local in sorted(side.semilattice.supp):
+            mask = local << side.shift
+            if mask.bit_count() >= 2:
+                yield side.number, mask
 
 
 @dataclass(frozen=True)
@@ -256,7 +265,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
     items: list[CheckItem] = []
-    refl = [rep.reflection(Root(a, (0,) * nu)) for a in spec.roots.simple]
+    refl = [rep.reflection(_simple_root(spec, i)) for i in range(1, rank + 1)]
     trans = {
         (i, r): translation(spec, i, r)
         for i in range(1, rank + 1)
@@ -289,20 +298,14 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
                         ok = lhs == rep.power(zword[(r, s)], e)
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
-    for side in spec.sides:
-        for local in sorted(side.semilattice.supp):
-            mask = local << side.shift
-            if mask.bit_count() < 2:
-                continue
-            zj = rep.mat(central_word(spec, side.number, mask))
-            rhs = rep.mat(())
-            members = elems_of(mask)
-            for r, s in itertools.combinations(members, 2):
-                e = 2 // spec.pair_divisor(r, s)
-                rhs = rhs @ rep.power(zword[(r, s)], e)
-            items.append(
-                CheckItem("square", (side.number, members), zj @ zj == rhs)
-            )
+    for side, mask in _class_members(spec):
+        zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
+        rhs = rep.mat(())
+        members = elems_of(mask)
+        for r, s in itertools.combinations(members, 2):
+            e = 2 // spec.pair_divisor(r, s)
+            rhs = rhs @ rep.power(zword[(r, s)], e)
+        items.append(CheckItem("square", (side, members), zj @ zj == rhs))
     return VerifyReport(items)
 
 
@@ -314,130 +317,81 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     """Check the elementary translation identities on a deterministic sample."""
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
-    zero = (0,) * nu
-    items: list[CheckItem] = []
     pi_refl = [rep.reflection(g) for g in generating_roots(spec)]
+    power: list[CheckItem] = []
+    shift: list[CheckItem] = []
+    exchange: list[CheckItem] = []
+    central: list[CheckItem] = []
+    difference: list[CheckItem] = []
+    defect: list[CheckItem] = []
 
     def t(root: Root, sigma: Sequence[int]) -> Mat:
         return rep.mat(translation_word(root, sigma))
 
-    # power law (t^sigma)^n = t^(n sigma) and inverse symmetry
     for i in range(1, rank + 1):
-        base = Root(spec.roots.simple[i - 1], zero)
         for r in range(1, nu + 1):
-            step = spec.translation_step(i, r)
-            tmat = t(base, sigma_vec(spec, r, step))
+            # power law (t^sigma)^n = t^(n sigma) and inverse symmetry
+            tmat = rep.mat(translation(spec, i, r))
             acc = rep.mat(())
             for n in range(1, 4):
                 acc = acc @ tmat
-                direct = t(base, sigma_vec(spec, r, n * step))
-                items.append(CheckItem("power", (i, r, n), acc == direct))
-                inv_direct = t(base, sigma_vec(spec, r, -n * step))
-                items.append(
-                    CheckItem("power", (i, r, -n), (acc @ inv_direct).is_identity())
-                )
-
-    # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
-    for i in range(1, rank + 1):
-        base = Root(spec.roots.simple[i - 1], zero)
-        for r in range(1, nu + 1):
-            step = spec.translation_step(i, r)
-            sigma = sigma_vec(spec, r, step)
-            ref = t(base, sigma)
+                direct = rep.mat(translation(spec, i, r, n))
+                power.append(CheckItem("power", (i, r, n), acc == direct))
+                inv_direct = rep.mat(translation(spec, i, r, -n))
+                ok = (acc @ inv_direct).is_identity()
+                power.append(CheckItem("power", (i, r, -n), ok))
+            # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
+            ((base, sigma),) = translation(spec, i, r)
             for n in (-2, -1, 1, 2):
-                shifted = _add_iso(base, sigma_vec(spec, r, n * step))
-                items.append(
-                    CheckItem("base-shift", (i, r, n), t(shifted, sigma) == ref)
-                )
-            neg = Root(_neg(base.finite), zero)
-            items.append(
-                CheckItem(
-                    "negation",
-                    (i, r),
-                    t(base, sigma_vec(spec, r, -step)) == t(neg, sigma),
-                )
-            )
+                ((_, n_sigma),) = translation(spec, i, r, n)
+                ok = t(_add_iso(base, n_sigma), sigma) == tmat
+                shift.append(CheckItem("base-shift", (i, r, n), ok))
+            neg = Root(_neg(base.finite), base.iso)
+            ok = rep.mat(translation(spec, i, r, -1)) == t(neg, sigma)
+            shift.append(CheckItem("negation", (i, r), ok))
 
-    # exchange identity t^(-d)_(a+s) t^d_a = t^s_(a+d) t^(-s)_a
     for side in (1, 2):
-        alpha = _theta_root(spec, side)
-        i = side
-        for r in range(1, nu + 1):
-            for s in range(1, nu + 1):
-                if r == s:
-                    continue
-                sig = sigma_vec(spec, r, spec.translation_step(i, r))
-                del_ = sigma_vec(spec, s, spec.translation_step(i, s))
-                needed = [
-                    _add_iso(alpha, sig),
-                    _add_iso(alpha, del_),
-                    _add_iso(_add_iso(alpha, sig), _neg(del_)),
-                    _add_iso(_add_iso(alpha, del_), sig),
-                    _add_iso(alpha, _neg(sig)),
-                    _add_iso(alpha, _neg(del_)),
-                ]
-                if not all(is_root(spec, root) for root in needed):
-                    continue
-                lhs = t(_add_iso(alpha, sig), _neg(del_)) @ t(alpha, del_)
-                rhs = t(_add_iso(alpha, del_), sig) @ t(alpha, _neg(sig))
-                items.append(CheckItem("exchange", (side, r, s), lhs == rhs))
+        for r, s in itertools.permutations(range(1, nu + 1), 2):
+            ((alpha, sig),) = translation(spec, side, r)
+            ((_, del_),) = translation(spec, side, s)
+            a_sig, a_del = _add_iso(alpha, sig), _add_iso(alpha, del_)
+            # exchange identity t^(-d)_(a+s) t^d_a = t^s_(a+d) t^(-s)_a
+            needed = [
+                a_sig,
+                a_del,
+                _add_iso(a_sig, _neg(del_)),
+                _add_iso(a_del, sig),
+                _add_iso(alpha, _neg(sig)),
+                _add_iso(alpha, _neg(del_)),
+            ]
+            if all(is_root(spec, root) for root in needed):
+                lhs = t(a_sig, _neg(del_)) @ rep.mat(translation(spec, side, s))
+                rhs = t(a_del, sig) @ rep.mat(translation(spec, side, r, -1))
+                exchange.append(CheckItem("exchange", (side, r, s), lhs == rhs))
+            # the difference word t^d_(a+s) t^(-d)_a is central
+            if (
+                is_root(spec, a_sig)
+                and is_root(spec, _add_iso(a_sig, del_))
+                and is_root(spec, _add_iso(alpha, _neg(del_)))
+            ):
+                word = t(a_sig, del_) @ rep.mat(translation(spec, side, s, -1))
+                ok = _centrality(word, pi_refl)
+                difference.append(CheckItem("central-difference", (side, r, s), ok))
 
-    # centrality of commutators, difference words and defect words
+    # commutators of basic translations are central
     for (si, sj) in ((1, 1), (1, 2), (2, 2)):
-        a = _theta_root(spec, si)
-        b = _theta_root(spec, sj)
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
-                com = commutator(
-                    translation_word(a, sigma_vec(spec, r, spec.translation_step(si, r))),
-                    translation_word(b, sigma_vec(spec, s, spec.translation_step(sj, s))),
-                )
-                items.append(
-                    CheckItem(
-                        "central-commutator",
-                        (si, sj, r, s),
-                        _centrality(rep.mat(com), pi_refl),
-                    )
-                )
+                com = commutator(translation(spec, si, r), translation(spec, sj, s))
+                ok = _centrality(rep.mat(com), pi_refl)
+                central.append(CheckItem("central-commutator", (si, sj, r, s), ok))
 
-    for side in (1, 2):
-        alpha = _theta_root(spec, side)
-        i = side
-        for r in range(1, nu + 1):
-            for s in range(1, nu + 1):
-                if r == s:
-                    continue
-                sig = sigma_vec(spec, r, spec.translation_step(i, r))
-                del_ = sigma_vec(spec, s, spec.translation_step(i, s))
-                shifted = _add_iso(alpha, sig)
-                if not (
-                    is_root(spec, shifted)
-                    and is_root(spec, _add_iso(shifted, del_))
-                    and is_root(spec, _add_iso(alpha, _neg(del_)))
-                ):
-                    continue
-                word = t(shifted, del_) @ t(alpha, _neg(del_))
-                items.append(
-                    CheckItem(
-                        "central-difference",
-                        (side, r, s),
-                        _centrality(word, pi_refl),
-                    )
-                )
-
-    for side in spec.sides:
-        for local in sorted(side.semilattice.supp):
-            mask = local << side.shift
-            if mask.bit_count() < 2:
-                continue
-            items.append(
-                CheckItem(
-                    "central-defect",
-                    (side.number, elems_of(mask)),
-                    _centrality(rep.mat(central_word(spec, side.number, mask)), pi_refl),
-                )
-            )
-    return VerifyReport(items)
+    # the central words z_J are central
+    for side, mask in _class_members(spec):
+        zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
+        ok = _centrality(zj, pi_refl)
+        defect.append(CheckItem("central-defect", (side, elems_of(mask)), ok))
+    return VerifyReport(power + shift + exchange + central + difference + defect)
 
 
 def verify_choice_independence(rep: Representation) -> VerifyReport:
@@ -455,7 +409,7 @@ def verify_choice_independence(rep: Representation) -> VerifyReport:
         for b in longs
         if fr.pairing(a, b) < 0
     ]
-    default = (_theta_root(spec, 1), _theta_root(spec, 2))
+    default = (_simple_root(spec, 1), _simple_root(spec, 2))
     alt = next(p for p in alt_pairs if p != default)
     for r in range(1, spec.nullity + 1):
         for s in range(r + 1, spec.nullity + 1):

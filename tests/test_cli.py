@@ -111,6 +111,17 @@ def test_contradictory_screen_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     assert len(capsys.readouterr().err.splitlines()) == 1
 
 
+def test_count_not_a_power_of_two_names_the_spec(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integral, "_integral_bitsets", lambda table: iter([0, 1, 2]))
+    assert main(["check", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invariant breach: 3 integral collections for B3 nu=1 t=1 S1=[[], [1]] S2=[[]]: "
+        "not a power of two"
+    ]
+
+
 def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rootsystem, "root_class", lambda spec, root: RootClass.NONE)
     assert main(["verify", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT

@@ -1,10 +1,11 @@
-"""Source-level rules for the library: no `assert`, no rational arithmetic.
+"""Source-level rules for the library: no `assert`, no rational arithmetic, no orphans.
 
 Invariants are raised as typed exceptions so that `python -O` cannot skip
 them, and all arithmetic is on integers (a matrix has integer entries),
 so the `fractions` module is never imported.  The matrix
 modules keep no module-level caches: a `weylgroup.Representation` owns
-the matrices of one spec and is dropped with it.
+the matrices of one spec and is dropped with it.  A private module-level
+helper that nothing else in the library mentions is dead code.
 """
 
 import ast
@@ -58,3 +59,32 @@ def test_no_module_level_caches_in_matrix_modules(name):
         ):
             offences.append(f"line {node.lineno}: functools.{node.attr}")
     assert offences == []
+
+
+def test_no_orphaned_private_helpers():
+    # a module-level `_name` def or class that no other top-level statement
+    # of the library mentions has outlived its last caller
+    defined: list[tuple[str, str, int]] = []
+    mentions: dict[str, set[tuple[str, int]]] = {}
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if stmt.name.startswith("_") and not stmt.name.startswith("__"):
+                    defined.append((stmt.name, path.name, stmt.lineno))
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    name = node.id
+                elif isinstance(node, ast.Attribute):
+                    name = node.attr
+                elif isinstance(node, ast.alias):
+                    name = node.name
+                else:
+                    continue
+                mentions.setdefault(name, set()).add((path.name, stmt.lineno))
+    orphans = [
+        f"{module}:{line}: {name}"
+        for name, module, line in defined
+        if not mentions.get(name, set()) - {(module, line)}
+    ]
+    assert orphans == []

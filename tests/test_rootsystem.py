@@ -93,7 +93,8 @@ class TestFiniteRoots:
         for v in allroots:
             assert tuple(-x for x in v) in allroots
             for alpha in allroots:
-                assert fr.reflect(v, alpha) in allroots
+                c = fr.cartan(v, alpha)
+                assert tuple(x - c * a for x, a in zip(v, alpha)) in allroots
 
     @pytest.mark.parametrize("family,rank", CASES)
     def test_cartan_pairings_integral(self, family, rank):

@@ -275,7 +275,7 @@ class TestCentralImages:
         # z_J^2 for a supported pair J = {r,s} collapses to z_{r,s}^2
         spec = make_spec("B", 2, 2, 2, LAT(2), Z0)
         rep = Representation(spec)
-        zj = rep.mat(central_word(spec, 1, 0b11))
+        zj = rep.mat(central_word(spec, Root(spec.roots.theta1, (0, 0)), 0b11))
         z = rep.mat(central_image(spec, 1, 2))
         assert zj @ zj == z @ z
 
