@@ -13,10 +13,15 @@ an elementary abelian 2-group whose order equals the number of integral
 collections.  That equality is the independent cross-check for the
 enumeration path.  The rows, and the residues in `kernel_exponents`,
 are read from the spec's pair-incidence table, `RootSystemSpec.incidence`.
+
+`smith_normal_form` eliminates on the matrix alone and returns only the
+diagonal; no unimodular transform is built.  `in_row_space` reads
+row-lattice membership from two diagonals, without and with the vector.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -61,10 +66,8 @@ def center_presentation(spec: RootSystemSpec) -> CenterPresentation:
 
 @dataclass(frozen=True)
 class SmithDecomposition:
-    """U @ M @ V = D with U, V unimodular and the diagonal divisibility chain."""
+    """The Smith normal form diagonal: d_1 | d_2 | ..., one entry per min(shape)."""
 
-    left: tuple[tuple[int, ...], ...]
-    right: tuple[tuple[int, ...], ...]
     diag: tuple[int, ...]
     shape: tuple[int, int]
 
@@ -76,13 +79,14 @@ class SmithDecomposition:
     def invariant_factors(self) -> tuple[int, ...]:
         return tuple(d for d in self.diag if d > 1)
 
-
-def _identity(n: int) -> list[list[int]]:
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    @property
+    def saturation_index(self) -> int:
+        """Index of the row lattice in its saturation: the non-zero entries' product."""
+        return math.prod(d for d in self.diag if d)
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Exact integer Smith normal form with the transforms kept for audit.
+    """Exact integer Smith normal form diagonal, eliminated on the matrix alone.
 
     Smallest-absolute-value pivoting; empty matrices are fine.
     """
@@ -92,37 +96,6 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
     for row in a:
         if len(row) != ncols:
             raise ValueError("ragged matrix")
-    u = _identity(nrows)
-    v = _identity(ncols)
-
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        for row in v:
-            row[i], row[j] = row[j], row[i]
-
-    def add_row(src, dst, c):
-        # row[dst] += c * row[src]
-        arow, asrc = a[dst], a[src]
-        for idx in range(ncols):
-            arow[idx] += c * asrc[idx]
-        urow, usrc = u[dst], u[src]
-        for idx in range(nrows):
-            urow[idx] += c * usrc[idx]
-
-    def add_col(src, dst, c):
-        for row in a:
-            row[dst] += c * row[src]
-        for row in v:
-            row[dst] += c * row[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
 
     t = 0
     while t < min(nrows, ncols):
@@ -134,37 +107,37 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
                     pivot = (i, j)
         if pivot is None:
             break
-        if pivot != (t, t):
-            if pivot[0] != t:
-                swap_rows(pivot[0], t)
-            if pivot[1] != t:
-                swap_cols(pivot[1], t)
-        p = a[t][t]
+        pi, pj = pivot
+        if pi != t:
+            a[pi], a[t] = a[t], a[pi]
+        if pj != t:
+            for row in a:
+                row[pj], row[t] = row[t], row[pj]
+        top = a[t]
+        p = top[t]
         dirty = False
         for i in range(t + 1, nrows):
             if a[i][t]:
-                add_row(t, i, -(a[i][t] // p))
+                c = a[i][t] // p
+                a[i] = [x - c * y for x, y in zip(a[i], top)]
                 dirty = dirty or a[i][t] != 0
         for j in range(t + 1, ncols):
-            if a[t][j]:
-                add_col(t, j, -(a[t][j] // p))
-                dirty = dirty or a[t][j] != 0
+            if top[j]:
+                c = top[j] // p
+                for row in a:
+                    row[j] -= c * row[t]
+                dirty = dirty or top[j] != 0
         if dirty:
             continue  # remainders shrink the next pivot
         # pivot divides the rest of the submatrix, or pull a bad row in and retry
-        offender = None
-        for i in range(t + 1, nrows):
-            for j in range(t + 1, ncols):
-                if a[i][j] % p:
-                    offender = i
-                    break
-            if offender is not None:
-                break
+        offender = next(
+            (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
+        )
         if offender is not None:
-            add_row(offender, t, 1)
+            a[t] = [x + y for x, y in zip(top, offender)]
             continue
         if p < 0:
-            negate_row(t)
+            a[t] = [-x for x in top]
         t += 1
 
     diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
@@ -173,12 +146,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
             raise DivisibilityChainBroken(
                 f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
             )
-    return SmithDecomposition(
-        left=tuple(tuple(row) for row in u),
-        right=tuple(tuple(row) for row in v),
-        diag=diag,
-        shape=(nrows, ncols),
-    )
+    return SmithDecomposition(diag=diag, shape=(nrows, ncols))
 
 
 @dataclass(frozen=True)
@@ -222,21 +190,15 @@ def kernel_exponents(spec: RootSystemSpec, eps: Mapping[int, int]) -> tuple[int,
     return tuple(coords + weights)
 
 
-def in_row_space(snf: SmithDecomposition, vector: Sequence[int]) -> bool:
-    """Whether an integer vector is an integer combination of the matrix rows."""
-    nrows, ncols = snf.shape
-    if len(vector) != ncols:
+def in_row_space(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:
+    """Whether an integer vector is an integer combination of the matrix rows.
+
+    Appending y to the rows of M keeps the row lattice L exactly when y
+    lies in it.  Otherwise y either raises the rank or, inside the same
+    rational span, lowers the index of the lattice in its saturation,
+    and that index is the product of the non-zero diagonal entries.
+    """
+    if rows and len(vector) != len(rows[0]):
         raise ValueError("length mismatch")
-    # y in rowspace(M)  <=>  y @ V = b @ D for an integer b
-    z = [
-        sum(vector[i] * snf.right[i][j] for i in range(ncols))
-        for j in range(ncols)
-    ]
-    for j in range(ncols):
-        d = snf.diag[j] if j < len(snf.diag) else 0
-        if d == 0:
-            if z[j]:
-                return False
-        elif z[j] % d:
-            return False
-    return True
+    before, after = smith_normal_form(rows), smith_normal_form([*rows, vector])
+    return (before.rank, before.saturation_index) == (after.rank, after.saturation_index)

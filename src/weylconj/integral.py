@@ -39,10 +39,6 @@ class NotPowerOfTwo(InvariantBreach):
     """Enumeration produced a count that is not a power of two: an implementation bug."""
 
 
-class VerdictMismatch(InvariantBreach):
-    """A decision report whose verdict does not follow from its count."""
-
-
 class ContradictoryScreen(InvariantBreach):
     """The minimality screen fired both a minimal and a non-minimal condition."""
 
@@ -94,20 +90,24 @@ def integral_collections(spec: RootSystemSpec) -> Iterator[dict[int, int]]:
 
 @dataclass(frozen=True)
 class DecisionReport:
-    """Outcome of the collection count for one root system."""
+    """Outcome of the collection count for one root system.
+
+    `inc` is a power of two (`count_collections` checks it); n0 and the
+    verdict are read from it.
+    """
 
     inc: int
-    n0: int
-    has_pbc: bool
     witnesses: tuple[tuple[int, ...], ...]  # chosen-J masks of non-trivial collections
     corollary_notes: tuple[str, ...] = ()
     screen: str = "unknown"  # the minimality_screen verdict
 
-    def __post_init__(self) -> None:
-        if self.inc != 1 << self.n0:
-            raise NotPowerOfTwo(f"inc = {self.inc} is not 2^{self.n0}")
-        if self.has_pbc != (self.inc == 1):
-            raise VerdictMismatch(f"has_pbc = {self.has_pbc} but inc = {self.inc}")
+    @property
+    def n0(self) -> int:
+        return self.inc.bit_length() - 1
+
+    @property
+    def has_pbc(self) -> bool:
+        return self.inc == 1
 
     def to_json(self) -> dict:
         return {
@@ -143,8 +143,6 @@ def count_collections(
         notes.append(f"closed-form: n0 = {closed}")
     return DecisionReport(
         inc=inc,
-        n0=inc.bit_length() - 1,
-        has_pbc=inc == 1,
         witnesses=tuple(sorted(witnesses)),
         corollary_notes=tuple(notes),
         screen=screen.verdict,

@@ -38,8 +38,11 @@ from typing import Iterable, NamedTuple, Sequence
 from .semilattice import PairIncidence, Semilattice, make_semilattice, pair_incidence
 
 FAMILIES = ("B", "C", "F4", "G2")
-# Bound on a spec document's nullity: the Smith normal form behind `check`
-# keeps a transform of side nu(nu-1)/2, so its memory grows as nu^4.
+# Bound on a spec document's nullity: a supporting class holds up to 2^nu
+# members, and `check` builds the pair-incidence table over them before
+# `integral.MAX_FAMILY` refuses the family, so the center never runs on
+# such a spec.  The refusal takes about 1 s for the nullity-16 lattice and
+# grows as 2^nu.
 MAX_NULLITY = 16
 # Bound on the rank: `finite_roots` builds 2 rank^2 roots at about rank^2
 # work each, so a spec's time grows as rank^4.

@@ -403,14 +403,18 @@ def verify_choice_independence(rep: Representation) -> VerifyReport:
     shorts = sorted(fr.short_roots)
     longs = sorted(fr.long_roots)
     alt_short = next(Root(v, zero) for v in shorts if v != fr.theta1)
-    alt_pairs = [
-        (Root(a, zero), Root(b, zero))
-        for a in shorts
-        for b in longs
-        if fr.pairing(a, b) < 0
-    ]
     default = (_simple_root(spec, 1), _simple_root(spec, 2))
-    alt = next(p for p in alt_pairs if p != default)
+    # the first short x long pair that pairs negatively, other than the default
+    alt = next(
+        pair
+        for pair in (
+            (Root(a, zero), Root(b, zero))
+            for a in shorts
+            for b in longs
+            if fr.pairing(a, b) < 0
+        )
+        if pair != default
+    )
     for r in range(1, spec.nullity + 1):
         for s in range(r + 1, spec.nullity + 1):
             base = rep.mat(central_image(spec, r, s))

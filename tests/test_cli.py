@@ -130,14 +130,15 @@ def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatc
     assert line.endswith(" classified none")
 
 
-def test_verdict_mismatch_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
-    def mislabelled(spec, max_witnesses):
-        return DecisionReport(inc=2, n0=1, has_pbc=True, witnesses=())
+def test_miscount_against_torsion_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # the B3 lattice has Inc = 2 and torsion [2]; a count of 4 contradicts the center
+    def miscounted(spec, max_witnesses):
+        return DecisionReport(inc=4, witnesses=())
 
-    monkeypatch.setattr(cli, "count_collections", mislabelled)
+    monkeypatch.setattr(cli, "count_collections", miscounted)
     assert main(["check", write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
     assert capsys.readouterr().err.splitlines() == [
-        "invariant breach: has_pbc = True but inc = 2"
+        "invariant breach: center torsion order 2 != collection count 4"
     ]
 
 
@@ -233,8 +234,7 @@ class TestCheck:
 
 class TestCrossCheck:
     def make_report(self, inc):
-        n0 = inc.bit_length() - 1
-        return DecisionReport(inc=inc, n0=n0, has_pbc=inc == 1, witnesses=())
+        return DecisionReport(inc=inc, witnesses=())
 
     def test_consistent(self):
         breaches = cross_check(
