@@ -11,11 +11,17 @@ broken Smith divisibility chain) exits 2 with a one-line message from
 every subcommand.  A command-line usage error (unknown subcommand, a
 non-integer or negative count) exits 1 with one `error:` line, so 2
 always means a broken invariant.
+
+`classify --json` prints the bytes of `json.dumps(..., indent=2)` but
+renders each distinct subset once per call and fills every row into a
+fixed frame (`_classify_json`).  The argument parser is built on the
+first `main` call and reused for every later call in the process.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -41,7 +47,7 @@ from .rootsystem import (
     spec_to_json,
     validate_slice,
 )
-from .semilattice import DimTooLarge, SemilatticeError, elems_of
+from .semilattice import DimTooLarge, Semilattice, SemilatticeError, elems_of
 from .weylgroup import (
     Representation,
     check_cover_height,
@@ -156,51 +162,94 @@ def _cmd_classify(args) -> int:
         pairs, key=lambda p: (sorted(p[0].supp), sorted(p[1].supp))
     ):
         spec = make_spec(args.family, args.rank, args.nullity, args.twist, s1, s2)
-        decision = count_collections(spec)
-        rows.append(
-            {
-                "s1": s1.to_subsets(),
-                "s2": s2.to_subsets(),
-                "ind1": s1.index,
-                "ind2": s2.index,
-                "inc": decision.inc,
-                "n0": decision.n0,
-                "pbc": decision.has_pbc,
-                "screen": decision.screen,
-            }
-        )
-    decisive = [r for r in rows if r["screen"] != "unknown"]
-    disagreeing = [r for r in decisive if (r["screen"] == "minimal") != r["pbc"]]
+        rows.append((s1, s2, count_collections(spec)))
+    decisive = [r for r in rows if r[2].screen != "unknown"]
+    disagreeing = [r for r in decisive if (r[2].screen == "minimal") != r[2].has_pbc]
     summary = {
         "rows": len(rows),
-        "pbc_true": sum(1 for r in rows if r["pbc"]),
-        "pbc_false": sum(1 for r in rows if not r["pbc"]),
+        "pbc_true": sum(1 for r in rows if r[2].has_pbc),
+        "pbc_false": sum(1 for r in rows if not r[2].has_pbc),
         "screen_decisive": len(decisive),
         "screen_agrees": not disagreeing,
     }
     if args.json:
-        print(json.dumps({"rows": rows, "summary": summary}, indent=2))
+        print(_classify_json(rows, summary))
     else:
         print(
             f"classification {_type_label(args.family, args.rank)}, "
             f"nullity {args.nullity}, twist {args.twist}"
         )
-        for r in rows:
+        for s1, s2, d in rows:
             print(
-                f"  ind1={r['ind1']:>2} ind2={r['ind2']:>2} inc={r['inc']:>3} "
-                f"n0={r['n0']} pbc={'yes' if r['pbc'] else 'no ':<3} "
-                f"screen={r['screen']:<11} s1={r['s1']} s2={r['s2']}"
+                f"  ind1={s1.index:>2} ind2={s2.index:>2} inc={d.inc:>3} "
+                f"n0={d.n0} pbc={'yes' if d.has_pbc else 'no ':<3} "
+                f"screen={d.screen:<11} s1={s1.to_subsets()} s2={s2.to_subsets()}"
             )
         print(
             f"rows {summary['rows']}, pbc yes/no {summary['pbc_true']}/{summary['pbc_false']}, "
             f"screen decisive {summary['screen_decisive']} (agrees: {summary['screen_agrees']})"
         )
     if disagreeing:
-        r = disagreeing[0]
-        print(f"invariant breach: screen disagrees with enumeration at s1={r['s1']} "
-              f"s2={r['s2']}: screen {r['screen']}, inc {r['inc']}", file=sys.stderr)
+        s1, s2, d = disagreeing[0]
+        print(f"invariant breach: screen disagrees with enumeration at s1={s1.to_subsets()} "
+              f"s2={s2.to_subsets()}: screen {d.screen}, inc {d.inc}", file=sys.stderr)
         return EXIT_INVARIANT
     return EXIT_OK
+
+
+# One classify row of `json.dumps(..., indent=2)`, keys in output order;
+# the s1 and s2 slots take the side's subsets, one per line group.
+_ROW_FRAME = """\
+    {{
+      "s1": [
+{}
+      ],
+      "s2": [
+{}
+      ],
+      "ind1": {},
+      "ind2": {},
+      "inc": {},
+      "n0": {},
+      "pbc": {},
+      "screen": {}
+    }}"""
+_SUBSET_PAD = " " * 8  # row subsets sit at depth 4 of the document
+
+
+def _classify_json(
+    rows: list[tuple[Semilattice, Semilattice, DecisionReport]], summary: dict
+) -> str:
+    """The bytes of `json.dumps({"rows": ..., "summary": summary}, indent=2)`.
+
+    With `indent` the json module falls back to its pure-Python encoder,
+    which spent most of a classify call printing subsets.  Each distinct
+    subset mask (at most 16 at nullity <= 4) is rendered once here, and
+    every row is filled into `_ROW_FRAME` from those pieces.
+    """
+    subsets: dict[int, str] = {}
+
+    def side(s: Semilattice) -> str:
+        parts = []
+        for mask in sorted(s.supp):
+            text = subsets.get(mask)
+            if text is None:
+                text = _SUBSET_PAD + json.dumps(list(elems_of(mask)), indent=2).replace(
+                    "\n", "\n" + _SUBSET_PAD
+                )
+                subsets[mask] = text
+            parts.append(text)
+        return ",\n".join(parts)
+
+    body = ",\n".join(
+        _ROW_FRAME.format(
+            side(s1), side(s2), s1.index, s2.index, d.inc, d.n0,
+            json.dumps(d.has_pbc), json.dumps(d.screen),
+        )
+        for s1, s2, d in rows
+    )
+    tail = json.dumps(summary, indent=2).replace("\n", "\n  ")
+    return f'{{\n  "rows": [\n{body}\n  ],\n  "summary": {tail}\n}}'
 
 
 def _cmd_verify(args) -> int:
@@ -295,6 +344,7 @@ def _non_negative_int(text: str) -> int:
     return value
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="weylconj",

@@ -1,0 +1,66 @@
+"""`classify` stdout pinned byte for byte, and checked against the json module.
+
+`classify --json` renders its document piece by piece instead of calling
+`json.dumps` on it.  The golden files fix those bytes.  Three JSON slices
+and one text slice are pinned:
+
+- `B 3 3 3 --no-perm`: 16 rows, one of them not minimal (also pinned in
+  text mode);
+- `B 2 4 2`: both sides are free, so each semilattice appears in several
+  rows;
+- `B 3 4 4`: 180 rows, with all three screen verdicts and Inc from 1 to 32.
+
+The oracle test runs every slice at nullity <= 3 of the five sweep types,
+with and without `--no-perm`, and asks that the output equal the indent-2
+dump of its own parsed document.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from weylconj.cli import EXIT_OK, main
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+JSON_SLICES = ["B 3 3 3 --no-perm", "B 2 4 2", "B 3 4 4"]
+TEXT_SLICES = ["B 3 3 3 --no-perm"]
+ORACLE_TYPES = (("B", 2), ("B", 3), ("C", 3), ("F4", 4), ("G2", 2))
+ORACLE_MAX_NULLITY = 3
+
+
+def golden_path(argv: str, suffix: str) -> Path:
+    return GOLDEN / ("classify-" + "-".join(argv.replace("--", "").split()) + suffix)
+
+
+@pytest.mark.parametrize("argv", JSON_SLICES)
+def test_classify_json_matches_golden(argv, capsys):
+    assert main(["classify", *argv.split(), "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == golden_path(argv, ".json").read_text(encoding="utf-8")
+
+
+@pytest.mark.parametrize("argv", TEXT_SLICES)
+def test_classify_text_matches_golden(argv, capsys):
+    assert main(["classify", *argv.split()]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == golden_path(argv, ".txt").read_text(encoding="utf-8")
+
+
+def oracle_slices():
+    for family, rank in ORACLE_TYPES:
+        for nullity in range(1, ORACLE_MAX_NULLITY + 1):
+            for twist in range(nullity + 1):
+                for flags in ([], ["--no-perm"]):
+                    yield [family, str(rank), str(nullity), str(twist), *flags]
+
+
+def test_json_is_the_indent_2_dump_of_itself(capsys):
+    slices = list(oracle_slices())
+    assert len(slices) == 90
+    for argv in slices:
+        assert main(["classify", *argv, "--json"]) == EXIT_OK, argv
+        out = capsys.readouterr().out
+        doc = json.loads(out)
+        assert out == json.dumps(doc, indent=2) + "\n", argv
+        assert len(doc["rows"]) == doc["summary"]["rows"] >= 1, argv

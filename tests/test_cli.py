@@ -1,6 +1,7 @@
 """CLI subcommands, exit codes and output determinism."""
 
 import json
+from itertools import combinations
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -527,6 +528,73 @@ class TestUsage:
         assert proc.stderr.splitlines() == [
             "error: argument rank: invalid int value: 'x'"
         ]
+
+
+class TestParserReuse:
+    """`main` reuses one parser; nothing of one call carries into the next."""
+
+    B3_NU4_LATTICE_DOC = {
+        "type": "B", "rank": 3, "nullity": 4, "twist": 4,
+        "supp1": [list(c) for r in range(5) for c in combinations(range(1, 5), r)],
+        "supp2": [[]],
+    }
+
+    @staticmethod
+    def report(capsys, argv):
+        """Exit code, JSON document without `elapsed_s`, and stderr of one call."""
+        code = main(argv)
+        captured = capsys.readouterr()
+        doc = json.loads(captured.out)
+        del doc["elapsed_s"]
+        return code, doc, captured.err
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_parser_is_not_built_at_import(self):
+        import subprocess
+        import sys
+
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "from weylconj import cli; print(cli.build_parser.cache_info().currsize)"],
+            capture_output=True, text=True, check=True,
+        )
+        assert proc.stdout == "0\n"
+
+    def test_max_witnesses_does_not_carry_over(self, tmp_path, capsys):
+        good = ["check", write(tmp_path, self.B3_NU4_LATTICE_DOC), "--json"]
+        first = self.report(capsys, good)
+        assert first[0] == EXIT_NO_PBC
+        assert len(first[1]["decision"]["witnesses"]) == WITNESS_CAP == 16
+        zero = self.report(capsys, [*good, "--max-witnesses", "0"])
+        assert zero[1]["decision"]["witnesses"] == []
+        assert self.report(capsys, good) == first
+
+    def test_height_does_not_carry_over(self, tmp_path, capsys):
+        good = ["verify", write(tmp_path, B3_NU1_DOC), "--json"]
+        first = self.report(capsys, good)
+        assert first[0] == EXIT_OK
+        assert first[1]["orbit_cover"]["bound"] == 1
+        zero = self.report(capsys, [*good, "--height", "0"])
+        assert zero[1]["orbit_cover"]["bound"] == 0
+        assert self.report(capsys, good) == first
+
+    def test_good_call_after_a_usage_error(self, tmp_path, capsys):
+        good = ["check", write(tmp_path, B3_LATTICE_DOC), "--json"]
+        first = self.report(capsys, good)
+        assert main(["classify", "B", "x", "4", "4"]) == EXIT_INPUT
+        assert capsys.readouterr().err.startswith("error: argument rank: ")
+        assert self.report(capsys, good) == first
+
+    def test_good_call_after_version(self, tmp_path, capsys):
+        good = ["check", write(tmp_path, B3_LATTICE_DOC), "--json"]
+        first = self.report(capsys, good)
+        with pytest.raises(SystemExit) as exc:
+            main(["--version"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == cli.__version__ + "\n"
+        assert self.report(capsys, good) == first
 
 
 json_scalar = st.one_of(
