@@ -10,7 +10,8 @@ breaks (`InvariantBreach`: a non-integral quotient, bad Cartan data, a
 broken Smith divisibility chain) exits 2 with a one-line message from
 every subcommand.  A command-line usage error (unknown subcommand, a
 non-integer or negative count) exits 1 with one `error:` line, so 2
-always means a broken invariant.
+always means a broken invariant.  A stdout closed by its reader exits 1
+with nothing on stderr.
 
 `classify --json` prints the bytes of `json.dumps(..., indent=2)` but
 renders each distinct subset once per call and fills every row into a
@@ -23,6 +24,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 import time
 
@@ -215,6 +217,12 @@ _ROW_FRAME = """\
       "screen": {}
     }}"""
 _SUBSET_PAD = " " * 8  # row subsets sit at depth 4 of the document
+# The JSON text of a row's "pbc" and "screen" values, which come from these fixed sets.
+_JSON_LITERAL = {
+    True: "true",
+    False: "false",
+    **{verdict: json.dumps(verdict) for verdict in ("minimal", "not_minimal", "unknown")},
+}
 
 
 def _classify_json(
@@ -225,7 +233,8 @@ def _classify_json(
     With `indent` the json module falls back to its pure-Python encoder,
     which spent most of a classify call printing subsets.  Each distinct
     subset mask (at most 16 at nullity <= 4) is rendered once here, and
-    every row is filled into `_ROW_FRAME` from those pieces.
+    every row is filled into `_ROW_FRAME` from those pieces, its verdicts
+    from `_JSON_LITERAL`.
     """
     subsets: dict[int, str] = {}
 
@@ -244,7 +253,7 @@ def _classify_json(
     body = ",\n".join(
         _ROW_FRAME.format(
             side(s1), side(s2), s1.index, s2.index, d.inc, d.n0,
-            json.dumps(d.has_pbc), json.dumps(d.screen),
+            _JSON_LITERAL[d.has_pbc], _JSON_LITERAL[d.screen],
         )
         for s1, s2, d in rows
     )
@@ -394,10 +403,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
     except InvariantBreach as exc:
         print(f"invariant breach: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
+    except BrokenPipeError:
+        # The reader closed stdout (`weylconj classify ... | head`).  What is
+        # left in the buffer goes to devnull, so the flush at exit stays quiet.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return EXIT_INPUT
+    return code
 
 
 if __name__ == "__main__":

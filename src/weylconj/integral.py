@@ -15,14 +15,19 @@ Every path reads a pair-incidence table (`semilattice.PairIncidence`):
 the count, `is_integral` and the closed form read the spec's table, and
 the reduction and the screen read each free side's own.  The one
 enumeration of integral choices is `_integral_bitsets`.
+
+`minimality_screen` decides its verdict from integer tests on the free
+sides and keeps each condition that fired as a small tuple, a fact.
+`count_collections` stores the screen result and the closed-form
+exponent in its `DecisionReport`; the note strings `check` prints are
+written from them by `DecisionReport.corollary_notes` only when read, so
+a `classify` row, which prints the verdict alone, formats nothing.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
-from operator import or_
-from typing import Iterator, Mapping
+from typing import Iterator, Mapping, NamedTuple
 
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import InvariantBreach, RootSystemSpec, make_spec, validate_slice
@@ -88,18 +93,36 @@ def integral_collections(spec: RootSystemSpec) -> Iterator[dict[int, int]]:
         yield {j: bits >> pos & 1 for pos, j in enumerate(table.family)}
 
 
+class ScreenResult(NamedTuple):
+    """The minimality screen's verdict and the conditions behind it, as facts."""
+
+    verdict: str  # "minimal" | "not_minimal" | "unknown"
+    facts: tuple[tuple, ...]  # the conditions that fired for the verdict
+
+    @property
+    def reasons(self) -> tuple[str, ...]:
+        """The facts as text."""
+        return tuple(_reason_text(fact) for fact in self.facts)
+
+
 @dataclass(frozen=True)
 class DecisionReport:
     """Outcome of the collection count for one root system.
 
     `inc` is a power of two (`count_collections` checks it); n0 and the
-    verdict are read from it.
+    verdict are read from it.  The screen and the closed form are kept as
+    facts and numbers; `corollary_notes` turns them into text.
     """
 
     inc: int
     witnesses: tuple[tuple[int, ...], ...]  # chosen-J masks of non-trivial collections
-    corollary_notes: tuple[str, ...] = ()
-    screen: str = "unknown"  # the minimality_screen verdict
+    screen_result: ScreenResult = ScreenResult("unknown", ())
+    closed_form: int | None = None  # closed_form_exponent, where it applies
+
+    @property
+    def screen(self) -> str:
+        """The minimality_screen verdict."""
+        return self.screen_result.verdict
 
     @property
     def n0(self) -> int:
@@ -108,6 +131,15 @@ class DecisionReport:
     @property
     def has_pbc(self) -> bool:
         return self.inc == 1
+
+    @property
+    def corollary_notes(self) -> tuple[str, ...]:
+        """The screen's reasons, then the closed form, as `check` prints them."""
+        verdict = self.screen_result.verdict
+        notes = [f"{verdict}: {reason}" for reason in self.screen_result.reasons]
+        if self.closed_form is not None:
+            notes.append(f"closed-form: n0 = {self.closed_form}")
+        return tuple(notes)
 
     def to_json(self) -> dict:
         return {
@@ -136,16 +168,11 @@ def count_collections(
         raise NotPowerOfTwo(
             f"{inc} integral collections for {_named(spec)}: not a power of two"
         )
-    screen = minimality_screen(spec)
-    notes = [f"{screen.verdict}: {reason}" for reason in screen.reasons]
-    closed = closed_form_exponent(spec)
-    if closed is not None:
-        notes.append(f"closed-form: n0 = {closed}")
     return DecisionReport(
         inc=inc,
         witnesses=tuple(sorted(witnesses)),
-        corollary_notes=tuple(notes),
-        screen=screen.verdict,
+        screen_result=minimality_screen(spec),
+        closed_form=closed_form_exponent(spec),
     )
 
 
@@ -171,29 +198,47 @@ def closed_form_exponent(spec: RootSystemSpec) -> int | None:
     return None if table.parity else len(table.family)
 
 
-@dataclass(frozen=True)
-class ScreenResult:
-    verdict: str  # "minimal" | "not_minimal" | "unknown"
-    reasons: tuple[str, ...]
-
-
 # How the screen's reasons name a side's dimension: in the index gap, in the low bound.
 _DIM_NAMES = {"S1": ("t", "twist"), "S2": ("(nu - t)", "nu - twist")}
 
 
-def _not_minimal_reasons(s: Semilattice, side: str) -> list[str]:
-    reasons = []
+def _reason_text(fact: tuple) -> str:
+    """The reason a screen fact stands for, as `check` prints it."""
+    match fact:
+        case ("empty",):
+            return "empty essential family for this type"
+        case ("index_gap", free):
+            return " and ".join(
+                f"ind({side.name}) - {_DIM_NAMES[side.name][0]} <= 3" for side in free
+            )
+        case ("low_dim", free):
+            if len(free) == 2:
+                return "both blocks have dimension <= 3 and index != 7"
+            name = free[0].name
+            return f"{_DIM_NAMES[name][1]} <= 3 and ind({name}) != 7"
+        case ("supported", name, member):
+            return f"essential member {list(elems_of(member))} of {name} has all pairs supported"
+        case ("lattice", name):
+            return f"{name} is a lattice of dimension >= 3"
+        case ("near_full", name, dim):
+            return f"{name} has near-full index 2^{dim} - 2"
+    raise InvariantBreach(f"unknown screen fact {fact!r}")
+
+
+def _not_minimal_facts(s: Semilattice, side: str) -> list[tuple]:
+    facts = []
     table = s.incidence
     # members in no Delta = 2 row: every pair inside them is supported
-    supported = ((1 << len(table.family)) - 1) & ~reduce(or_, table.parity, 0)
+    supported = (1 << len(table.family)) - 1
+    for row in table.parity:
+        supported &= ~row
     if supported:
-        members = elems_of(table.family[(supported & -supported).bit_length() - 1])
-        reasons.append(f"essential member {list(members)} of {side} has all pairs supported")
+        facts.append(("supported", side, table.family[(supported & -supported).bit_length() - 1]))
     if s.dim >= 3 and s.is_lattice:
-        reasons.append(f"{side} is a lattice of dimension >= 3")
+        facts.append(("lattice", side))
     if s.dim > 3 and s.index == (1 << s.dim) - 2:
-        reasons.append(f"{side} has near-full index 2^{s.dim} - 2")
-    return reasons
+        facts.append(("near_full", side, s.dim))
+    return facts
 
 
 def minimality_screen(spec: RootSystemSpec) -> ScreenResult:
@@ -202,29 +247,32 @@ def minimality_screen(spec: RootSystemSpec) -> ScreenResult:
     Applies the index-gap and low-twist bounds for the minimal verdicts
     and the supported-essential-member family for the non-minimal ones;
     returns "unknown" when nothing fires.  Decisive verdicts always
-    agree with the full enumeration.
+    agree with the full enumeration.  Each condition is an integer test;
+    a condition that fires is kept as a fact, and its text is written
+    only when a reason is printed (`ScreenResult.reasons`,
+    `DecisionReport.corollary_notes`).
     """
-    free = [side for side in spec.sides if side.free]
-    minimal: list[str] = []
-    not_minimal: list[str] = []
+    free = tuple([side for side in spec.sides if side.free])
+    minimal: list[tuple] = []
+    not_minimal: list[tuple] = []
     if not free:
-        minimal.append("empty essential family for this type")
+        minimal.append(("empty",))
     else:
-        if all(side.semilattice.index - side.semilattice.dim <= 3 for side in free):
-            minimal.append(" and ".join(
-                f"ind({side.name}) - {_DIM_NAMES[side.name][0]} <= 3" for side in free
-            ))
-        if all(side.semilattice.dim <= 3 and side.semilattice.index != 7 for side in free):
-            minimal.append(
-                "both blocks have dimension <= 3 and index != 7" if len(free) == 2
-                else f"{_DIM_NAMES[free[0].name][1]} <= 3 and ind({free[0].name}) != 7"
-            )
-    for side in free:
-        not_minimal += _not_minimal_reasons(side.semilattice, side.name)
+        index_gap = low_dim = True
+        for side in free:
+            s = side.semilattice
+            index_gap = index_gap and s.index - s.dim <= 3
+            low_dim = low_dim and s.dim <= 3 and s.index != 7
+            not_minimal += _not_minimal_facts(s, side.name)
+        if index_gap:
+            minimal.append(("index_gap", free))
+        if low_dim:
+            minimal.append(("low_dim", free))
     if minimal and not_minimal:
         raise ContradictoryScreen(
             f"contradictory screen for {_named(spec)}: "
-            f"minimal {minimal} vs not minimal {not_minimal}"
+            f"minimal {[_reason_text(f) for f in minimal]} "
+            f"vs not minimal {[_reason_text(f) for f in not_minimal]}"
         )
     if minimal:
         return ScreenResult("minimal", tuple(minimal))

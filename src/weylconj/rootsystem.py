@@ -32,10 +32,17 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .semilattice import PairIncidence, Semilattice, make_semilattice, pair_incidence
+from .semilattice import (
+    PairIncidence,
+    Semilattice,
+    cached_attribute,
+    make_semilattice,
+    pair_incidence,
+    pair_masks,
+)
 
 FAMILIES = ("B", "C", "F4", "G2")
 # Bound on a spec document's nullity: a supporting class holds up to 2^nu
@@ -310,7 +317,7 @@ class RootSystemSpec:
     def k(self) -> int:
         return self.roots.k
 
-    @cached_property
+    @cached_attribute
     def sides(self) -> tuple[Side, Side]:
         """S1 and S2 with their global shift and whether the type leaves them free."""
         free = free_sides(self.family, self.rank)
@@ -319,15 +326,29 @@ class RootSystemSpec:
             Side(2, "S2", self.s2, self.twist, 2 in free),
         )
 
-    @cached_property
+    @cached_attribute
     def incidence(self) -> PairIncidence:
         """The free sides' essential members, shifted, against every global pair.
 
-        Not glued from the sides' tables: the count stays independent of the reduction.
+        Not glued from the sides' tables: the count stays independent of the
+        reduction.  A global pair is supported (Delta = 1) exactly when its
+        S1 part is in S1's class and its S2 part in S2's, as `pair_divisor`
+        states case by case: a pair across the two blocks has a singleton
+        on each side.
         """
-        free = [side for side in self.sides if side.free]
-        family = {m << side.shift for side in free for m in side.semilattice.essential_supp()}
-        return pair_incidence(self.nullity, family, self.pair_divisor)
+        family = [
+            m << side.shift
+            for side in self.sides
+            if side.free
+            for m in side.semilattice.essential_supp()
+        ]
+        t, low = self.twist, (1 << self.twist) - 1
+        supp1, supp2 = self.s1.supp, self.s2.supp
+        divisors = [
+            1 if (pair & low) in supp1 and (pair >> t) in supp2 else 2
+            for pair in pair_masks(self.nullity)
+        ]
+        return pair_incidence(self.nullity, family, divisors)
 
     def k_r(self, r: int) -> int:
         """Scale of the isotropic direction r: k on the twisted block, else 1."""

@@ -23,10 +23,10 @@ lookups (`_image_tables`).
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 
 class SemilatticeError(ValueError):
@@ -84,6 +84,29 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+class _DimPairs(NamedTuple):
+    pairs: tuple[tuple[int, int], ...]  # every r < s in 1..dim, in lexicographic order
+    masks: tuple[int, ...]  # the same pairs as bitmasks
+    small: frozenset[int]  # the subsets of size <= 2: the empty set, singletons and pairs
+
+
+@functools.cache
+def _dim_pairs(dim: int) -> _DimPairs:
+    """The pairs of 1..dim, built once per dimension.
+
+    A spec's nullity is at most 16, and a sweep asks for a handful of
+    dimensions millions of times.
+    """
+    pairs = tuple(itertools.combinations(range(1, dim + 1), 2))
+    masks = tuple([(1 << (r - 1)) | (1 << (s - 1)) for r, s in pairs])
+    return _DimPairs(pairs, masks, frozenset([0, *(1 << i for i in range(dim)), *masks]))
+
+
+def pair_masks(dim: int) -> tuple[int, ...]:
+    """The pairs r < s of 1..dim as bitmasks, in the order of `PairIncidence.pairs`."""
+    return _dim_pairs(dim).masks
+
+
 class PairIncidence(NamedTuple):
     """Per pair r < s: its divisor and the bitset of family positions whose member contains it."""
 
@@ -95,30 +118,56 @@ class PairIncidence(NamedTuple):
 
     @property
     def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Every r < s in 1..dim, in lexicographic order (not stored: a sweep holds many tables)."""
-        return tuple(itertools.combinations(range(1, self.dim + 1), 2))
+        """Every r < s in 1..dim, in lexicographic order (shared by every table of this dim)."""
+        return _dim_pairs(self.dim).pairs
 
     def pair_sums(self, weights: Sequence[int]) -> tuple[int, ...]:
         """Per pair, the total weight of the family positions in its row."""
         return tuple(sum(w for pos, w in enumerate(weights) if row >> pos & 1) for row in self.rows)
 
 
-def pair_incidence(
-    dim: int, family: Iterable[int], divisor: Callable[[int, int], int]
-) -> PairIncidence:
-    """The incidence table of a family of subsets of 1..dim under a pair divisor."""
+def pair_incidence(dim: int, family: Iterable[int], divisors: Sequence[int]) -> PairIncidence:
+    """The incidence table of a family of subsets of 1..dim.
+
+    `divisors` gives Delta for each pair of `pair_masks(dim)`, in that
+    order.  A pair's row is the AND of its two coordinates' columns, and
+    a column (the positions whose member contains the coordinate) is
+    filled from each member's set bits, so the work is the family's
+    total size plus one AND per pair.
+    """
     family = tuple(sorted(family))
-    # cols[r]: the positions whose member contains r; a pair's row is cols[r] & cols[s]
     cols = [0] * (dim + 1)
-    for pos, j in enumerate(family):
-        for r in range(1, dim + 1):
-            if j >> (r - 1) & 1:
-                cols[r] |= 1 << pos
-    pairs = list(itertools.combinations(range(1, dim + 1), 2))
-    divisors = tuple([divisor(r, s) for r, s in pairs])
-    rows = tuple([cols[r] & cols[s] for r, s in pairs])
+    bit = 1
+    for j in family:
+        while j:
+            low = j & -j
+            cols[low.bit_length()] |= bit
+            j ^= low
+        bit <<= 1
+    rows = tuple([cols[r] & cols[s] for r, s in _dim_pairs(dim).pairs])
     parity = tuple([row for row, delta in zip(rows, divisors) if delta == 2])
-    return PairIncidence(dim, family, divisors, rows, parity)
+    return PairIncidence(dim, family, tuple(divisors), rows, parity)
+
+
+class cached_attribute:
+    """`functools.cached_property` without its lock.
+
+    Up to Python 3.11 `cached_property` takes a per-class lock on every
+    first access, about 1 us; a classify row reads two fresh tables.  The
+    value is stored in the instance dict, which shadows this non-data
+    descriptor from then on (also on frozen dataclasses).
+    """
+
+    def __init__(self, fn):
+        self.fn = fn
+        self.name = fn.__name__
+        self.__doc__ = fn.__doc__
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return self
+        value = obj.__dict__[self.name] = self.fn(obj)
+        return value
 
 
 @dataclass(frozen=True)
@@ -156,7 +205,7 @@ class Semilattice:
 
     def essential_supp(self) -> frozenset[int]:
         """Supporting-class members of size >= 3."""
-        return frozenset(m for m in self.supp if m.bit_count() >= 3)
+        return self.supp - _dim_pairs(self.dim).small
 
     def pair_divisor(self, r: int, s: int) -> int:
         """1 if the pair {r,s} is supported, else 2 (requires r < s)."""
@@ -164,9 +213,12 @@ class Semilattice:
             raise IndexOrderError(f"need 1 <= r < s <= {self.dim}, got ({r}, {s})")
         return 1 if (1 << (r - 1)) | (1 << (s - 1)) in self.supp else 2
 
-    @cached_property
+    @cached_attribute
     def incidence(self) -> PairIncidence:
-        return pair_incidence(self.dim, self.essential_supp(), self.pair_divisor)
+        """The table of the essential members against this semilattice's own pairs."""
+        supp = self.supp
+        divisors = [1 if pair in supp else 2 for pair in pair_masks(self.dim)]
+        return pair_incidence(self.dim, self.essential_supp(), divisors)
 
     def sum_supports(self) -> frozenset[int]:
         """Odd-coordinate sets of S + S, i.e. symmetric differences of class members."""

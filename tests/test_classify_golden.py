@@ -13,6 +13,11 @@ and one text slice are pinned:
 The oracle test runs every slice at nullity <= 3 of the five sweep types,
 with and without `--no-perm`, and asks that the output equal the indent-2
 dump of its own parsed document.
+
+A classify row prints only the screen's verdict, so it must not write the
+screen's reason text: with the reason formatter made to raise, the 180-row
+slice still prints its pinned bytes, while `check` prints its notes
+through that formatter.
 """
 
 import json
@@ -20,7 +25,10 @@ from pathlib import Path
 
 import pytest
 
-from weylconj.cli import EXIT_OK, main
+from weylconj import integral
+from weylconj.cli import EXIT_NO_PBC, EXIT_OK, main
+from weylconj.rootsystem import make_spec, spec_to_json
+from weylconj.semilattice import Semilattice
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 JSON_SLICES = ["B 3 3 3 --no-perm", "B 2 4 2", "B 3 4 4"]
@@ -64,3 +72,33 @@ def test_json_is_the_indent_2_dump_of_itself(capsys):
         doc = json.loads(out)
         assert out == json.dumps(doc, indent=2) + "\n", argv
         assert len(doc["rows"]) == doc["summary"]["rows"] >= 1, argv
+
+
+def test_classify_formats_no_reason(tmp_path, capsys, monkeypatch):
+    reason_text = integral._reason_text
+
+    def refuse(fact):
+        raise AssertionError(f"reason text written for {fact!r}")
+
+    monkeypatch.setattr(integral, "_reason_text", refuse)
+    assert main(["classify", "B", "3", "4", "4", "--json"]) == EXIT_OK
+    out = capsys.readouterr().out
+    assert out == golden_path("B 3 4 4", ".json").read_text(encoding="utf-8")
+
+    written = []
+
+    def recorded(fact):
+        written.append(reason_text(fact))
+        return written[-1]
+
+    monkeypatch.setattr(integral, "_reason_text", recorded)
+    spec = make_spec("B", 3, 3, 3, Semilattice.lattice(3), Semilattice.lattice(0))
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    assert main(["check", str(path)]) == EXIT_NO_PBC
+    notes = [line for line in capsys.readouterr().out.splitlines() if line.startswith("  [")]
+    assert written == [
+        "essential member [1, 2, 3] of S1 has all pairs supported",
+        "S1 is a lattice of dimension >= 3",
+    ]
+    assert notes == [f"  [not_minimal: {text}]" for text in written] + ["  [closed-form: n0 = 1]"]

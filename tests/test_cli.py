@@ -102,7 +102,7 @@ B3_NU1_DOC = {
 
 def test_contradictory_screen_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     # B3, nullity 1: the index gap fires "minimal"; force a non-minimal reason too
-    monkeypatch.setattr(integral, "_not_minimal_reasons", lambda s, side: ["forced"])
+    monkeypatch.setattr(integral, "_not_minimal_facts", lambda s, side: [("lattice", side)])
     assert main(["check", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -321,7 +321,7 @@ class TestClassify:
         assert main(["classify", "B", "2", "5", "2", "--json"]) == EXIT_INPUT
 
     def test_screen_breach_names_the_first_disagreeing_row(self, capsys, monkeypatch):
-        forced = ScreenResult("minimal", ("forced",))
+        forced = ScreenResult("minimal", (("empty",),))
         monkeypatch.setattr(integral, "minimality_screen", lambda spec: forced)
         assert main(["classify", "B", "3", "4", "4", "--json"]) == EXIT_INVARIANT
         captured = capsys.readouterr()
@@ -595,6 +595,59 @@ class TestParserReuse:
         assert exc.value.code == 0
         assert capsys.readouterr().out == cli.__version__ + "\n"
         assert self.report(capsys, good) == first
+
+
+class TestClosedStdout:
+    """A reader that closes stdout early gets exit 1 and no traceback."""
+
+    def test_pipe_closed_after_one_byte(self):
+        import subprocess
+        import sys
+
+        # the 111 kB document is larger than a pipe buffer, so the writer sees the close
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "weylconj.cli", "classify", "B", "3", "4", "4", "--json"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+        )
+        assert proc.stdout.read(1) == b"{"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert proc.wait(timeout=60) == EXIT_INPUT
+        assert b"Traceback" not in err
+        assert err == b""
+
+    @pytest.mark.parametrize("command", ["check", "classify", "verify", "construct"])
+    def test_every_subcommand(self, tmp_path, capsys, monkeypatch, command):
+        import io
+        import os
+        import sys
+
+        read_end, write_end = os.pipe()
+
+        class ClosedPipe(io.TextIOBase):
+            def write(self, text):
+                raise BrokenPipeError(32, "Broken pipe")
+
+            def fileno(self):
+                return write_end
+
+        argv = {
+            "check": ["check", write(tmp_path, B3_LATTICE_DOC)],
+            "classify": ["classify", "B", "3", "3", "3"],
+            "verify": ["verify", write(tmp_path, B3_NU1_DOC)],
+            "construct": ["construct", "B", "3", "3", "--m1", "7"],
+        }[command]
+        monkeypatch.setattr(sys, "stdout", ClosedPipe())
+        try:
+            assert main(argv) == EXIT_INPUT
+            # the descriptor now leads to devnull: nothing reaches the old pipe
+            os.write(write_end, b"late")
+            os.close(write_end)
+            assert os.read(read_end, 16) == b""
+        finally:
+            os.close(read_end)
+        assert capsys.readouterr().err == ""
 
 
 json_scalar = st.one_of(

@@ -190,8 +190,8 @@ def test_one_check_builds_each_table_once(tmp_path, capsys, monkeypatch):
     builds = []
     build = semilattice.pair_incidence
 
-    def counted(dim, family, divisor):
-        table = build(dim, family, divisor)
+    def counted(dim, family, divisors):
+        table = build(dim, family, divisors)
         builds.append((dim, table.family))
         return table
 

@@ -16,7 +16,6 @@ import pytest
 
 from weylconj.corpus import classification_pairs, random_spec, reference_corpus
 from weylconj.integral import (
-    ScreenResult,
     closed_form_exponent,
     count_collections,
     decide_by_reduction,
@@ -151,6 +150,7 @@ def ref_not_minimal_reasons(s, side, span):
 
 
 def ref_minimality_screen(spec):
+    """The verdict and its reasons, as text."""
     t, nu = spec.twist, spec.nullity
     minimal, not_minimal = [], []
     if spec.family in ("F4", "G2"):
@@ -177,10 +177,10 @@ def ref_minimality_screen(spec):
     if minimal and not_minimal:
         raise AssertionError(f"reference screen contradicts itself on {spec}")
     if minimal:
-        return ScreenResult("minimal", tuple(minimal))
+        return "minimal", tuple(minimal)
     if not_minimal:
-        return ScreenResult("not_minimal", tuple(not_minimal))
-    return ScreenResult("unknown", ())
+        return "not_minimal", tuple(not_minimal)
+    return "unknown", ()
 
 
 def ref_classification_pairs(family, rank, nullity, twist, up_to_permutation):
@@ -197,6 +197,12 @@ def ref_classification_pairs(family, rank, nullity, twist, up_to_permutation):
         s1s = list(enumerate_semilattices(twist, up_to_permutation))
         s2s = list(enumerate_semilattices(nullity - twist, up_to_permutation))
     return [(s1, s2) for s1 in s1s for s2 in s2s]
+
+
+def screen_text(spec):
+    """The screen's verdict and the reasons its facts stand for."""
+    screen = minimality_screen(spec)
+    return screen.verdict, screen.reasons
 
 
 # --- inputs ----------------------------------------------------------------
@@ -242,7 +248,7 @@ def test_same_answers_as_the_per_type_branches():
             "generating_roots": (generating_roots, ref_generating_roots),
             "decide_by_reduction": (decide_by_reduction, ref_decide_by_reduction),
             "closed_form_exponent": (closed_form_exponent, ref_closed_form_exponent),
-            "minimality_screen": (minimality_screen, ref_minimality_screen),
+            "minimality_screen": (screen_text, ref_minimality_screen),
         }
         for name, (new, ref) in checks.items():
             if new(spec) != ref(spec):
@@ -261,7 +267,12 @@ def test_sides_describe_the_spec():
 
 def test_report_carries_the_screen_verdict():
     for label, spec in SPECS:
-        assert count_collections(spec).screen == ref_minimality_screen(spec).verdict, label
+        report = count_collections(spec)
+        verdict, reasons = ref_minimality_screen(spec)
+        closed = ref_closed_form_exponent(spec)
+        notes = [f"{verdict}: {reason}" for reason in reasons]
+        notes += [] if closed is None else [f"closed-form: n0 = {closed}"]
+        assert (report.screen, report.corollary_notes) == (verdict, tuple(notes)), label
 
 
 @pytest.mark.parametrize("family,rank", TYPES)
