@@ -160,9 +160,7 @@ def _cmd_classify(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     rows = []
-    for s1, s2 in sorted(
-        pairs, key=lambda p: (sorted(p[0].supp), sorted(p[1].supp))
-    ):
+    for s1, s2 in sorted(pairs, key=lambda p: (p[0].members, p[1].members)):
         spec = make_spec(args.family, args.rank, args.nullity, args.twist, s1, s2)
         rows.append((s1, s2, count_collections(spec)))
     decisive = [r for r in rows if r[2].screen != "unknown"]
@@ -240,7 +238,7 @@ def _classify_json(
 
     def side(s: Semilattice) -> str:
         parts = []
-        for mask in sorted(s.supp):
+        for mask in s.members:
             text = subsets.get(mask)
             if text is None:
                 text = _SUBSET_PAD + json.dumps(list(elems_of(mask)), indent=2).replace(

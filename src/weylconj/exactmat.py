@@ -6,9 +6,10 @@ integer matrices stay integers, so a `Mat` is a tuple of integer rows and
 equality and hashing are structural.  The product is a sparse row
 combination: row i of `a @ b` is the sum of `x * b[k]` over the nonzero
 entries `x = a[i][k]`, which skips the zeros that make up most of a
-reflection-word matrix.  Nothing here inverts a matrix: every matrix the
-verifiers build is a word in reflections, and its inverse is another
-word.  The fraction-free elimination `row_reduce` serves the rank
+reflection-word matrix.  Nothing here inverts a matrix or raises one to a
+power: every matrix the verifiers build is a word in reflections, its
+inverse is another word and its power a longer word (see `weylgroup`).
+The fraction-free elimination `row_reduce` serves the rank
 computation of the center-freeness check.
 """
 
@@ -24,10 +25,6 @@ class Mat:
     @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
-
-    @property
-    def size(self) -> int:
-        return len(self.rows)
 
     def __matmul__(self, other: "Mat") -> "Mat":
         # sparse row combination (see the module docstring): a zero
@@ -45,21 +42,6 @@ class Mat:
                         acc = [s + x * y for s, y in zip(acc, brow)]
             rows.append(zero if acc is None else acc)
         return Mat(rows)
-
-    def __pow__(self, e: int) -> "Mat":
-        if e < 0:
-            raise ValueError(f"negative power {e}: raise the inverse word instead")
-        out = Mat.identity(self.size)
-        base = self
-        while e:
-            if e & 1:
-                out = out @ base
-            base = base @ base
-            e >>= 1
-        return out
-
-    def transpose(self) -> "Mat":
-        return Mat(list(zip(*self.rows)))
 
     def is_identity(self) -> bool:
         return all(

@@ -30,7 +30,13 @@ from dataclasses import dataclass
 from typing import Iterator, Mapping, NamedTuple
 
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
-from .rootsystem import InvariantBreach, RootSystemSpec, make_spec, validate_slice
+from .rootsystem import (
+    InvariantBreach,
+    RootSystemSpec,
+    free_sides,
+    make_spec,
+    validate_slice,
+)
 
 MAX_FAMILY = 24
 WITNESS_CAP = 16
@@ -291,32 +297,30 @@ def construct_nonminimal(
 ) -> tuple[RootSystemSpec, DecisionReport]:
     """Search for a non-minimal system with the demanded semilattice indices.
 
-    For type B the varying side is S1 (index m1, with 7 <= t+4 <= m1 <=
-    2^t - 1) and S2 is a lattice; for type C the roles swap.  The search
-    runs over the permutation representatives of the target index in the
-    varying dimension, in ascending raw order, and keeps the first one
-    admitting a non-trivial collection; the result is re-certified by
-    full enumeration, and that count's report is returned with the spec.
+    The varying side is the type's first free side (`free_sides`): S1 for
+    type B, with index m1 and 7 <= t+4 <= m1 <= 2^t - 1, and S2 for type
+    C, with index m2 and the same range in nu - t; the other side is a
+    lattice.  The search runs over the permutation representatives of the
+    target index in the varying dimension, in ascending raw order, and
+    keeps the first one admitting a non-trivial collection; the result is
+    re-certified by full enumeration, and that count's report is returned
+    with the spec.
     Visiting only the target index keeps dimension 5 (twist 5 for B,
     nu - t = 5 for C) within a second for every index.
     """
-    if family not in ("B", "C"):
+    sides = free_sides(family, rank)
+    if not sides:
         raise ValueError("the construction applies to types B and C")
     t = twist
-    if family == "B":
-        if m1 is None:
-            raise ValueError("type B requires m1")
-        if not 7 <= t + 4 <= m1 <= (1 << t) - 1:
-            raise ValueError(f"need 7 <= t+4 <= m1 <= 2^t - 1, got t={t}, m1={m1}")
-        varying, span, target = 0, t, m1
-    else:
-        if m2 is None:
-            raise ValueError("type C requires m2")
-        if not 7 <= nullity - t + 4 <= m2 <= (1 << (nullity - t)) - 1:
-            raise ValueError(
-                f"need 7 <= nu-t+4 <= m2 <= 2^(nu-t) - 1, got nu-t={nullity - t}, m2={m2}"
-            )
-        varying, span, target = 1, nullity - t, m2
+    varying = sides[0] - 1
+    name, target = ("m2", m2) if varying else ("m1", m1)
+    span, dim, exp = (nullity - t, "nu-t", "(nu-t)") if varying else (t, "t", "t")
+    if target is None:
+        raise ValueError(f"type {family} requires {name}")
+    if not 7 <= span + 4 <= target <= (1 << span) - 1:
+        raise ValueError(
+            f"need 7 <= {dim}+4 <= {name} <= 2^{exp} - 1, got {dim}={span}, {name}={target}"
+        )
     validate_slice(family, rank, nullity, t)
     for cand in enumerate_semilattices(span, up_to_permutation=True, index=target):
         if semilattice_collection_count(cand) > 1:

@@ -508,7 +508,7 @@ def generating_roots(spec: RootSystemSpec) -> list[Root]:
     for side in spec.sides:
         theta = fr.simple[side.number - 1]
         semi = side.semilattice
-        masks = sorted(semi.supp) if side.free else [1 << q for q in range(semi.dim)]
+        masks = semi.members if side.free else [1 << q for q in range(semi.dim)]
         raw += [Root(theta, _tau(spec, m << side.shift)) for m in masks]
     out: list[Root] = []
     seen = set()

@@ -182,6 +182,11 @@ class Semilattice:
         """|supp| - 1, the index of the semilattice."""
         return len(self.supp) - 1
 
+    @cached_attribute
+    def members(self) -> tuple[int, ...]:
+        """The supporting class as masks in ascending order."""
+        return tuple(sorted(self.supp))
+
     @property
     def is_lattice(self) -> bool:
         return len(self.supp) == 1 << self.dim
@@ -226,7 +231,7 @@ class Semilattice:
 
     def to_subsets(self) -> list[list[int]]:
         """Serialisable form: supporting class as sorted integer lists."""
-        return [list(elems_of(m)) for m in sorted(self.supp)]
+        return [list(elems_of(m)) for m in self.members]
 
     @classmethod
     def lattice(cls, dim: int) -> "Semilattice":

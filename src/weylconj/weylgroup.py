@@ -15,8 +15,10 @@ tolerance.
 Group elements are words: tuples of translation factors (root, sigma),
 each t_root^sigma = w_(root+sigma) w_root.  Reflections are involutions,
 so a word's inverse is the reversed word of factors (root + sigma,
--sigma) and no matrix is ever inverted.  A `Representation` owns the
-matrices of one spec, cached by reflection root and by word.
+-sigma), and a power is a longer word (`power`): no matrix is ever
+inverted or raised to a power.  A `Representation` owns the matrices of
+one spec, cached by reflection root and by word; `Representation.mat`
+is the only way a word becomes a matrix.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -59,6 +61,8 @@ Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
 # Admits F4 at nullity 4, height 2: 314,928 states, about 2 s and 60 MB.
 MAX_COVER_STATES = 400_000
+# Each z_{r,s} exponent of the freeness grid; the grid runs up to 4096 points (five pairs).
+GRID_EXPONENTS = range(-2, 3)
 
 
 class NotARoot(ValueError):
@@ -119,6 +123,11 @@ def commutator(x: Word, y: Word) -> Word:
     return inverse(x) + inverse(y) + x + y
 
 
+def power(word: Word, e: int) -> Word:
+    """The word word^e: |e| copies of the word, or of its inverse when e < 0."""
+    return (word if e >= 0 else inverse(word)) * abs(e)
+
+
 class Representation:
     """The reflection representation of one spec, guarded at rank and nullity <= 4."""
 
@@ -146,15 +155,6 @@ class Representation:
             else:
                 got = reduce(matmul, [self.mat((factor,)) for factor in word])
             self._words[word] = got
-        return got
-
-    def power(self, word: Word, e: int) -> Mat:
-        """The matrix of word^e; a negative power raises the inverse word."""
-        base = word if e >= 0 else inverse(word)
-        key = base * abs(e)
-        got = self._words.get(key)
-        if got is None:
-            got = self._words[key] = self.mat(base) ** abs(e)
         return got
 
 
@@ -223,7 +223,7 @@ def central_image(
 def _class_members(spec: RootSystemSpec) -> Iterator[tuple[int, int]]:
     """(side number, global mask) of each supporting-class member of size >= 2."""
     for side in spec.sides:
-        for local in sorted(side.semilattice.supp):
+        for local in side.semilattice.members:
             mask = local << side.shift
             if mask.bit_count() >= 2:
                 yield side.number, mask
@@ -283,7 +283,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
                 a = conj_exponent(spec, i, j, r)
                 tjr = rep.mat(trans[(j, r)])
                 lhs = refl[i - 1] @ tjr @ refl[i - 1]
-                rhs = tjr @ rep.power(trans[(i, r)], -a)
+                rhs = tjr @ rep.mat(power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
@@ -295,7 +295,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
                         ok = lhs.is_identity()
                     else:
                         e = commutator_coeff(spec, i, j, r, s) // spec.pair_divisor(r, s)
-                        ok = lhs == rep.power(zword[(r, s)], e)
+                        ok = lhs == rep.mat(power(zword[(r, s)], e))
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, mask in _class_members(spec):
@@ -304,7 +304,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
         members = elems_of(mask)
         for r, s in itertools.combinations(members, 2):
             e = 2 // spec.pair_divisor(r, s)
-            rhs = rhs @ rep.power(zword[(r, s)], e)
+            rhs = rhs @ rep.mat(power(zword[(r, s)], e))
         items.append(CheckItem("square", (side, members), zj @ zj == rhs))
     return VerifyReport(items)
 
@@ -318,7 +318,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
     pi_refl = [rep.reflection(g) for g in generating_roots(spec)]
-    power: list[CheckItem] = []
+    powers: list[CheckItem] = []
     shift: list[CheckItem] = []
     exchange: list[CheckItem] = []
     central: list[CheckItem] = []
@@ -336,10 +336,10 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
             for n in range(1, 4):
                 acc = acc @ tmat
                 direct = rep.mat(translation(spec, i, r, n))
-                power.append(CheckItem("power", (i, r, n), acc == direct))
+                powers.append(CheckItem("power", (i, r, n), acc == direct))
                 inv_direct = rep.mat(translation(spec, i, r, -n))
                 ok = (acc @ inv_direct).is_identity()
-                power.append(CheckItem("power", (i, r, -n), ok))
+                powers.append(CheckItem("power", (i, r, -n), ok))
             # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
             ((base, sigma),) = translation(spec, i, r)
             for n in (-2, -1, 1, 2):
@@ -391,7 +391,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
         zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
         ok = _centrality(zj, pi_refl)
         defect.append(CheckItem("central-defect", (side, elems_of(mask)), ok))
-    return VerifyReport(power + shift + exchange + central + difference + defect)
+    return VerifyReport(powers + shift + exchange + central + difference + defect)
 
 
 def verify_choice_independence(rep: Representation) -> VerifyReport:
@@ -546,7 +546,7 @@ class FreenessReport:
         }
 
 
-def verify_center_freeness(rep: Representation, exponent_bound: int = 2) -> FreenessReport:
+def verify_center_freeness(rep: Representation) -> FreenessReport:
     """No bounded non-trivial product of the z_{r,s} images is the identity.
 
     The displacement parts z - 1 are checked linearly independent and
@@ -572,17 +572,14 @@ def verify_center_freeness(rep: Representation, exponent_bound: int = 2) -> Free
     )
     grid_failures: list[tuple[int, ...]] = []
     grid_checked = 0
-    span = 2 * exponent_bound + 1
-    if span ** len(pairs) <= 4096:
-        for exps in itertools.product(
-            range(-exponent_bound, exponent_bound + 1), repeat=len(pairs)
-        ):
+    if len(GRID_EXPONENTS) ** len(pairs) <= 4096:
+        for exps in itertools.product(GRID_EXPONENTS, repeat=len(pairs)):
             if not any(exps):
                 continue
             word = rep.mat(())
             for z, e in zip(zwords, exps):
                 if e:
-                    word = word @ rep.power(z, e)
+                    word = word @ rep.mat(power(z, e))
             grid_checked += 1
             if word.is_identity():
                 grid_failures.append(exps)

@@ -5,7 +5,9 @@ them, and all arithmetic is on integers (a matrix has integer entries),
 so the `fractions` module is never imported.  The matrix
 modules keep no module-level caches: a `weylgroup.Representation` owns
 the matrices of one spec and is dropped with it.  A private module-level
-helper that nothing else in the library mentions is dead code.
+helper that nothing else in the library mentions is dead code.  The
+matrix modules stay independent of the decision paths: they import
+neither `integral` nor `center`.
 """
 
 import ast
@@ -59,6 +61,21 @@ def test_no_module_level_caches_in_matrix_modules(name):
         ):
             offences.append(f"line {node.lineno}: functools.{node.attr}")
     assert offences == []
+
+
+@pytest.mark.parametrize("name", ["exactmat.py", "weylgroup.py"])
+def test_matrix_modules_import_no_decision_path(name):
+    path = next(p for p in SOURCES if p.name == name)
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported |= {alias.name.split(".")[-1] for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            imported.add((node.module or "").split(".")[-1])
+            if not node.module:  # `from . import integral`
+                imported |= {alias.name for alias in node.names}
+    assert imported & {"integral", "center"} == set()
 
 
 def test_no_orphaned_private_helpers():

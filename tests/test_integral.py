@@ -248,6 +248,20 @@ class TestConstruct:
             construct_nonminimal("B", 3, 3, m1=8)  # above 2^t - 1
         with pytest.raises(ValueError):
             construct_nonminimal("G2", 3, 3, m1=7)
+        with pytest.raises(ValueError, match="^the construction applies to types B and C$"):
+            construct_nonminimal("F4", 3, 3, m1=7, rank=4)
+        with pytest.raises(ValueError, match="^type B requires m1$"):
+            construct_nonminimal("B", 3, 3, m2=7)
+        with pytest.raises(ValueError, match="^type C requires m2$"):
+            construct_nonminimal("C", 3, 0, m1=7)
+        with pytest.raises(ValueError, match=r"^need 7 <= nu-t\+4 <= m2 <= 2\^\(nu-t\) - 1, "
+                           r"got nu-t=3, m2=8$"):
+            construct_nonminimal("C", 3, 0, m2=8)
+
+    def test_b2_varies_s1(self):
+        # B2 leaves both sides free; the first free side, S1, varies
+        spec, report = construct_nonminimal("B", 3, 3, m1=7, rank=2)
+        assert spec.s1.index == 7 and spec.s2.is_lattice and report.inc >= 2
 
 
 @st.composite

@@ -155,6 +155,12 @@ class TestIndexAndEssential:
         for dim in range(5):
             assert Semilattice.minimal(dim).essential_supp() == frozenset()
 
+    def test_members_sorted_once(self):
+        s = make_semilattice(3, [[1, 2, 3], [3], [], [2], [1]])
+        assert s.members == (0, 1, 2, 4, 7) == tuple(sorted(s.supp))
+        assert s.members is s.members  # computed on first read, then stored
+        assert s.to_subsets() == [[], [1], [2], [3], [1, 2, 3]]
+
 
 class TestPairDivisor:
     def test_lattice_pairs(self):

@@ -29,6 +29,7 @@ from weylconj.weylgroup import (
     inverse,
     is_root,
     orbit_cover,
+    power,
     reflection,
     translation,
     translation_word,
@@ -139,7 +140,7 @@ class TestReflection:
         for label, spec, g in cases:
             gram = Mat(ambient_gram(spec))
             w = reflection(spec, g)
-            assert w.transpose() @ gram @ w == gram, (label, g)
+            assert Mat(list(zip(*w.rows))) @ gram @ w == gram, (label, g)
 
     def test_matches_unscaled_formula_conjugated(self):
         # the formula over the unscaled dual basis, with its rational
@@ -245,8 +246,8 @@ class TestTranslation:
         for n in range(1, 4):
             acc = acc @ tm
             assert acc == rep.mat(translation_word(base, (2 * n, 0)))
-            assert rep.power(word, n) == acc
-        assert rep.power(word, -2) == rep.mat(translation_word(base, (-4, 0)))
+            assert rep.mat(power(word, n)) == acc
+        assert rep.mat(power(word, -2)) == rep.mat(translation_word(base, (-4, 0)))
 
 
 class TestCentralImages:
@@ -310,9 +311,17 @@ class TestWords:
         rep = Representation(spec)
         word = central_image(spec, 1, 2)
         for e in (1, 2, 3):
-            assert rep.power(word, -e) == rep.power(inverse(word), e)
-            assert (rep.power(word, e) @ rep.power(word, -e)).is_identity()
-        assert rep.power(word, 0).is_identity()
+            assert rep.mat(power(word, -e)) == rep.mat(power(inverse(word), e))
+            assert (rep.mat(power(word, e)) @ rep.mat(power(word, -e))).is_identity()
+        assert rep.mat(power(word, 0)).is_identity()
+
+    def test_power_is_a_word(self):
+        spec = spec_b2_mixed()
+        x, y = translation(spec, 1, 1), translation(spec, 2, 3)
+        assert power(x + y, 0) == ()
+        assert power(x + y, 1) == x + y
+        assert power(x + y, 3) == x + y + x + y + x + y
+        assert power(x + y, -2) == inverse(x + y) * 2 == inverse(power(x + y, 2))
 
 
 class TestVerifiers:
