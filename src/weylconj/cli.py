@@ -85,8 +85,14 @@ def cross_check(
 
 
 def _load_spec(path: str) -> RootSystemSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
+    """The spec document at `path`; a file that is not UTF-8 JSON raises an input error."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh)
+    except UnicodeDecodeError as exc:
+        raise SpecValidationError(f"spec file is not UTF-8: {exc}") from None
+    except RecursionError:
+        raise SpecValidationError("spec document nests too deeply to decode") from None
     return spec_from_json(doc)
 
 

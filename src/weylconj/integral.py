@@ -71,12 +71,15 @@ def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
     return spec.incidence.family
 
 
+def _guard_family(size: int) -> None:
+    """Refuse a family of more than `MAX_FAMILY` members: 2^size choices to enumerate."""
+    if size > MAX_FAMILY:
+        raise FamilyTooLarge(f"|family| = {size} exceeds the enumeration guard {MAX_FAMILY}")
+
+
 def _integral_bitsets(table: PairIncidence) -> Iterator[int]:
     """Integral choices as bitsets over the table's family positions, in ascending order."""
-    if len(table.family) > MAX_FAMILY:
-        raise FamilyTooLarge(
-            f"|family| = {len(table.family)} exceeds the enumeration guard {MAX_FAMILY}"
-        )
+    _guard_family(len(table.family))
     constraints = table.parity
     for bits in range(1 << len(table.family)):
         if all((bits & c).bit_count() % 2 == 0 for c in constraints):
@@ -163,6 +166,7 @@ def count_collections(
     spec: RootSystemSpec, max_witnesses: int = WITNESS_CAP
 ) -> DecisionReport:
     """Count integral collections and decide the presentation by conjugation."""
+    _guard_family(len(spec.essential_members))  # before the pair table is built
     family = spec.incidence.family
     inc = 0
     witnesses: list[tuple[int, ...]] = []

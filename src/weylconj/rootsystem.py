@@ -46,10 +46,10 @@ from .semilattice import (
 
 FAMILIES = ("B", "C", "F4", "G2")
 # Bound on a spec document's nullity: a supporting class holds up to 2^nu
-# members, and `check` builds the pair-incidence table over them before
-# `integral.MAX_FAMILY` refuses the family, so the center never runs on
-# such a spec.  The refusal takes about 1 s for the nullity-16 lattice and
-# grows as 2^nu.
+# members.  `check` refuses a family past `integral.MAX_FAMILY` from the
+# essential members alone, before any pair table is built, so the center
+# never runs on such a spec.  Reading and validating the document sets the
+# cost: about 0.2 s for the nullity-16 lattice, growing as 2^nu.
 MAX_NULLITY = 16
 # Bound on the rank: `finite_roots` builds 2 rank^2 roots at about rank^2
 # work each, so a spec's time grows as rank^4.
@@ -327,8 +327,18 @@ class RootSystemSpec:
         )
 
     @cached_attribute
+    def essential_members(self) -> tuple[int, ...]:
+        """The free sides' essential members as global masks, unsorted; no pair table needed."""
+        return tuple([
+            m << side.shift
+            for side in self.sides
+            if side.free
+            for m in side.semilattice.essential_supp()
+        ])
+
+    @cached_attribute
     def incidence(self) -> PairIncidence:
-        """The free sides' essential members, shifted, against every global pair.
+        """`essential_members`, sorted, against every global pair.
 
         Not glued from the sides' tables: the count stays independent of the
         reduction.  A global pair is supported (Delta = 1) exactly when its
@@ -336,19 +346,13 @@ class RootSystemSpec:
         states case by case: a pair across the two blocks has a singleton
         on each side.
         """
-        family = [
-            m << side.shift
-            for side in self.sides
-            if side.free
-            for m in side.semilattice.essential_supp()
-        ]
         t, low = self.twist, (1 << self.twist) - 1
         supp1, supp2 = self.s1.supp, self.s2.supp
         divisors = [
             1 if (pair & low) in supp1 and (pair >> t) in supp2 else 2
             for pair in pair_masks(self.nullity)
         ]
-        return pair_incidence(self.nullity, family, divisors)
+        return pair_incidence(self.nullity, self.essential_members, divisors)
 
     def k_r(self, r: int) -> int:
         """Scale of the isotropic direction r: k on the twisted block, else 1."""

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylconj import cli, integral, rootsystem
+from weylconj import cli, integral, rootsystem, semilattice
 from weylconj.center import CenterStructure, DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
@@ -68,6 +68,25 @@ def test_malformed_spec_is_one_line_input_error(tmp_path, capsys, command, doc):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert len(captured.err.splitlines()) == 1
+
+
+UNREADABLE = {
+    "not UTF-8": (b"\xff\xfe", "error: spec file is not UTF-8: 'utf-8' codec can't decode "
+                  "byte 0xff in position 0: invalid start byte"),
+    "nested 100000 deep": (b"[" * 100_000 + b"]" * 100_000,
+                           "error: spec document nests too deeply to decode"),
+}
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+@pytest.mark.parametrize("content,line", UNREADABLE.values(), ids=UNREADABLE.keys())
+def test_unreadable_spec_file_is_one_line_input_error(tmp_path, capsys, command, content, line):
+    path = tmp_path / "spec.json"
+    path.write_bytes(content)
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [line]
 
 
 @pytest.mark.parametrize(
@@ -199,6 +218,24 @@ class TestCheck:
         doc = {"type": "B", "rank": 2, "nullity": 6, "twist": 6,
                "supp1": supp1, "supp2": [[]]}
         assert main(["check", write(tmp_path, doc)]) == EXIT_INPUT
+
+    def test_oversized_family_refused_before_the_pair_table(self, tmp_path, capsys, monkeypatch):
+        # the B2 lattice at the nullity bound: 2^16 - 1 - 16 - 120 essential members
+        def no_table(*args):
+            raise AssertionError("pair_incidence called")
+
+        monkeypatch.setattr(rootsystem, "pair_incidence", no_table)
+        monkeypatch.setattr(semilattice, "pair_incidence", no_table)
+        supp1 = [list(c) for r in range(MAX_NULLITY + 1)
+                 for c in combinations(range(1, MAX_NULLITY + 1), r)]
+        doc = {"type": "B", "rank": 2, "nullity": MAX_NULLITY, "twist": MAX_NULLITY,
+               "supp1": supp1, "supp2": [[]]}
+        assert main(["check", write(tmp_path, doc)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: |family| = 65399 exceeds the enumeration guard 24"
+        ]
 
     @pytest.mark.parametrize("nullity", [MAX_NULLITY, MAX_NULLITY + 1])
     def test_nullity_bound(self, tmp_path, capsys, nullity):

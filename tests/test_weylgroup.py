@@ -1,6 +1,7 @@
 """Exact matrix checks for reflections, translations and central elements."""
 
 import itertools
+import json
 from fractions import Fraction
 
 import pytest
@@ -473,6 +474,66 @@ class TestOrbitCover:
         )
 
 
+GRID_EXPONENTS = range(-2, 3)
+
+
+def reference_freeness_grid(rep: Representation, zwords) -> list[tuple[int, ...]]:
+    """Oracle: the non-zero exponent vectors in GRID_EXPONENTS^pairs whose product is I.
+
+    Each point multiplies rep.mat(power(z, e)) over the words in order; the
+    grid holds 5^pairs points, 124 non-zero ones at nullity 3.
+    """
+    found = []
+    for exps in itertools.product(GRID_EXPONENTS, repeat=len(zwords)):
+        if not any(exps):
+            continue
+        product = rep.mat(())
+        for z, e in zip(zwords, exps):
+            if e:
+                product = product @ rep.mat(power(z, e))
+        if product.is_identity():
+            found.append(exps)
+    return found
+
+
+def central_words(spec) -> list:
+    """z_{r,s} for the pairs r < s in the order `verify_center_freeness` takes them."""
+    nu = spec.nullity
+    return [
+        weylgroup.central_image(spec, r, s)
+        for r in range(1, nu + 1)
+        for s in range(r + 1, nu + 1)
+    ]
+
+
+def corpus_nullity_at_most_3():
+    from weylconj.corpus import reference_corpus
+
+    return [(label, spec) for label, spec in reference_corpus() if spec.nullity <= 3]
+
+
+def dependent_central_image(original):
+    """Mutant: z_{1,3} becomes z_{1,2}^2, so D_{1,3} = 2 D_{1,2}."""
+
+    def mutant(spec, r, s, **bases):
+        if (r, s) == (1, 3):
+            return power(original(spec, 1, 2, **bases), 2)
+        return original(spec, r, s, **bases)
+
+    return mutant
+
+
+def translation_central_image(original):
+    """Mutant: z_{1,2} becomes t_{1,1}, a one-factor translation that is not central."""
+
+    def mutant(spec, r, s, **bases):
+        if (r, s) == (1, 2):
+            return translation(spec, 1, 1)
+        return original(spec, r, s, **bases)
+
+    return mutant
+
+
 class TestFreeness:
     def test_nu2_single_pair(self):
         rep = Representation(spec_b2())
@@ -489,6 +550,45 @@ class TestFreeness:
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0)
         report = verify_center_freeness(Representation(spec))
         assert report.pairs == 0 and report.passed
+        assert report.to_json() == {"pairs": 0, "independent": True, "products_vanish": True}
+
+    def test_grid_oracle_finds_no_identity_on_corpus(self):
+        specs = corpus_nullity_at_most_3()
+        assert {spec.nullity for _, spec in specs} == {1, 2, 3}
+        for label, spec in specs:
+            rep = Representation(spec)
+            assert verify_center_freeness(rep).passed, label
+            assert reference_freeness_grid(rep, central_words(spec)) == [], label
+
+    def test_dependent_images_fail(self, monkeypatch):
+        spec = dict(corpus_nullity_at_most_3())["B2 nu3 t1 S1=lat S2=min"]
+        monkeypatch.setattr(
+            weylgroup, "central_image", dependent_central_image(weylgroup.central_image)
+        )
+        rep = Representation(spec)
+        report = verify_center_freeness(rep)
+        assert (report.independent, report.products_vanish, report.passed) == (False, True, False)
+        assert (2, -1, 0) in reference_freeness_grid(rep, central_words(spec))
+
+    def test_non_central_image_fails(self, monkeypatch):
+        spec = dict(corpus_nullity_at_most_3())["B2 nu3 t1 S1=lat S2=min"]
+        monkeypatch.setattr(
+            weylgroup, "central_image", translation_central_image(weylgroup.central_image)
+        )
+        report = verify_center_freeness(Representation(spec))
+        assert not report.products_vanish and not report.passed
+
+    @pytest.mark.parametrize("mutant", [dependent_central_image, translation_central_image])
+    def test_verify_exits_2_on_a_mutant(self, tmp_path, capsys, monkeypatch, mutant):
+        from weylconj.cli import EXIT_INVARIANT, main
+        from weylconj.rootsystem import spec_to_json
+
+        spec = dict(corpus_nullity_at_most_3())["B3 nu3 t3 S1=pairs S2=0"]
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(spec_to_json(spec)))
+        monkeypatch.setattr(weylgroup, "central_image", mutant(weylgroup.central_image))
+        assert main(["verify", str(path)]) == EXIT_INVARIANT
+        assert "  center freeness: FAILED" in capsys.readouterr().out.splitlines()
 
 
 def alternate_b2_realization() -> FiniteRoots:
