@@ -54,7 +54,8 @@ def center_presentation(spec: RootSystemSpec) -> CenterPresentation:
     """One row per essential member: +2 on its own column, -2/Delta on its pairs."""
     table, pairs = spec.incidence, spec.incidence.pairs
     coeffs = [
-        exact_div(-2, delta, f"-2/Delta({r},{s})") for (r, s), delta in zip(pairs, table.divisors)
+        exact_div(-2, delta, "-2/Delta({},{})", r, s)
+        for (r, s), delta in zip(pairs, table.divisors)
     ]
     rows = []
     for jpos in range(len(table.family)):

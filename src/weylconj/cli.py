@@ -93,6 +93,14 @@ def _load_spec(path: str) -> RootSystemSpec:
         raise SpecValidationError(f"spec file is not UTF-8: {exc}") from None
     except RecursionError:
         raise SpecValidationError("spec document nests too deeply to decode") from None
+    except json.JSONDecodeError:
+        raise
+    except ValueError as exc:
+        # json.load raises a bare ValueError for an integer literal past
+        # the interpreter's digit limit (sys.get_int_max_str_digits)
+        raise SpecValidationError(
+            f"spec document holds an integer too long to decode: {exc}"
+        ) from None
     return spec_from_json(doc)
 
 

@@ -1,16 +1,18 @@
 """Small exact integer matrices.
 
 Built for the reflection representation, whose basis is chosen so that
-every reflection has integer entries (see `weylgroup`); products of
-integer matrices stay integers, so a `Mat` is a tuple of integer rows and
-equality and hashing are structural.  The product is a sparse row
-combination: row i of `a @ b` is the sum of `x * b[k]` over the nonzero
-entries `x = a[i][k]`, which skips the zeros that make up most of a
-reflection-word matrix.  Nothing here inverts a matrix or raises one to a
-power: every matrix the verifiers build is a word in reflections, its
-inverse is another word and its power a longer word (see `weylgroup`).
-The fraction-free elimination `row_reduce` serves the rank
-computation of the center-freeness check.
+every reflection has integer entries (see `weylgroup`), so a `Mat` is a
+tuple of integer rows and equality and hashing are structural.  The
+verifiers build no matrix by products: `weylgroup` applies each
+reflection as a rank-one update.  The product serves the center-freeness
+check's D_a D_b and the tests, which compare the updates with dense
+products.  It is a sparse row combination: row i of `a @ b` is the sum
+of `x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the
+zeros that make up most of a reflection-word matrix.  Nothing here
+inverts a matrix or raises one to a power: every matrix the verifiers
+build is a word in reflections, its inverse is another word and its
+power a longer word (see `weylgroup`).  The fraction-free elimination
+`row_reduce` serves the rank computation of the center-freeness check.
 """
 
 from __future__ import annotations

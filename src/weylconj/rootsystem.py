@@ -101,11 +101,16 @@ class GeneratorMisclassified(InvariantBreach):
 Vec = tuple  # integer coordinate tuple
 
 
-def exact_div(num: int, den: int, what: str) -> int:
-    """num / den for a quotient the construction guarantees integral."""
+def exact_div(num: int, den: int, what: str, *args) -> int:
+    """num / den for a quotient the construction guarantees integral.
+
+    `what` names the quotient in the error as a `str.format` template,
+    filled with `args` only when the division fails: formatting it on
+    every call would cost ten times the division.
+    """
     q, rem = divmod(num, den)
     if rem:
-        raise IntegralityViolation(f"{what} = {num}/{den} is not an integer")
+        raise IntegralityViolation(f"{what.format(*args)} = {num}/{den} is not an integer")
     return q
 
 
@@ -143,9 +148,7 @@ class FiniteRoots:
 
     def cartan(self, u: Vec, v: Vec) -> int:
         """(u, v^vee) for a non-isotropic v; integral whenever u, v are roots."""
-        return exact_div(
-            2 * self.pairing(u, v), self.pairing(v, v), f"({u}, {v}^vee)"
-        )
+        return exact_div(2 * self.pairing(u, v), self.pairing(v, v), "({}, {}^vee)", u, v)
 
 
 # Cartan data in the required ordering: half squared lengths per simple
@@ -218,7 +221,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         for beta in frontier:
             for i in range(rank):
                 c = sum(beta[j] * gram[j][i] for j in range(rank))
-                q = exact_div(c, d[i], f"({beta}, alpha_{i + 1}^vee)")
+                q = exact_div(c, d[i], "({}, alpha_{}^vee)", beta, i + 1)
                 img = list(beta)
                 img[i] -= q
                 img_t = tuple(img)
@@ -422,7 +425,7 @@ def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
     return exact_div(
         spec.translation_step(j, r) * cartan,
         spec.translation_step(i, r),
-        f"a_({i},{j})({r})",
+        "a_({},{})({})", i, j, r,
     )
 
 
@@ -437,7 +440,7 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
         4 * fr.k * spec.translation_step(i, r) * spec.translation_step(j, s)
         * fr.pairing(ai, aj),
         spec.k_r(r) * fr.pairing(ai, ai) * fr.pairing(aj, aj),
-        f"a_({i},{j})({r},{s})",
+        "a_({},{})({},{})", i, j, r, s,
     )
     if r < s and out % spec.pair_divisor(r, s):
         raise IntegralityViolation(

@@ -4,10 +4,10 @@ The ambient space is the finite realisation extended by the isotropic
 directions sigma_1..sigma_nu and a scaled dual copy lambda'_1..lambda'_nu
 with (sigma_r, lambda'_s) = k delta_rs; reflections then act faithfully
 enough to separate the translation and central parts.  The factor k
-makes every reflection an integer matrix (see `reflection`).  A matrix
-M in this basis is P M_0 P^-1 for its matrix M_0 in the unscaled basis
-lambda_r, P = diag(1, .., 1, 1/k, .., 1/k), and conjugation changes no
-identity below.  Arithmetic is integer-only: roots have integer
+makes every reflection an integer matrix (see `reflection_pair`).  A
+matrix M in this basis is P M_0 P^-1 for its matrix M_0 in the unscaled
+basis lambda_r, P = diag(1, .., 1, 1/k, .., 1/k), and conjugation
+changes no identity below.  Arithmetic is integer-only: roots have integer
 coordinates, every coefficient of a reflection is an integer, and each
 matrix is an integer `Mat`, so each identity below is checked with zero
 tolerance.
@@ -16,9 +16,16 @@ Group elements are words: tuples of translation factors (root, sigma),
 each t_root^sigma = w_(root+sigma) w_root.  Reflections are involutions,
 so a word's inverse is the reversed word of factors (root + sigma,
 -sigma), and a power is a longer word (`power`): no matrix is ever
-inverted or raised to a power.  A `Representation` owns the matrices of
-one spec, cached by reflection root and by word; `Representation.mat`
-is the only way a word becomes a matrix.
+inverted or raised to a power.  Every reflection is w_beta = I -
+beta beta^vee, the identity minus one outer product, so it acts on a
+matrix as a rank-one update, M w_beta = M - (M beta) beta^vee, and no
+two matrices are ever multiplied to build a word: a product of two
+elements is the matrix of the concatenated word.  A `Representation`
+owns the matrices of one spec: the pair (beta, beta^vee) of each root
+and the matrix of each word, built from its cached prefix by two
+updates.  `Representation.mat` is the only way a word becomes a matrix;
+`Representation.conjugate` and `Representation.commutes` apply a
+reflection on both sides of a matrix.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -38,8 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from functools import reduce
-from operator import matmul, sub
+from operator import sub
 from typing import Iterator, Sequence
 
 from .exactmat import Mat, row_reduce
@@ -71,27 +77,88 @@ def ambient_dim(spec: RootSystemSpec) -> int:
     return len(spec.roots.simple[0]) + 2 * spec.nullity
 
 
-def reflection(spec: RootSystemSpec, root: Root) -> Mat:
-    """Matrix of u -> u - (u, alpha^vee) alpha for a non-isotropic root.
+Sparse = tuple  # of (index, value) pairs, value != 0
 
-    alpha has ambient coordinates (finite, iso, 0..0).  The form pairs
-    sigma_r with lambda'_r only, as k, so G alpha = (gram finite, 0..0,
-    k iso) and (alpha, alpha) is the finite pairing.  The coefficient
-    (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha) is a Cartan integer
-    on the finite columns, 0 on the sigma columns and k iso_r (short
-    alpha) or iso_r (long alpha) on the lambda' columns.
+
+def reflection_pair(
+    spec: RootSystemSpec, root: Root, coroots: dict | None = None
+) -> tuple[Sparse, Sparse]:
+    """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
+
+    w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
+    of alpha, (finite, iso, 0..0).  The form pairs sigma_r with lambda'_r
+    only, as k, so G alpha = (gram finite, 0..0, k iso) and (alpha, alpha)
+    is the finite pairing.  beta^vee is the row of coefficients
+    (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha): the finite coroot,
+    a Cartan integer per finite column, 0 on the sigma columns and
+    2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
+    for a short alpha and iso_r for a long one.  The finite coroot and
+    (alpha, alpha) depend on the finite part only; `coroots`, when given,
+    caches them by finite part.  The lambda' entries are divided per
+    root: in a scaled realisation 2k / (alpha, alpha) may be a fraction
+    whose multiples by iso_r are integers.
     """
     if not is_root(spec, root):
         raise NotARoot(f"{root} is not a non-isotropic root of the system")
     fr = spec.roots
-    zero = (0,) * spec.nullity
-    alpha = root.finite + root.iso + zero
-    gfinite = tuple(sum(g * x for g, x in zip(row, root.finite)) for row in fr.gram)
-    galpha = gfinite + zero + tuple(fr.k * x for x in root.iso)
-    aa = fr.pairing(root.finite, root.finite)
-    coeff = [exact_div(2 * g, aa, f"(e_{c}, {root}^vee)") for c, g in enumerate(galpha)]
-    return Mat([[(r == c) - a * x for c, x in enumerate(coeff)]
-                for r, a in enumerate(alpha)])
+    finite = coroots.get(root.finite) if coroots is not None else None
+    if finite is None:
+        aa = fr.pairing(root.finite, root.finite)
+        entries = []
+        for c, row in enumerate(fr.gram):
+            g = sum(x * y for x, y in zip(row, root.finite))
+            q = exact_div(2 * g, aa, "(e_{}, {}^vee)", c, root)
+            if q:
+                entries.append((c, q))
+        finite = (tuple(entries), aa)
+        if coroots is not None:
+            coroots[root.finite] = finite
+    entries, aa = finite
+    lam = len(root.finite) + spec.nullity  # the first lambda' column
+    coroot = entries + tuple(
+        (lam + r, exact_div(2 * fr.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
+        for r, x in enumerate(root.iso)
+        if x
+    )
+    beta = tuple((c, x) for c, x in enumerate(root.finite + root.iso) if x)
+    return beta, coroot
+
+
+def reflection(spec: RootSystemSpec, root: Root) -> Mat:
+    """The matrix I - beta beta^vee of w_root (see `reflection_pair`)."""
+    beta, coroot = reflection_pair(spec, root)
+    n = ambient_dim(spec)
+    rows = [[int(r == c) for c in range(n)] for r in range(n)]
+    for r, b in beta:
+        for c, x in coroot:
+            rows[r][c] -= b * x
+    return Mat(rows)
+
+
+def _right_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
+    """rows <- rows (I - beta beta^vee) in place: each row u loses (u beta) beta^vee."""
+    for row in rows:
+        x = 0
+        for c, b in beta:
+            x += row[c] * b
+        if x:
+            for c, y in coroot:
+                row[c] -= x * y
+
+
+def _coroot_row(coroot: Sparse, rows: Sequence[Sequence[int]]) -> list[int]:
+    """The row beta^vee rows."""
+    v = [0] * len(rows[0])
+    for c, y in coroot:
+        v = [x + y * z for x, z in zip(v, rows[c])]
+    return v
+
+
+def _left_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
+    """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
+    v = _coroot_row(coroot, rows)
+    for r, b in beta:
+        rows[r] = [x - b * y for x, y in zip(rows[r], v)]
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
@@ -127,33 +194,71 @@ def power(word: Word, e: int) -> Word:
 
 
 class Representation:
-    """The reflection representation of one spec, guarded at rank and nullity <= 4."""
+    """The reflection representation of one spec, guarded at rank and nullity <= 4.
+
+    It caches the pair (beta, beta^vee) of each root it meets (and the
+    finite coroot of each finite part) and the matrix of each word it
+    builds.  Reflections act on matrices as rank-one updates, so nothing
+    here multiplies two matrices.
+    """
 
     def __init__(self, spec: RootSystemSpec):
         if spec.rank > 4 or spec.nullity > 4:
             raise SpecValidationError("verification is guarded at rank <= 4, nullity <= 4")
         self.spec = spec
         self.dim = ambient_dim(spec)
-        self._reflections: dict[Root, Mat] = {}
+        self._coroots: dict[tuple, tuple] = {}
+        self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
-    def reflection(self, root: Root) -> Mat:
-        got = self._reflections.get(root)
+    def pair(self, root: Root) -> tuple[Sparse, Sparse]:
+        """(beta, beta^vee) of w_root, validated once per root (`reflection_pair`)."""
+        got = self._pairs.get(root)
         if got is None:
-            got = self._reflections[root] = reflection(self.spec, root)
+            got = self._pairs[root] = reflection_pair(self.spec, root, self._coroots)
         return got
 
     def mat(self, word: Word) -> Mat:
-        """The matrix of a word."""
+        """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
+
+        The last factor t_root^sigma acts as two right updates, first by
+        w_(root+sigma), then by w_root, so every prefix is built once.
+        """
         got = self._words.get(word)
         if got is None:
-            if len(word) == 1:
-                ((root, sigma),) = word
-                got = self.reflection(_add_iso(root, sigma)) @ self.reflection(root)
-            else:
-                got = reduce(matmul, [self.mat((factor,)) for factor in word])
-            self._words[word] = got
+            root, sigma = word[-1]
+            rows = [list(row) for row in self.mat(word[:-1]).rows]
+            _right_update(rows, *self.pair(_add_iso(root, sigma)))
+            _right_update(rows, *self.pair(root))
+            got = self._words[word] = Mat(rows)
         return got
+
+    def conjugate(self, root: Root, mat: Mat) -> Mat:
+        """w_root mat w_root, as a left and a right update."""
+        beta, coroot = self.pair(root)
+        rows = [list(row) for row in mat.rows]
+        _left_update(rows, beta, coroot)
+        _right_update(rows, beta, coroot)
+        return Mat(rows)
+
+    def commutes(self, mat: Mat, root: Root) -> bool:
+        """Whether mat w_root = w_root mat.
+
+        Both sides are mat minus an outer product, so the test compares
+        (mat beta) beta^vee with beta (beta^vee mat), entry by entry:
+        equal in integers exactly when the two products are.
+        """
+        beta, coroot = self.pair(root)
+        col = []
+        for row in mat.rows:
+            x = 0
+            for c, b in beta:
+                x += row[c] * b
+            col.append(x)
+        row = _coroot_row(coroot, mat.rows)
+        right = {(r, c): x * y for r, x in enumerate(col) if x for c, y in coroot}
+        left = {(r, c): b * y for r, b in beta for c, y in enumerate(row) if y}
+        return right == left
 
 
 def _simple_root(spec: RootSystemSpec, i: int) -> Root:
@@ -263,7 +368,6 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
     items: list[CheckItem] = []
-    refl = [rep.reflection(_simple_root(spec, i)) for i in range(1, rank + 1)]
     trans = {
         (i, r): translation(spec, i, r)
         for i in range(1, rank + 1)
@@ -279,9 +383,8 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
-                tjr = rep.mat(trans[(j, r)])
-                lhs = refl[i - 1] @ tjr @ refl[i - 1]
-                rhs = tjr @ rep.mat(power(trans[(i, r)], -a))
+                lhs = rep.conjugate(_simple_root(spec, i), rep.mat(trans[(j, r)]))
+                rhs = rep.mat(trans[(j, r)] + power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
@@ -297,25 +400,25 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, mask in _class_members(spec):
-        zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
-        rhs = rep.mat(())
+        zj = central_word(spec, _simple_root(spec, side), mask)
+        rhs: Word = ()
         members = elems_of(mask)
         for r, s in itertools.combinations(members, 2):
-            e = 2 // spec.pair_divisor(r, s)
-            rhs = rhs @ rep.mat(power(zword[(r, s)], e))
-        items.append(CheckItem("square", (side, members), zj @ zj == rhs))
+            rhs += power(zword[(r, s)], 2 // spec.pair_divisor(r, s))
+        ok = rep.mat(power(zj, 2)) == rep.mat(rhs)
+        items.append(CheckItem("square", (side, members), ok))
     return VerifyReport(items)
 
 
-def _centrality(mat: Mat, gens: list[Mat]) -> bool:
-    return all(mat @ w == w @ mat for w in gens)
+def _centrality(rep: Representation, mat: Mat, gens: list[Root]) -> bool:
+    return all(rep.commutes(mat, g) for g in gens)
 
 
 def verify_translation_identities(rep: Representation) -> VerifyReport:
     """Check the elementary translation identities on a deterministic sample."""
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
-    pi_refl = [rep.reflection(g) for g in generating_roots(spec)]
+    gens = generating_roots(spec)
     powers: list[CheckItem] = []
     shift: list[CheckItem] = []
     exchange: list[CheckItem] = []
@@ -329,17 +432,15 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     for i in range(1, rank + 1):
         for r in range(1, nu + 1):
             # power law (t^sigma)^n = t^(n sigma) and inverse symmetry
-            tmat = rep.mat(translation(spec, i, r))
-            acc = rep.mat(())
+            word = translation(spec, i, r)
+            tmat = rep.mat(word)
             for n in range(1, 4):
-                acc = acc @ tmat
                 direct = rep.mat(translation(spec, i, r, n))
-                powers.append(CheckItem("power", (i, r, n), acc == direct))
-                inv_direct = rep.mat(translation(spec, i, r, -n))
-                ok = (acc @ inv_direct).is_identity()
+                powers.append(CheckItem("power", (i, r, n), rep.mat(power(word, n)) == direct))
+                ok = rep.mat(power(word, n) + translation(spec, i, r, -n)).is_identity()
                 powers.append(CheckItem("power", (i, r, -n), ok))
             # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
-            ((base, sigma),) = translation(spec, i, r)
+            ((base, sigma),) = word
             for n in (-2, -1, 1, 2):
                 ((_, n_sigma),) = translation(spec, i, r, n)
                 ok = t(_add_iso(base, n_sigma), sigma) == tmat
@@ -363,8 +464,10 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
                 _add_iso(alpha, _neg(del_)),
             ]
             if all(is_root(spec, root) for root in needed):
-                lhs = t(a_sig, _neg(del_)) @ rep.mat(translation(spec, side, s))
-                rhs = t(a_del, sig) @ rep.mat(translation(spec, side, r, -1))
+                lhs = rep.mat(
+                    translation_word(a_sig, _neg(del_)) + translation(spec, side, s)
+                )
+                rhs = rep.mat(translation_word(a_del, sig) + translation(spec, side, r, -1))
                 exchange.append(CheckItem("exchange", (side, r, s), lhs == rhs))
             # the difference word t^d_(a+s) t^(-d)_a is central
             if (
@@ -372,8 +475,8 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
                 and is_root(spec, _add_iso(a_sig, del_))
                 and is_root(spec, _add_iso(alpha, _neg(del_)))
             ):
-                word = t(a_sig, del_) @ rep.mat(translation(spec, side, s, -1))
-                ok = _centrality(word, pi_refl)
+                word = translation_word(a_sig, del_) + translation(spec, side, s, -1)
+                ok = _centrality(rep, rep.mat(word), gens)
                 difference.append(CheckItem("central-difference", (side, r, s), ok))
 
     # commutators of basic translations are central
@@ -381,13 +484,13 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
                 com = commutator(translation(spec, si, r), translation(spec, sj, s))
-                ok = _centrality(rep.mat(com), pi_refl)
+                ok = _centrality(rep, rep.mat(com), gens)
                 central.append(CheckItem("central-commutator", (si, sj, r, s), ok))
 
     # the central words z_J are central
     for side, mask in _class_members(spec):
         zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
-        ok = _centrality(zj, pi_refl)
+        ok = _centrality(rep, zj, gens)
         defect.append(CheckItem("central-defect", (side, elems_of(mask)), ok))
     return VerifyReport(powers + shift + exchange + central + difference + defect)
 

@@ -75,6 +75,8 @@ UNREADABLE = {
                   "byte 0xff in position 0: invalid start byte"),
     "nested 100000 deep": (b"[" * 100_000 + b"]" * 100_000,
                            "error: spec document nests too deeply to decode"),
+    "malformed JSON": (b"{ nope", "error: Expecting property name enclosed in double "
+                       "quotes: line 1 column 3 (char 2)"),
 }
 
 
@@ -87,6 +89,19 @@ def test_unreadable_spec_file_is_one_line_input_error(tmp_path, capsys, command,
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [line]
+
+
+@pytest.mark.parametrize("command", ["check", "verify"])
+def test_integer_past_the_digit_limit_is_one_line_input_error(tmp_path, capsys, command):
+    # json.load raises a bare ValueError, not a JSONDecodeError, for an
+    # integer literal longer than sys.get_int_max_str_digits() (4300)
+    path = tmp_path / "spec.json"
+    path.write_text('{"rank": ' + "1" * 5000 + "}")
+    assert main([command, str(path)]) == EXIT_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: spec document holds an integer too long to decode: ")
 
 
 @pytest.mark.parametrize(

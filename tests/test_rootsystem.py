@@ -148,6 +148,25 @@ class TestFiniteRoots:
         with pytest.raises(IntegralityViolation, match="q = 3/2 is not an integer"):
             exact_div(3, 2, "q")
 
+    def test_exact_div_formats_its_description_only_when_it_raises(self):
+        class Unformattable:
+            def __format__(self, spec):
+                raise AssertionError("formatted")
+
+        assert exact_div(6, 3, "({}, {}^vee)", Unformattable(), Unformattable()) == 2
+        with pytest.raises(AssertionError, match="formatted"):
+            exact_div(7, 3, "({}, {}^vee)", Unformattable(), Unformattable())
+
+    def test_cartan_names_its_pair_when_not_integral(self):
+        # a doubled Gram matrix: 2 (e_1, 2 e_1 + 2 e_2) / (2 e_1 + 2 e_2)^2 = 8/16
+        fr = rootsystem.FiniteRoots(
+            "B", 2, ((0, 1), (1, -1)), frozenset(), frozenset(), ((2, 0), (0, 2)), 2
+        )
+        assert fr.cartan((2, 0), (1, 1)) == 2
+        with pytest.raises(IntegralityViolation) as err:
+            fr.cartan((1, 0), (2, 2))
+        assert str(err.value) == "((1, 0), (2, 2)^vee) = 8/16 is not an integer"
+
 
 class TestSpecValidation:
     def test_c3_valid(self):

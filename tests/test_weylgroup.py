@@ -3,10 +3,13 @@
 import itertools
 import json
 from fractions import Fraction
+from functools import reduce
+from operator import matmul
 
 import pytest
 
 from weylconj import weylgroup
+from weylconj.cli import EXIT_INVARIANT
 from weylconj.exactmat import Mat
 from weylconj.rootsystem import (
     FiniteRoots,
@@ -15,8 +18,9 @@ from weylconj.rootsystem import (
     SpecValidationError,
     generating_roots,
     make_spec,
+    sigma_vec,
 )
-from weylconj.semilattice import Semilattice, make_semilattice
+from weylconj.semilattice import Semilattice, elems_of, make_semilattice
 from weylconj.weylgroup import (
     MAX_COVER_STATES,
     CoverReport,
@@ -323,6 +327,161 @@ class TestWords:
         assert power(x + y, 1) == x + y
         assert power(x + y, 3) == x + y + x + y + x + y
         assert power(x + y, -2) == inverse(x + y) * 2 == inverse(power(x + y, 2))
+
+
+def reference_mat(spec, word, factors: dict | None = None) -> Mat:
+    """Oracle: a word's matrix as the product of dense reflections.
+
+    Each factor (root, sigma) is the product w_(root+sigma) w_root of two
+    `reflection` matrices; `factors` caches those products by factor.
+    """
+    factors = {} if factors is None else factors
+    mats = []
+    for root, sigma in word:
+        if (root, sigma) not in factors:
+            shifted = Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
+            factors[root, sigma] = reflection(spec, shifted) @ reflection(spec, root)
+        mats.append(factors[root, sigma])
+    return reduce(matmul, mats, Mat.identity(ambient_dim(spec)))
+
+
+def suite_words(spec) -> tuple[Representation, set]:
+    """A representation the suites and freeness ran on, and every word they built.
+
+    Recorded by wrapping `Representation.mat`, so the prefixes a word is
+    built from are recorded too.
+    """
+    words = set()
+    original = Representation.mat
+
+    def recording(self, word):
+        words.add(word)
+        return original(self, word)
+
+    rep = Representation(spec)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(Representation, "mat", recording)
+        verify_structure_identities(rep)
+        verify_translation_identities(rep)
+        if spec.nullity >= 2:
+            verify_choice_independence(rep)
+        verify_center_freeness(rep)
+    return rep, words
+
+
+def mismatched_words(spec) -> list:
+    """The suite words whose `Representation.mat` differs from `reference_mat`."""
+    rep, words = suite_words(spec)
+    assert words
+    factors: dict = {}
+    return [word for word in words if rep.mat(word) != reference_mat(spec, word, factors)]
+
+
+def corpus_specs():
+    from weylconj.corpus import reference_corpus
+
+    return [pytest.param(spec, id=label) for label, spec in reference_corpus()]
+
+
+def corpus_spec(label):
+    from weylconj.corpus import reference_corpus
+
+    return dict(reference_corpus())[label]
+
+
+def flipped_right_update(rows, beta, coroot):
+    """Mutant: rows (I + beta beta^vee), the sign of the right update flipped."""
+    for row in rows:
+        x = sum(row[c] * b for c, b in beta)
+        for c, y in coroot:
+            row[c] += x * y
+
+
+def flipped_left_update(rows, beta, coroot):
+    """Mutant: (I + beta beta^vee) rows, the sign of the left update flipped."""
+    v = [sum(y * rows[c][j] for c, y in coroot) for j in range(len(rows[0]))]
+    for r, b in beta:
+        rows[r] = [x + b * y for x, y in zip(rows[r], v)]
+
+
+def non_central_word(spec, base, mask):
+    """Mutant: z_J becomes t_base^(sigma_r) for the least r in J, which is not central."""
+    return translation_word(base, sigma_vec(spec, elems_of(mask)[0]))
+
+
+def verify_exit(tmp_path, spec) -> int:
+    """The exit code of `weylconj verify` on the spec."""
+    from weylconj.cli import main
+    from weylconj.rootsystem import spec_to_json
+
+    path = tmp_path / "spec.json"
+    path.write_text(json.dumps(spec_to_json(spec)))
+    return main(["verify", str(path)])
+
+
+def sample_matrices(rep) -> list[Mat]:
+    """Translation and central-image matrices: some commute with a given reflection, some not."""
+    spec = rep.spec
+    nu = spec.nullity
+    words = [translation(spec, i, r) for i in range(1, spec.rank + 1) for r in range(1, nu + 1)]
+    words += [central_image(spec, r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
+    return [rep.mat(word) for word in words]
+
+
+def conjugation_cases(spec):
+    """(root, dense reflection) for the generating and the simple roots."""
+    roots = generating_roots(spec) + [
+        Root(a, (0,) * spec.nullity) for a in spec.roots.simple
+    ]
+    return [(root, reflection(spec, root)) for root in roots]
+
+
+class TestUpdatesAgainstProducts:
+    """The rank-one updates against the dense products they replace."""
+
+    @pytest.mark.parametrize("spec", corpus_specs())
+    def test_mat_matches_reference_on_suite_words(self, spec):
+        assert mismatched_words(spec) == []
+
+    def test_conjugate_and_commutes_match_products(self):
+        outcomes = set()
+        for spec in (spec_b2_mixed(), spec_g2(), corpus_spec("B3 nu3 t3 S1=pairs S2=0"),
+                     corpus_spec("F44 nu2 t1 S1=lat S2=lat")):
+            rep = Representation(spec)
+            mats = sample_matrices(rep)
+            for root, w in conjugation_cases(spec):
+                for m in mats:
+                    assert rep.conjugate(root, m) == w @ m @ w
+                    commutes = rep.commutes(m, root)
+                    assert commutes == (m @ w == w @ m)
+                    outcomes.add(commutes)
+        assert outcomes == {False, True}
+
+    def test_flipped_right_update_fails_the_oracle(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(weylgroup, "_right_update", flipped_right_update)
+        assert mismatched_words(spec)
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_flipped_left_update_fails_the_conjugation_oracle(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(weylgroup, "_left_update", flipped_left_update)
+        rep = Representation(spec)
+        mats = sample_matrices(rep)
+        assert any(
+            rep.conjugate(root, m) != w @ m @ w
+            for root, w in conjugation_cases(spec)
+            for m in mats
+        )
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_non_central_word_fails_central_defect(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B3 nu3 t3 S1=pairs S2=0")
+        monkeypatch.setattr(weylgroup, "central_word", non_central_word)
+        report = verify_translation_identities(Representation(spec))
+        defects = [item for item in report.items if item.identity == "central-defect"]
+        assert defects and not any(item.passed for item in defects)
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
 
 class TestVerifiers:
