@@ -4,14 +4,18 @@ Exit codes for `check`: 0 when the presentation by conjugation holds,
 3 when it fails, 1 on input errors, 2 when an internal invariant breaks
 (the three decision paths must agree and the collection count must be a
 power of two; a breach is printed with its witness).  `verify` exits 2
-on any failed matrix identity, `construct` exits 2 if the search comes
-up empty against the existence guarantee.  A library invariant that
-breaks (`InvariantBreach`: a non-integral quotient, bad Cartan data, a
-broken Smith divisibility chain) exits 2 with a one-line message from
-every subcommand.  A command-line usage error (unknown subcommand, a
-non-integer or negative count) exits 1 with one `error:` line, so 2
-always means a broken invariant.  A stdout closed by its reader exits 1
-with nothing on stderr.
+on any failed matrix identity.
+
+A subcommand returns only its verdict's code; every refusal is raised,
+and `main` is the one place a refusal becomes an exit code.  A stdout closed by its reader
+exits 1 with nothing on stderr.  An input error (`SpecValidationError`,
+`SemilatticeError`, or a malformed command line) exits 1 with one
+`error:` line.  A library invariant that breaks (`InvariantBreach`: a
+non-integral quotient, bad Cartan data, a broken Smith divisibility
+chain, `construct`'s search coming up empty against the existence
+guarantee) exits 2 with one `invariant breach:` line, so 2 always means
+a broken invariant.  Any other exception is a fault of the library and
+propagates with its traceback.
 
 `classify --json` prints the bytes of `json.dumps(..., indent=2)` but
 renders each distinct subset once per call and fills every row into a
@@ -34,8 +38,6 @@ from .corpus import classification_pairs
 from .integral import (
     WITNESS_CAP,
     DecisionReport,
-    FamilyTooLarge,
-    SearchExhausted,
     construct_nonminimal,
     count_collections,
     decide_by_reduction,
@@ -49,10 +51,9 @@ from .rootsystem import (
     spec_to_json,
     validate_slice,
 )
-from .semilattice import DimTooLarge, Semilattice, SemilatticeError, elems_of
+from .semilattice import Semilattice, SemilatticeError, elems_of
 from .weylgroup import (
     Representation,
-    check_cover_height,
     orbit_cover,
     verify_center_freeness,
     verify_choice_independence,
@@ -84,17 +85,29 @@ def cross_check(
     return breaches
 
 
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """A JSON object as a dict; a repeated key is refused, not overwritten."""
+    doc = {}
+    for key, value in pairs:
+        if key in doc:
+            raise SpecValidationError(f"spec document repeats the key {key!r}")
+        doc[key] = value
+    return doc
+
+
 def _load_spec(path: str) -> RootSystemSpec:
     """The spec document at `path`; a file that is not UTF-8 JSON raises an input error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            doc = json.load(fh)
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except SpecValidationError:  # a repeated key (`_unique_keys`)
+        raise
     except UnicodeDecodeError as exc:
         raise SpecValidationError(f"spec file is not UTF-8: {exc}") from None
     except RecursionError:
         raise SpecValidationError("spec document nests too deeply to decode") from None
-    except json.JSONDecodeError:
-        raise
+    except (OSError, json.JSONDecodeError) as exc:
+        raise SpecValidationError(str(exc)) from None
     except ValueError as exc:
         # json.load raises a bare ValueError for an integer literal past
         # the interpreter's digit limit (sys.get_int_max_str_digits)
@@ -117,18 +130,10 @@ def _spec_line(spec: RootSystemSpec) -> str:
 
 def _cmd_check(args) -> int:
     started = time.monotonic()
-    try:
-        spec = _load_spec(args.spec)
-    except (OSError, json.JSONDecodeError, SemilatticeError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        decision = count_collections(spec, max_witnesses=args.max_witnesses)
-        center = center_structure(spec)
-        reduction = decide_by_reduction(spec)
-    except FamilyTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _load_spec(args.spec)
+    decision = count_collections(spec, max_witnesses=args.max_witnesses)
+    center = center_structure(spec)
+    reduction = decide_by_reduction(spec)
     breaches = cross_check(decision, center, reduction)
     elapsed = time.monotonic() - started
     if args.json:
@@ -163,16 +168,11 @@ def _cmd_check(args) -> int:
 
 def _cmd_classify(args) -> int:
     if args.nullity > 4:
-        print("error: classification sweeps are guarded at nullity <= 4", file=sys.stderr)
-        return EXIT_INPUT
-    try:
-        validate_slice(args.family, args.rank, args.nullity, args.twist)
-        pairs = classification_pairs(
-            args.family, args.rank, args.nullity, args.twist, not args.no_perm
-        )
-    except (DimTooLarge, SemilatticeError, SpecValidationError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        raise SpecValidationError("classification sweeps are guarded at nullity <= 4")
+    validate_slice(args.family, args.rank, args.nullity, args.twist)
+    pairs = classification_pairs(
+        args.family, args.rank, args.nullity, args.twist, not args.no_perm
+    )
     rows = []
     for s1, s2 in sorted(pairs, key=lambda p: (p[0].members, p[1].members)):
         spec = make_spec(args.family, args.rank, args.nullity, args.twist, s1, s2)
@@ -275,17 +275,12 @@ def _classify_json(
 
 def _cmd_verify(args) -> int:
     started = time.monotonic()
-    try:
-        spec = _load_spec(args.spec)
-        rep = Representation(spec)
-        check_cover_height(spec, args.height)
-    except (OSError, json.JSONDecodeError, SemilatticeError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+    spec = _load_spec(args.spec)
+    rep = Representation(spec)
+    cover = orbit_cover(spec, args.height)  # refuses an oversized box before any suite runs
     structure = verify_structure_identities(rep)
     translationv = verify_translation_identities(rep)
     choice = verify_choice_independence(rep) if spec.nullity >= 2 else None
-    cover = orbit_cover(spec, args.height)
     freeness = verify_center_freeness(rep)
     elapsed = time.monotonic() - started
     reports = {
@@ -325,16 +320,9 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    try:
-        spec, decision = construct_nonminimal(
-            args.family, args.nullity, args.twist, m1=args.m1, m2=args.m2, rank=args.rank
-        )
-    except (ValueError, SemilatticeError, SpecValidationError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    except SearchExhausted as exc:
-        print(f"search exhausted: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
+    spec, decision = construct_nonminimal(
+        args.family, args.nullity, args.twist, m1=args.m1, m2=args.m2, rank=args.rank
+    )
     label = (
         f"non-minimal {_type_label(spec.family, spec.rank)} nu={spec.nullity} "
         f"t={spec.twist} ind(S1)={spec.s1.index} ind(S2)={spec.s2.index} "
@@ -409,17 +397,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
+    """Run one subcommand; the one place a refusal becomes an exit code."""
     try:
         args = build_parser().parse_args(argv)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    try:
         code = args.func(args)
         sys.stdout.flush()
-    except InvariantBreach as exc:
-        print(f"invariant breach: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
     except BrokenPipeError:
         # The reader closed stdout (`weylconj classify ... | head`).  What is
         # left in the buffer goes to devnull, so the flush at exit stays quiet.
@@ -427,6 +409,12 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
+    except (_UsageError, SpecValidationError, SemilatticeError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INPUT
+    except InvariantBreach as exc:
+        print(f"invariant breach: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     return code
 
 

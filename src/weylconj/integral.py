@@ -33,6 +33,7 @@ from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilat
 from .rootsystem import (
     InvariantBreach,
     RootSystemSpec,
+    SpecValidationError,
     free_sides,
     make_spec,
     validate_slice,
@@ -42,8 +43,8 @@ MAX_FAMILY = 24
 WITNESS_CAP = 16
 
 
-class FamilyTooLarge(ValueError):
-    pass
+class FamilyTooLarge(SpecValidationError):
+    """The essential family has more than `MAX_FAMILY` members: an input the count refuses."""
 
 
 class NotPowerOfTwo(InvariantBreach):
@@ -54,8 +55,8 @@ class ContradictoryScreen(InvariantBreach):
     """The minimality screen fired both a minimal and a non-minimal condition."""
 
 
-class SearchExhausted(RuntimeError):
-    """The non-minimal construction found no witness; contradicts the existence result."""
+class SearchExhausted(InvariantBreach):
+    """The non-minimal construction found no witness, against the existence result."""
 
 
 def _named(spec: RootSystemSpec) -> str:
@@ -314,15 +315,15 @@ def construct_nonminimal(
     """
     sides = free_sides(family, rank)
     if not sides:
-        raise ValueError("the construction applies to types B and C")
+        raise SpecValidationError("the construction applies to types B and C")
     t = twist
     varying = sides[0] - 1
     name, target = ("m2", m2) if varying else ("m1", m1)
     span, dim, exp = (nullity - t, "nu-t", "(nu-t)") if varying else (t, "t", "t")
     if target is None:
-        raise ValueError(f"type {family} requires {name}")
+        raise SpecValidationError(f"type {family} requires {name}")
     if not 7 <= span + 4 <= target <= (1 << span) - 1:
-        raise ValueError(
+        raise SpecValidationError(
             f"need 7 <= {dim}+4 <= {name} <= 2^{exp} - 1, got {dim}={span}, {name}={target}"
         )
     validate_slice(family, rank, nullity, t)

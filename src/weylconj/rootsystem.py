@@ -571,6 +571,7 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
         raise SpecValidationError(f"malformed spec document: {exc}") from exc
     if nullity > MAX_NULLITY:
         raise SpecValidationError(f"nullity {nullity} exceeds the bound {MAX_NULLITY}")
+    validate_slice(family, rank, nullity, twist)  # before S1 and S2 take their dimensions
     s1 = make_semilattice(twist, supp1)
     s2 = make_semilattice(nullity - twist, supp2)
     return make_spec(family, rank, nullity, twist, s1, s2)

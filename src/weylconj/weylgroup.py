@@ -24,8 +24,8 @@ elements is the matrix of the concatenated word.  A `Representation`
 owns the matrices of one spec: the pair (beta, beta^vee) of each root
 and the matrix of each word, built from its cached prefix by two
 updates.  `Representation.mat` is the only way a word becomes a matrix;
-`Representation.conjugate` and `Representation.commutes` apply a
-reflection on both sides of a matrix.
+`Representation.conjugate` applies a reflection on both sides of a
+matrix, and `Representation.commutes` tests that conjugation fixes it.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -146,17 +146,11 @@ def _right_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
                 row[c] -= x * y
 
 
-def _coroot_row(coroot: Sparse, rows: Sequence[Sequence[int]]) -> list[int]:
-    """The row beta^vee rows."""
+def _left_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
+    """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
     v = [0] * len(rows[0])
     for c, y in coroot:
         v = [x + y * z for x, z in zip(v, rows[c])]
-    return v
-
-
-def _left_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
-    """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
-    v = _coroot_row(coroot, rows)
     for r, b in beta:
         rows[r] = [x - b * y for x, y in zip(rows[r], v)]
 
@@ -242,23 +236,8 @@ class Representation:
         return Mat(rows)
 
     def commutes(self, mat: Mat, root: Root) -> bool:
-        """Whether mat w_root = w_root mat.
-
-        Both sides are mat minus an outer product, so the test compares
-        (mat beta) beta^vee with beta (beta^vee mat), entry by entry:
-        equal in integers exactly when the two products are.
-        """
-        beta, coroot = self.pair(root)
-        col = []
-        for row in mat.rows:
-            x = 0
-            for c, b in beta:
-                x += row[c] * b
-            col.append(x)
-        row = _coroot_row(coroot, mat.rows)
-        right = {(r, c): x * y for r, x in enumerate(col) if x for c, y in coroot}
-        left = {(r, c): b * y for r, b in beta for c, y in enumerate(row) if y}
-        return right == left
+        """Whether mat w_root = w_root mat, that is w_root mat w_root = mat (w_root^2 = I)."""
+        return self.conjugate(root, mat) == mat
 
 
 def _simple_root(spec: RootSystemSpec, i: int) -> Root:

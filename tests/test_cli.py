@@ -18,7 +18,7 @@ from weylconj.cli import (
     cross_check,
     main,
 )
-from weylconj.integral import WITNESS_CAP, DecisionReport, ScreenResult
+from weylconj.integral import WITNESS_CAP, DecisionReport, ScreenResult, SearchExhausted
 from weylconj.rootsystem import (
     MAX_NULLITY,
     MAX_RANK,
@@ -77,6 +77,11 @@ UNREADABLE = {
                            "error: spec document nests too deeply to decode"),
     "malformed JSON": (b"{ nope", "error: Expecting property name enclosed in double "
                        "quotes: line 1 column 3 (char 2)"),
+    # json.load would keep the last value and decide a C3 spec
+    "repeated key": (b'{"type": "B", "type": "C", "rank": 3, "nullity": 3, "twist": 0, '
+                     b'"supp1": [[]], "supp2": [[], [1], [2], [3], [1, 2], [1, 3], [2, 3], '
+                     b'[1, 2, 3]]}',
+                     "error: spec document repeats the key 'type'"),
 }
 
 
@@ -110,11 +115,17 @@ def test_integer_past_the_digit_limit_is_one_line_input_error(tmp_path, capsys, 
         IntegralityViolation("a_(1,2)(1) = 3/2 is not an integer"),
         CartanDataError("B3: alpha_1 = (1, 0, 0) and alpha_2 = (0, 1, 0) are orthogonal"),
         DivisibilityChainBroken("d_1 = 2 does not divide d_2 = 3"),
+        SearchExhausted("no index-7 semilattice of dimension 3 with a non-trivial collection"),
     ],
     ids=lambda exc: type(exc).__name__,
 )
 @pytest.mark.parametrize(
-    "command,target", [("check", "center_structure"), ("verify", "verify_center_freeness")]
+    "command,target",
+    [
+        ("check", "center_structure"),
+        ("verify", "verify_center_freeness"),
+        ("construct", "construct_nonminimal"),
+    ],
 )
 def test_invariant_breach_is_one_line_exit_2(
     tmp_path, capsys, monkeypatch, breach, command, target
@@ -123,9 +134,14 @@ def test_invariant_breach_is_one_line_exit_2(
         raise breach
 
     monkeypatch.setattr(cli, target, broken)
-    assert main([command, write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
-    err = capsys.readouterr().err.splitlines()
-    assert err == [f"invariant breach: {breach}"]
+    argv = (
+        ["construct", "B", "3", "3", "--m1", "7"] if command == "construct"
+        else [command, write(tmp_path, B3_LATTICE_DOC)]
+    )
+    assert main(argv) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [f"invariant breach: {breach}"]
 
 
 B3_NU1_DOC = {
@@ -519,7 +535,21 @@ class TestConstruct:
         assert capsys.readouterr().out == json.dumps(self.TWIST5_PINNED[m1], indent=2) + "\n"
 
 
+B2_LATTICE6_DOC = {  # |family| = 42, past the enumeration guard
+    "type": "B", "rank": 2, "nullity": 6, "twist": 6,
+    "supp1": [list(c) for r in range(7) for c in combinations(range(1, 7), r)],
+    "supp2": [[]],
+}
+B3_MINIMAL4_DOC = {  # height 4 spans 18 * 13^4 orbit cover states
+    "type": "B", "rank": 3, "nullity": 4, "twist": 4,
+    "supp1": [[]] + [[r] for r in range(1, 5)], "supp2": [[]],
+}
+
+
 class TestUsage:
+    # A refusal raised inside a subcommand takes the same path through
+    # `main` as a malformed command line.  In argv, a dict is written to a
+    # spec file and "DIR" stands for a directory.
     @pytest.mark.parametrize(
         "argv",
         [
@@ -529,11 +559,27 @@ class TestUsage:
             ["check"],
             ["verify", "spec.json", "--height", "x"],
             ["check", "spec.json", "--no-such-flag"],
+            ["check", "/nonexistent/spec.json"],
+            ["verify", "/nonexistent/spec.json"],
+            ["check", "DIR"],
+            ["verify", "DIR"],
+            ["check", B2_LATTICE6_DOC],
+            ["verify", B3_MINIMAL4_DOC, "--height", "4"],
+            ["classify", "B", "2", "5", "2"],
+            ["construct", "B", "3", "3", "--m1", "7", "--rank", "40"],
         ],
         ids=["non-integer rank", "no command", "unknown command", "missing spec",
-             "non-integer height", "unknown flag"],
+             "non-integer height", "unknown flag", "check missing file",
+             "verify missing file", "check directory", "verify directory",
+             "oversized family", "verify height 4", "classify nullity 5",
+             "construct rank 40"],
     )
-    def test_usage_error_is_one_line_input_error(self, capsys, argv):
+    def test_usage_error_is_one_line_input_error(self, tmp_path, capsys, argv):
+        argv = [
+            write(tmp_path, arg) if isinstance(arg, dict)
+            else str(tmp_path) if arg == "DIR" else arg
+            for arg in argv
+        ]
         assert main(argv) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""

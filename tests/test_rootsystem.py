@@ -202,6 +202,14 @@ class TestSpecValidation:
         with pytest.raises(TwistOutOfRange):
             make_spec("B", 2, 2, 3, Semilattice.lattice(3), Semilattice.lattice(0))
 
+    @pytest.mark.parametrize("nullity,twist", [(3, -1), (1, 5)])
+    def test_json_twist_bounds_come_first(self, nullity, twist):
+        # checked before S1 and S2 are built with dimensions t and nu - t
+        doc = {"type": "B", "rank": 3, "nullity": nullity, "twist": twist,
+               "supp1": [[], [1]], "supp2": [[]]}
+        with pytest.raises(TwistOutOfRange, match=rf"^twist {twist} outside 0\.\.{nullity}$"):
+            spec_from_json(doc)
+
     def test_dimension_agreement(self):
         with pytest.raises(Exception):
             make_spec("B", 2, 2, 1, Semilattice.lattice(2), Semilattice.lattice(1))
