@@ -305,8 +305,9 @@ def construct_nonminimal(
     The varying side is the type's first free side (`free_sides`): S1 for
     type B, with index m1 and 7 <= t+4 <= m1 <= 2^t - 1, and S2 for type
     C, with index m2 and the same range in nu - t; the other side is a
-    lattice.  The search runs over the permutation representatives of the
-    target index in the varying dimension, in ascending raw order, and
+    lattice, and an index given for it is refused, not ignored.  The
+    search runs over the permutation representatives of the target
+    index in the varying dimension, in ascending raw order, and
     keeps the first one admitting a non-trivial collection; the result is
     re-certified by full enumeration, and that count's report is returned
     with the spec.
@@ -318,10 +319,15 @@ def construct_nonminimal(
         raise SpecValidationError("the construction applies to types B and C")
     t = twist
     varying = sides[0] - 1
-    name, target = ("m2", m2) if varying else ("m1", m1)
+    name, other = ("m2", "m1") if varying else ("m1", "m2")
+    target, ignored = (m2, m1) if varying else (m1, m2)
     span, dim, exp = (nullity - t, "nu-t", "(nu-t)") if varying else (t, "t", "t")
     if target is None:
         raise SpecValidationError(f"type {family} requires {name}")
+    if ignored is not None:
+        raise SpecValidationError(
+            f"type {family} varies S{varying + 1} and takes no {other}, got {other}={ignored}"
+        )
     if not 7 <= span + 4 <= target <= (1 << span) - 1:
         raise SpecValidationError(
             f"need 7 <= {dim}+4 <= {name} <= 2^{exp} - 1, got {dim}={span}, {name}={target}"

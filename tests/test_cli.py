@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from weylconj import cli, integral, rootsystem, semilattice
+from weylconj import cli, integral, rootsystem, semilattice, weylgroup
 from weylconj.center import CenterStructure, DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
@@ -142,6 +142,20 @@ def test_invariant_breach_is_one_line_exit_2(
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.splitlines() == [f"invariant breach: {breach}"]
+
+
+def test_cover_without_a_simple_root_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # the same boundary for a breach raised by the library itself: the
+    # orbit cover refuses a generator set that lacks alpha_1
+    original = weylgroup.generating_roots
+    monkeypatch.setattr(weylgroup, "generating_roots", lambda spec: original(spec)[1:])
+    assert main(["verify", write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    alpha1 = rootsystem.Root(rootsystem.spec_from_json(B3_LATTICE_DOC).roots.simple[0], (0, 0, 0))
+    assert captured.err.splitlines() == [
+        f"invariant breach: generator set lacks the finite simple root {alpha1}"
+    ]
 
 
 B3_NU1_DOC = {
@@ -567,12 +581,14 @@ class TestUsage:
             ["verify", B3_MINIMAL4_DOC, "--height", "4"],
             ["classify", "B", "2", "5", "2"],
             ["construct", "B", "3", "3", "--m1", "7", "--rank", "40"],
+            ["construct", "B", "3", "3", "--m1", "7", "--m2", "99"],
+            ["construct", "C", "3", "0", "--m2", "7", "--m1", "7"],
         ],
         ids=["non-integer rank", "no command", "unknown command", "missing spec",
              "non-integer height", "unknown flag", "check missing file",
              "verify missing file", "check directory", "verify directory",
              "oversized family", "verify height 4", "classify nullity 5",
-             "construct rank 40"],
+             "construct rank 40", "construct B with m2", "construct C with m1"],
     )
     def test_usage_error_is_one_line_input_error(self, tmp_path, capsys, argv):
         argv = [

@@ -26,6 +26,7 @@ from weylconj.weylgroup import (
     CoverReport,
     NotARoot,
     Representation,
+    SimpleRootMissing,
     ambient_dim,
     central_image,
     check_cover_height,
@@ -524,7 +525,7 @@ class TestVerifiers:
 
 
 def reference_orbit_cover(spec, height_bound: int, gens=None) -> CoverReport:
-    """Reference: the same BFS with `Root` tuples as states, no index table."""
+    """Reference: the BFS over whole `Root` states, one per (finite part, iso) pair."""
     fr = spec.roots
     nu = spec.nullity
     slack = height_bound + 2
@@ -578,6 +579,16 @@ def corpus_cover_cases():
             yield pytest.param(spec, height, id=f"{label} h{height}")
 
 
+def corpus_affine_cuts():
+    from weylconj.corpus import reference_corpus
+
+    for label, spec in reference_corpus():
+        if spec.nullity <= 2:
+            for k, g in enumerate(generating_roots(spec)):
+                if any(g.iso):
+                    yield pytest.param(spec, k, id=f"{label} drop {k}")
+
+
 class TestOrbitCover:
     @pytest.mark.parametrize("spec,height", corpus_cover_cases())
     def test_matches_reference_bfs(self, spec, height):
@@ -585,15 +596,27 @@ class TestOrbitCover:
             reference_orbit_cover(spec, height).to_json()
         )
 
-    def test_matches_reference_with_unreached_roots(self, monkeypatch):
-        # without its last affine generator the B2 set leaves roots
-        # unreached, which the corpus cases above never do
-        spec = spec_b2()
-        gens = generating_roots(spec)[:-1]
+    @pytest.mark.parametrize("spec,k", corpus_affine_cuts())
+    def test_matches_reference_with_unreached_roots(self, spec, k, monkeypatch):
+        # without any one affine generator the set leaves roots unreached,
+        # which the corpus cases above never do; the search by root length
+        # must report the same roots, in the same order, as the search
+        # over whole roots
+        gens = generating_roots(spec)
+        gens = gens[:k] + gens[k + 1:]
         monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens)
         got = orbit_cover(spec, 1)
-        assert got.unreached
+        assert not got.passed
         assert got.to_json() == reference_orbit_cover(spec, 1, gens).to_json()
+
+    def test_missing_simple_root_is_an_invariant_breach(self, monkeypatch):
+        spec = spec_b2()
+        gens = generating_roots(spec)
+        assert gens[1] == Root(spec.roots.simple[1], (0, 0))
+        monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens[:1] + gens[2:])
+        with pytest.raises(SimpleRootMissing) as err:
+            orbit_cover(spec, 1)
+        assert str(err.value) == f"generator set lacks the finite simple root {gens[1]}"
 
     def test_b2_nu1(self):
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0)
