@@ -11,7 +11,7 @@ from collections import defaultdict
 
 from weylconj.corpus import classification_pairs
 from weylconj.integral import count_collections
-from weylconj.rootsystem import make_spec
+from weylconj.rootsystem import make_spec, type_label
 
 SLICES = [
     ("B", 2, 2, 1),
@@ -37,8 +37,7 @@ def run_slice(family, rank, nullity, twist, up_to_permutation):
                 disagreements += 1
         key = (s1.index, s2.index)
         by_index[key][0 if decision.has_pbc else 1] += 1
-    name = family if family in ("F4", "G2") else f"{family}{rank}"
-    print(f"{name} nullity={nullity} twist={twist}: {len(pairs)} pairs")
+    print(f"{type_label(family, rank)} nullity={nullity} twist={twist}: {len(pairs)} pairs")
     for key in sorted(by_index):
         yes, no = by_index[key]
         print(f"  ind(S1)={key[0]:>2} ind(S2)={key[1]:>2}: pbc yes {yes:>3}  no {no:>3}")

@@ -14,9 +14,10 @@ collections.  That equality is the independent cross-check for the
 enumeration path.  The rows, and the residues in `kernel_exponents`,
 are read from the spec's pair-incidence table, `RootSystemSpec.incidence`.
 
-`smith_normal_form` eliminates on the matrix alone and returns only the
-diagonal; no unimodular transform is built.  `in_row_space` reads
-row-lattice membership from two diagonals, without and with the vector.
+`smith_normal_form` pairs the diagonal of the library's one integer
+elimination, `exactmat.smith_diagonal`, with the matrix shape; no
+unimodular transform is built.  `in_row_space` reads row-lattice
+membership from two diagonals, without and with the vector.
 """
 
 from __future__ import annotations
@@ -25,16 +26,13 @@ import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from .exactmat import smith_diagonal
 from .integral import is_integral
-from .rootsystem import InvariantBreach, RootSystemSpec, exact_div
+from .rootsystem import RootSystemSpec, exact_div
 
 
 class NotIntegral(ValueError):
     pass
-
-
-class DivisibilityChainBroken(InvariantBreach):
-    """A Smith normal form diagonal entry does not divide the next one."""
 
 
 @dataclass(frozen=True)
@@ -87,67 +85,8 @@ class SmithDecomposition:
 
 
 def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
-    """Exact integer Smith normal form diagonal, eliminated on the matrix alone.
-
-    Smallest-absolute-value pivoting; empty matrices are fine.
-    """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [[int(x) for x in row] for row in rows]
-    for row in a:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
-
-    t = 0
-    while t < min(nrows, ncols):
-        # smallest non-zero entry of the trailing submatrix becomes the pivot
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
-        top = a[t]
-        p = top[t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                c = a[i][t] // p
-                a[i] = [x - c * y for x, y in zip(a[i], top)]
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, ncols):
-            if top[j]:
-                c = top[j] // p
-                for row in a:
-                    row[j] -= c * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue  # remainders shrink the next pivot
-        # pivot divides the rest of the submatrix, or pull a bad row in and retry
-        offender = next(
-            (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
-        )
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(top, offender)]
-            continue
-        if p < 0:
-            a[t] = [-x for x in top]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
-    for i in range(len(diag) - 1):
-        if diag[i + 1] % diag[i] if diag[i] else diag[i + 1]:
-            raise DivisibilityChainBroken(
-                f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
-            )
-    return SmithDecomposition(diag=diag, shape=(nrows, ncols))
+    """The Smith normal form diagonal and shape (`exactmat.smith_diagonal`)."""
+    return SmithDecomposition(smith_diagonal(rows), (len(rows), len(rows[0]) if rows else 0))
 
 
 @dataclass(frozen=True)

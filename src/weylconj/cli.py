@@ -49,6 +49,7 @@ from .rootsystem import (
     make_spec,
     spec_from_json,
     spec_to_json,
+    type_label,
     validate_slice,
 )
 from .semilattice import Semilattice, SemilatticeError, elems_of
@@ -117,13 +118,9 @@ def _load_spec(path: str) -> RootSystemSpec:
     return spec_from_json(doc)
 
 
-def _type_label(family: str, rank: int) -> str:
-    return family if family in ("F4", "G2") else f"{family}{rank}"
-
-
 def _spec_line(spec: RootSystemSpec) -> str:
     return (
-        f"type {_type_label(spec.family, spec.rank)}, nullity {spec.nullity}, "
+        f"type {type_label(spec.family, spec.rank)}, nullity {spec.nullity}, "
         f"twist {spec.twist}, ind(S1)={spec.s1.index}, ind(S2)={spec.s2.index}"
     )
 
@@ -190,7 +187,7 @@ def _cmd_classify(args) -> int:
         print(_classify_json(rows, summary))
     else:
         print(
-            f"classification {_type_label(args.family, args.rank)}, "
+            f"classification {type_label(args.family, args.rank)}, "
             f"nullity {args.nullity}, twist {args.twist}"
         )
         for s1, s2, d in rows:
@@ -324,7 +321,7 @@ def _cmd_construct(args) -> int:
         args.family, args.nullity, args.twist, m1=args.m1, m2=args.m2, rank=args.rank
     )
     label = (
-        f"non-minimal {_type_label(spec.family, spec.rank)} nu={spec.nullity} "
+        f"non-minimal {type_label(spec.family, spec.rank)} nu={spec.nullity} "
         f"t={spec.twist} ind(S1)={spec.s1.index} ind(S2)={spec.s2.index} "
         f"Inc={decision.inc}"
     )

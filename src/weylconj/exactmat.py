@@ -11,13 +11,21 @@ of `x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the
 zeros that make up most of a reflection-word matrix.  Nothing here
 inverts a matrix or raises one to a power: every matrix the verifiers
 build is a word in reflections, its inverse is another word and its
-power a longer word (see `weylgroup`).  The fraction-free elimination
-`row_reduce` serves the rank computation of the center-freeness check.
+power a longer word (see `weylgroup`).  `smith_diagonal` is the
+library's one integer elimination: it serves the center's torsion
+(`center.smith_normal_form`) and the center-freeness rank, the number
+of non-zero diagonal entries of the flattened displacements.
 """
 
 from __future__ import annotations
 
 from typing import Sequence
+
+from .rootsystem import InvariantBreach
+
+
+class DivisibilityChainBroken(InvariantBreach):
+    """A Smith normal form diagonal entry does not divide the next one."""
 
 
 class Mat:
@@ -64,32 +72,65 @@ class Mat:
         return f"Mat({self.rows!r})"
 
 
-def row_reduce(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """Gauss-Jordan elimination of an integer matrix in integers only, in place.
+def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
+    """Exact integer Smith normal form diagonal d_1 | d_2 | ..., one entry per min(shape).
 
-    Bareiss's one-step scheme (Math. Comp. 22, 1968) applied to every row
-    other than the pivot row: each update divides exactly by the previous
-    pivot, so all entries stay integers.  On return the rows are p times
-    the reduced row echelon form, p being the last pivot, and the pivot
-    columns are returned alongside; their number is the rank.
+    Smallest-absolute-value pivoting on the matrix alone; empty matrices are fine.
     """
-    pivots: list[int] = []
-    prev = 1
-    ncols = len(rows[0]) if rows else 0
-    for col in range(ncols):
-        top = len(pivots)
-        if top == len(rows):
+    nrows = len(rows)
+    ncols = len(rows[0]) if nrows else 0
+    a = [[int(x) for x in row] for row in rows]
+    for row in a:
+        if len(row) != ncols:
+            raise ValueError("ragged matrix")
+
+    t = 0
+    while t < min(nrows, ncols):
+        # smallest non-zero entry of the trailing submatrix becomes the pivot
+        pivot = None
+        for i in range(t, nrows):
+            for j in range(t, ncols):
+                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
+                    pivot = (i, j)
+        if pivot is None:
             break
-        piv = next((r for r in range(top, len(rows)) if rows[r][col]), None)
-        if piv is None:
+        pi, pj = pivot
+        if pi != t:
+            a[pi], a[t] = a[t], a[pi]
+        if pj != t:
+            for row in a:
+                row[pj], row[t] = row[t], row[pj]
+        top = a[t]
+        p = top[t]
+        dirty = False
+        for i in range(t + 1, nrows):
+            if a[i][t]:
+                c = a[i][t] // p
+                a[i] = [x - c * y for x, y in zip(a[i], top)]
+                dirty = dirty or a[i][t] != 0
+        for j in range(t + 1, ncols):
+            if top[j]:
+                c = top[j] // p
+                for row in a:
+                    row[j] -= c * row[t]
+                dirty = dirty or top[j] != 0
+        if dirty:
+            continue  # remainders shrink the next pivot
+        # pivot divides the rest of the submatrix, or pull a bad row in and retry
+        offender = next(
+            (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
+        )
+        if offender is not None:
+            a[t] = [x + y for x, y in zip(top, offender)]
             continue
-        rows[top], rows[piv] = rows[piv], rows[top]
-        prow = rows[top]
-        p = prow[col]
-        for r, row in enumerate(rows):
-            if r != top:
-                c = row[col]
-                rows[r] = [(p * x - c * y) // prev for x, y in zip(row, prow)]
-        prev = p
-        pivots.append(col)
-    return rows, pivots
+        if p < 0:
+            a[t] = [-x for x in top]
+        t += 1
+
+    diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
+    for i in range(len(diag) - 1):
+        if diag[i + 1] % diag[i] if diag[i] else diag[i + 1]:
+            raise DivisibilityChainBroken(
+                f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
+            )
+    return diag

@@ -36,6 +36,7 @@ from .rootsystem import (
     SpecValidationError,
     free_sides,
     make_spec,
+    type_label,
     validate_slice,
 )
 
@@ -62,7 +63,7 @@ class SearchExhausted(InvariantBreach):
 def _named(spec: RootSystemSpec) -> str:
     """The spec as a breach names it: type, rank, nullity, twist and both classes."""
     return (
-        f"{spec.family}{spec.rank} nu={spec.nullity} t={spec.twist} "
+        f"{type_label(spec.family, spec.rank)} nu={spec.nullity} t={spec.twist} "
         f"S1={spec.s1.to_subsets()} S2={spec.s2.to_subsets()}"
     )
 

@@ -177,6 +177,11 @@ def _chain_data(family: str, rank: int):
     return d, bonds
 
 
+def type_label(family: str, rank: int) -> str:
+    """The type as printed: F4 and G2 name their rank, B and C take it as a suffix."""
+    return family if family in ("F4", "G2") else f"{family}{rank}"
+
+
 def _validate_family_rank(family: str, rank: int) -> None:
     if family not in FAMILIES:
         raise UnsupportedType(f"unknown type {family!r}; expected one of {FAMILIES}")
@@ -206,7 +211,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         for j in range(i):
             if gram[i][j] != gram[j][i]:
                 raise CartanDataError(
-                    f"Cartan data of {family}{rank} do not symmetrise at "
+                    f"Cartan data of {type_label(family, rank)} do not symmetrise at "
                     f"({i + 1}, {j + 1}): {gram[i][j]} != {gram[j][i]}"
                 )
 
@@ -231,7 +236,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         frontier = nxt
         if len(roots) > cap:  # pragma: no cover - malformed Cartan data only
             raise CartanDataError(
-                f"reflection closure of {family}{rank} exceeds {cap} roots"
+                f"reflection closure of {type_label(family, rank)} exceeds {cap} roots"
             )
 
     k = 3 if family == "G2" else 2
@@ -255,12 +260,12 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
     )
     if fr.theta1 not in fr.short_roots or fr.theta2 not in fr.long_roots:
         raise CartanDataError(
-            f"{family}{rank}: need alpha_1 = {fr.theta1} short and "
+            f"{type_label(family, rank)}: need alpha_1 = {fr.theta1} short and "
             f"alpha_2 = {fr.theta2} long"
         )
     if fr.pairing(fr.theta1, fr.theta2) == 0:
         raise CartanDataError(
-            f"{family}{rank}: alpha_1 = {fr.theta1} and alpha_2 = {fr.theta2} "
+            f"{type_label(family, rank)}: alpha_1 = {fr.theta1} and alpha_2 = {fr.theta2} "
             "are orthogonal"
         )
     return fr

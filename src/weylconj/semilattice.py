@@ -50,6 +50,12 @@ class OutOfRangeIndex(SemilatticeError):
         self.coordinate = coordinate
 
 
+class RepeatedCoordinate(SemilatticeError):
+    def __init__(self, coordinate: int, subset: Sequence[int]) -> None:
+        super().__init__(f"coordinate {coordinate} repeated in subset {list(subset)}")
+        self.coordinate = coordinate
+
+
 class DimensionMismatch(SemilatticeError):
     pass
 
@@ -62,13 +68,16 @@ class DimTooLarge(SemilatticeError):
     pass
 
 
-def mask_of(elems: Iterable[int], dim: int) -> int:
-    """Bitmask of a subset of 1..dim (coordinate 1 = lowest bit)."""
+def mask_of(elems: Sequence[int], dim: int) -> int:
+    """Bitmask of a subset of 1..dim (coordinate 1 = lowest bit), each coordinate once."""
     mask = 0
     for r in elems:
         if not 1 <= r <= dim:
             raise OutOfRangeIndex(r, dim)
-        mask |= 1 << (r - 1)
+        bit = 1 << (r - 1)
+        if mask & bit:
+            raise RepeatedCoordinate(r, elems)
+        mask |= bit
     return mask
 
 
@@ -242,12 +251,13 @@ class Semilattice:
         return cls(dim, frozenset([0] + [1 << i for i in range(dim)]))
 
 
-def make_semilattice(dim: int, subsets: Iterable[Iterable[int]]) -> Semilattice:
+def make_semilattice(dim: int, subsets: Iterable[Sequence[int]]) -> Semilattice:
     """Validate a supporting class given as subsets of 1..dim.
 
     Rejects classes missing the empty set or a singleton, and subsets
-    with coordinates outside 1..dim.  dim = 0 yields the zero
-    semilattice with class {{}}.
+    with coordinates outside 1..dim or with a coordinate listed twice.
+    A subset listed twice is one member of the class.  dim = 0 yields
+    the zero semilattice with class {{}}.
     """
     if dim < 0:
         raise SemilatticeError("dimension must be non-negative")

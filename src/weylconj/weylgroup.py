@@ -48,7 +48,7 @@ from dataclasses import asdict, dataclass
 from operator import sub
 from typing import Iterator, Sequence
 
-from .exactmat import Mat, row_reduce
+from .exactmat import Mat, smith_diagonal
 from .rootsystem import (
     InvariantBreach,
     Root,
@@ -649,7 +649,9 @@ def verify_center_freeness(rep: Representation) -> FreenessReport:
     of such powers in any order is I + sum_a e_a D_a, all cross terms
     being zero.  With the D_a linearly independent, that sum is zero
     only when e = 0.  So the images generate a free abelian group of
-    rank nu(nu-1)/2 once both facts hold.
+    rank nu(nu-1)/2 once both facts hold.  Independence is read from the
+    flattened displacements' Smith diagonal (`exactmat.smith_diagonal`):
+    their rank is its number of non-zero entries.
     """
     spec = rep.spec
     nu = spec.nullity
@@ -658,12 +660,13 @@ def verify_center_freeness(rep: Representation) -> FreenessReport:
         Mat([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(z.rows)])
         for z in (rep.mat(central_image(spec, r, s)) for r, s in pairs)
     ]
-    _, pivots = row_reduce([[x for row in d.rows for x in row] for d in disp])
+    flat = [[x for row in d.rows for x in row] for d in disp]
+    rank = sum(1 for entry in smith_diagonal(flat) if entry)
     products_vanish = all(
         not any(map(any, (da @ db).rows)) for da in disp for db in disp
     )
     return FreenessReport(
         pairs=len(pairs),
-        independent=len(pivots) == len(pairs),
+        independent=rank == len(pairs),
         products_vanish=products_vanish,
     )

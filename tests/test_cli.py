@@ -8,7 +8,8 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from weylconj import cli, integral, rootsystem, semilattice, weylgroup
-from weylconj.center import CenterStructure, DivisibilityChainBroken
+from weylconj.center import CenterStructure
+from weylconj.exactmat import DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -57,6 +58,11 @@ NOT_COERCED = {
     "float coordinate": {
         **B3_LATTICE_DOC,
         "supp1": [[], [1.0], [2], [3], [1, 2], [1, 3], [2, 3], [1, 2, 3]],
+    },
+    # read as {1, 2}, this decided ind(S1) = 4 and exited 0
+    "repeated coordinate": {
+        **B3_LATTICE_DOC,
+        "supp1": [[], [1], [2], [3], [1, 1, 2], [2, 1]],
     },
 }
 
@@ -185,6 +191,13 @@ def test_count_not_a_power_of_two_names_the_spec(tmp_path, capsys, monkeypatch):
         "invariant breach: 3 integral collections for B3 nu=1 t=1 S1=[[], [1]] S2=[[]]: "
         "not a power of two"
     ]
+
+
+def test_breach_names_f4_bare(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(integral, "_integral_bitsets", lambda table: iter([0, 1, 2]))
+    assert main(["check", write(tmp_path, F4_DOC)]) == EXIT_INVARIANT
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("invariant breach: 3 integral collections for F4 nu=3 t=1 ")
 
 
 def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatch):

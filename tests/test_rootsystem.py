@@ -26,6 +26,7 @@ from weylconj.rootsystem import (
     root_class,
     spec_from_json,
     spec_to_json,
+    type_label,
 )
 from weylconj.semilattice import Semilattice, make_semilattice
 
@@ -142,6 +143,16 @@ class TestFiniteRoots:
         monkeypatch.setattr(rootsystem, "_chain_data", lambda family, rank: ([1, 2], {}))
         with pytest.raises(CartanDataError, match=r"\(0, 1\) are orthogonal"):
             finite_roots.__wrapped__("B", 2)
+
+    def test_breach_prints_g2_bare(self, monkeypatch):
+        monkeypatch.setattr(rootsystem, "_chain_data", lambda family, rank: ([1, 3], {}))
+        with pytest.raises(CartanDataError, match=r"^G2: alpha_1 = \(1, 0\) and alpha_2"):
+            finite_roots.__wrapped__("G2", 2)
+
+    def test_type_label(self):
+        # F4 and G2 name their rank already; B and C take it as a suffix
+        labels = [type_label(f, r) for f, r in [("B", 3), ("C", 4), ("F4", 4), ("G2", 2)]]
+        assert labels == ["B3", "C4", "F4", "G2"]
 
     def test_exact_div(self):
         assert exact_div(-6, 3, "q") == -2

@@ -24,6 +24,7 @@ from weylconj.semilattice import (
     make_semilattice,
     mask_of,
     OutOfRangeIndex,
+    RepeatedCoordinate,
 )
 
 
@@ -100,6 +101,13 @@ class TestValidation:
     def test_duplicates_collapse(self):
         s = make_semilattice(2, [[], [1], [1], [2], [2, 1], [1, 2]])
         assert s.index == 3
+
+    def test_repeated_coordinate_is_refused(self):
+        # a repeated subset is one member, a repeated coordinate an error
+        with pytest.raises(RepeatedCoordinate) as err:
+            make_semilattice(3, [[], [1], [2], [3], [1, 1, 2], [2, 1]])
+        assert err.value.coordinate == 1
+        assert str(err.value) == "coordinate 1 repeated in subset [1, 1, 2]"
 
 
 class TestContains:
