@@ -27,7 +27,6 @@ from .integral import (
     decide_by_reduction,
     essential_family,
     is_integral,
-    integral_collections,
     minimality_screen,
     semilattice_collection_count,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "decide_by_reduction",
     "essential_family",
     "is_integral",
-    "integral_collections",
     "minimality_screen",
     "semilattice_collection_count",
     "CenterStructure",

@@ -15,7 +15,6 @@ from weylconj.integral import (
     construct_nonminimal,
     count_collections,
     essential_family,
-    integral_collections,
 )
 from weylconj.rootsystem import make_spec
 from weylconj.semilattice import Semilattice, enumerate_semilattices
@@ -24,6 +23,8 @@ from weylconj.weylgroup import (
     verify_structure_identities,
     verify_translation_identities,
 )
+
+from integral_choices import integral_collections
 
 LAT = Semilattice.lattice
 Z0 = Semilattice.lattice(0)

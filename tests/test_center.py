@@ -22,9 +22,11 @@ from weylconj.center import (
     smith_normal_form,
 )
 from weylconj.corpus import reference_corpus
-from weylconj.integral import count_collections, essential_family, integral_collections
+from weylconj.integral import count_collections, essential_family
 from weylconj.rootsystem import make_spec
 from weylconj.semilattice import Semilattice, make_semilattice
+
+from integral_choices import integral_collections
 
 LAT = Semilattice.lattice
 Z0 = Semilattice.lattice(0)

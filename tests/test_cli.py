@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylconj import cli, integral, rootsystem, semilattice, weylgroup
 from weylconj.center import CenterStructure
+from weylconj.corpus import reference_corpus
 from weylconj.exactmat import DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
@@ -26,7 +27,9 @@ from weylconj.rootsystem import (
     CartanDataError,
     IntegralityViolation,
     RootClass,
+    spec_to_json,
 )
+from weylconj.semilattice import elems_of
 from weylconj.weylgroup import MAX_COVER_STATES
 
 F4_DOC = {
@@ -200,6 +203,52 @@ def test_breach_names_f4_bare(tmp_path, capsys, monkeypatch):
     assert line.startswith("invariant breach: 3 integral collections for F4 nu=3 t=1 ")
 
 
+def syndrome_walk_mutant(cumulative, integral_when):
+    """`_integral_bitsets` with one defect.
+
+    `cumulative=False` steps by the lone column syndrome of the lowest set
+    bit, not the XOR of the columns 0..p: a Gray-code walk that counts
+    right but yields the wrong choices.  `integral_when=bool` yields the
+    choices whose syndrome is not zero.
+    """
+    def walk(table):
+        cols = [sum(1 << i for i, row in enumerate(table.parity) if row >> p & 1)
+                for p in range(len(table.family))]
+        flips, running = [], 0
+        for col in cols:
+            running ^= col
+            flips.append(running if cumulative else col)
+        yield 0
+        syndrome = 0
+        for bits in range(1, 1 << len(cols)):
+            syndrome ^= flips[(bits & -bits).bit_length() - 1]
+            if integral_when(syndrome):
+                yield bits
+
+    return walk
+
+
+@pytest.mark.parametrize(
+    "walk, witness",
+    [
+        (syndrome_walk_mutant(True, bool), "[[1, 3, 4]]"),
+        (syndrome_walk_mutant(False, lambda syndrome: not syndrome), "[[2, 3, 4]]"),
+    ],
+    ids=["inverted-test", "gray-code-order"],
+)
+def test_non_integral_witness_is_one_line_exit_2(tmp_path, capsys, monkeypatch, walk, witness):
+    # Inc = 16 here, so check prints 15 witnesses; each is re-tested row by row
+    spec = dict(reference_corpus())["B3 nu4 t4 S1=ind14 S2=0"]
+    monkeypatch.setattr(integral, "_integral_bitsets", walk)
+    assert main(["check", write(tmp_path, spec_to_json(spec))]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"invariant breach: witness {witness} is not integral for B3 nu=4 t=4 "
+        f"S1={spec.s1.to_subsets()} S2=[[]]"
+    ]
+
+
 def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(rootsystem, "root_class", lambda spec, root: RootClass.NONE)
     assert main(["verify", write(tmp_path, B3_NU1_DOC)]) == EXIT_INVARIANT
@@ -276,6 +325,19 @@ class TestCheck:
         doc = {"type": "B", "rank": 2, "nullity": 6, "twist": 6,
                "supp1": supp1, "supp2": [[]]}
         assert main(["check", write(tmp_path, doc)]) == EXIT_INPUT
+
+    def test_family_one_past_the_guard_is_refused(self, tmp_path, capsys):
+        # B3, nu = t = 7: the minimal class plus the first 25 members of size >= 3
+        members = sorted(m for m in range(1 << 7) if m.bit_count() >= 3)[:25]
+        supp1 = [[]] + [[r] for r in range(1, 8)] + [list(elems_of(m)) for m in members]
+        doc = {"type": "B", "rank": 3, "nullity": 7, "twist": 7,
+               "supp1": supp1, "supp2": [[]]}
+        assert main(["check", write(tmp_path, doc)]) == EXIT_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            "error: |family| = 25 exceeds the enumeration guard 24"
+        ]
 
     def test_oversized_family_refused_before_the_pair_table(self, tmp_path, capsys, monkeypatch):
         # the B2 lattice at the nullity bound: 2^16 - 1 - 16 - 120 essential members

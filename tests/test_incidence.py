@@ -15,9 +15,11 @@ from weylconj import rootsystem, semilattice
 from weylconj.center import center_presentation, kernel_exponents
 from weylconj.cli import EXIT_NO_PBC, main
 from weylconj.corpus import random_spec, reference_corpus
-from weylconj.integral import essential_family, integral_collections, is_integral
+from weylconj.integral import essential_family, is_integral
 from weylconj.rootsystem import exact_div
 from weylconj.semilattice import Semilattice, make_semilattice
+
+from integral_choices import integral_collections
 
 # --- the reference: the pair loops of each consumer ---------------------------
 

@@ -10,18 +10,26 @@ from hypothesis import strategies as st
 from weylconj.corpus import random_spec, reference_corpus
 from weylconj.integral import (
     FamilyTooLarge,
+    _integral_bitsets,
     closed_form_exponent,
     construct_nonminimal,
     count_collections,
     decide_by_reduction,
     essential_family,
-    integral_collections,
     is_integral,
     minimality_screen,
     semilattice_collection_count,
 )
 from weylconj.rootsystem import make_spec
-from weylconj.semilattice import Semilattice, elems_of, make_semilattice
+from weylconj.semilattice import (
+    Semilattice,
+    elems_of,
+    make_semilattice,
+    pair_incidence,
+    pair_masks,
+)
+
+from integral_choices import integral_collections
 
 LAT = Semilattice.lattice
 Z0 = Semilattice.lattice(0)
@@ -56,6 +64,55 @@ def naive_collection_count(spec):
         if good:
             count += 1
     return count
+
+
+def reference_integral_bitsets(table):
+    """The per-choice parity test, one pass over the rows per choice: the enumeration's oracle."""
+    for bits in range(1 << len(table.family)):
+        if all((bits & c).bit_count() % 2 == 0 for c in table.parity):
+            yield bits
+
+
+class TestEnumerationOracle:
+    """`_integral_bitsets` yields the oracle's values in the oracle's order."""
+
+    def test_corpus_spec_and_side_tables(self):
+        for label, spec in reference_corpus():
+            tables = [spec.incidence]
+            tables += [side.semilattice.incidence for side in spec.sides if side.free]
+            for table in tables:
+                assert list(_integral_bitsets(table)) == list(reference_integral_bitsets(table)), label
+
+    def test_empty_family(self):
+        table = pair_incidence(3, [], [2, 2, 2])
+        assert list(_integral_bitsets(table)) == list(reference_integral_bitsets(table)) == [0]
+
+    def test_no_parity_row_admits_every_choice(self):
+        table = pair_incidence(4, [0b0111, 0b1011, 0b1111], [1] * 6)
+        assert table.parity == ()
+        assert list(_integral_bitsets(table)) == list(reference_integral_bitsets(table))
+        assert list(_integral_bitsets(table)) == list(range(8))
+
+    def test_position_in_no_row(self):
+        # position 1, the member {4}, contains no pair: it is free to choose
+        table = pair_incidence(4, [0b0111, 0b1000], [2] * 6)
+        assert not any(row >> 1 & 1 for row in table.rows)
+        assert list(_integral_bitsets(table)) == list(reference_integral_bitsets(table)) == [0, 2]
+
+
+@st.composite
+def incidence_tables(draw):
+    dim = draw(st.integers(0, 6))
+    family = draw(st.sets(st.integers(0, (1 << dim) - 1), max_size=14))
+    pairs = len(pair_masks(dim))
+    divisors = draw(st.lists(st.sampled_from((1, 2)), min_size=pairs, max_size=pairs))
+    return pair_incidence(dim, family, divisors)
+
+
+@given(incidence_tables())
+@settings(max_examples=200, deadline=None)
+def test_enumeration_matches_the_oracle_on_drawn_tables(table):
+    assert list(_integral_bitsets(table)) == list(reference_integral_bitsets(table))
 
 
 class TestFamily:
