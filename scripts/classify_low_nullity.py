@@ -32,9 +32,8 @@ def run_slice(family, rank, nullity, twist, up_to_permutation):
     for s1, s2 in pairs:
         spec = make_spec(family, rank, nullity, twist, s1, s2)
         decision = count_collections(spec)
-        if decision.screen != "unknown":
-            if (decision.screen == "minimal") != decision.has_pbc:
-                disagreements += 1
+        if decision.screen_disagrees:
+            disagreements += 1
         key = (s1.index, s2.index)
         by_index[key][0 if decision.has_pbc else 1] += 1
     print(f"{type_label(family, rank)} nullity={nullity} twist={twist}: {len(pairs)} pairs")

@@ -2,9 +2,9 @@
 
 Exit codes for `check`: 0 when the presentation by conjugation holds,
 3 when it fails, 1 on input errors, 2 when an internal invariant breaks
-(the three decision paths must agree and the collection count must be a
-power of two; a breach is printed with its witness).  `verify` exits 2
-on any failed matrix identity.
+(the three decision paths and a decisive screen must agree, and the
+collection count must be a power of two; a breach is printed with its
+witness).  `verify` exits 2 on any failed matrix identity.
 
 A subcommand returns only its verdict's code; every refusal is raised,
 and `main` is the one place a refusal becomes an exit code.  A stdout closed by its reader
@@ -82,6 +82,10 @@ def cross_check(
     if reduction_pbc != decision.has_pbc:
         breaches.append(
             f"reduction verdict {reduction_pbc} != enumeration verdict {decision.has_pbc}"
+        )
+    if decision.screen_disagrees:
+        breaches.append(
+            f"screen verdict {decision.screen} disagrees with collection count {decision.inc}"
         )
     return breaches
 
@@ -175,7 +179,7 @@ def _cmd_classify(args) -> int:
         spec = make_spec(args.family, args.rank, args.nullity, args.twist, s1, s2)
         rows.append((s1, s2, count_collections(spec)))
     decisive = [r for r in rows if r[2].screen != "unknown"]
-    disagreeing = [r for r in decisive if (r[2].screen == "minimal") != r[2].has_pbc]
+    disagreeing = [r for r in decisive if r[2].screen_disagrees]
     summary = {
         "rows": len(rows),
         "pbc_true": sum(1 for r in rows if r[2].has_pbc),

@@ -170,6 +170,11 @@ class DecisionReport:
         return self.inc == 1
 
     @property
+    def screen_disagrees(self) -> bool:
+        """A decisive screen verdict that contradicts the count: a bug in one of them."""
+        return self.screen != "unknown" and (self.screen == "minimal") != self.has_pbc
+
+    @property
     def corollary_notes(self) -> tuple[str, ...]:
         """The screen's reasons, then the closed form, as `check` prints them."""
         verdict = self.screen_result.verdict

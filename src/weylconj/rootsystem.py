@@ -33,13 +33,14 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .semilattice import (
     PairIncidence,
     Semilattice,
     cached_attribute,
     make_semilattice,
+    odd_mask,
     pair_incidence,
     pair_masks,
 )
@@ -454,14 +455,6 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
     return out
 
 
-def _iso_mask(coords: Iterable[int]) -> int:
-    mask = 0
-    for pos, c in enumerate(coords):
-        if c % 2:
-            mask |= 1 << pos
-    return mask
-
-
 def classify_vector(spec: RootSystemSpec, finite: Vec, iso: Sequence[int]) -> RootClass:
     """Locate (finite, iso) in the extended affine system, if at all."""
     if len(iso) != spec.nullity:
@@ -474,23 +467,15 @@ def classify_vector(spec: RootSystemSpec, finite: Vec, iso: Sequence[int]) -> Ro
         # isotropic slice: S + S = (S1 + S1) (+) <S2>
         return (
             RootClass.ISOTROPIC
-            if _iso_mask(head) in spec.s1.sum_supports()
+            if odd_mask(head) in spec.s1.sum_supports()
             else RootClass.NONE
         )
     if finite in spec.roots.short_roots:
-        return (
-            RootClass.SHORT
-            if _iso_mask(head) in spec.s1.supp
-            else RootClass.NONE
-        )
+        return RootClass.SHORT if spec.s1.contains(head) else RootClass.NONE
     if finite in spec.roots.long_roots:
         if any(c % spec.k for c in head):
             return RootClass.NONE
-        return (
-            RootClass.LONG
-            if _iso_mask(tail) in spec.s2.supp
-            else RootClass.NONE
-        )
+        return RootClass.LONG if spec.s2.contains(tail) else RootClass.NONE
     return RootClass.NONE
 
 

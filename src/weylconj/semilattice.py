@@ -93,6 +93,15 @@ def elems_of(mask: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+def odd_mask(coords: Iterable[int]) -> int:
+    """Bitmask of the odd coordinates of an integer vector (position 0 = lowest bit)."""
+    mask = 0
+    for pos, c in enumerate(coords):
+        if c % 2:
+            mask |= 1 << pos
+    return mask
+
+
 class _DimPairs(NamedTuple):
     pairs: tuple[tuple[int, int], ...]  # every r < s in 1..dim, in lexicographic order
     masks: tuple[int, ...]  # the same pairs as bitmasks
@@ -211,11 +220,7 @@ class Semilattice:
             raise DimensionMismatch(
                 f"expected {self.dim} coordinates, got {len(coords)}"
             )
-        odd = 0
-        for i, c in enumerate(coords):
-            if c % 2:
-                odd |= 1 << i
-        return odd in self.supp
+        return odd_mask(coords) in self.supp
 
     def essential_supp(self) -> frozenset[int]:
         """Supporting-class members of size >= 3."""

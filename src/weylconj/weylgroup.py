@@ -67,11 +67,11 @@ from .semilattice import elems_of
 Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
 # Admits F4 at nullity 4, height 2: 48 roots * 9^4 = 314,928 states.  The
-# bound still counts |finite roots| (2h + 5)^nu, though `orbit_cover` now
-# walks only two lengths' boxes of (2h + 5)^nu iso tuples: that F4 cover
-# takes about 0.1 s and a 17 MB process peak on a 2.1 GHz Xeon vCPU (it
-# was 1.6 s and 55 MB over every finite root).  Raising the bound goes
-# with raising `Representation`'s rank and nullity guards (ROADMAP item 4).
+# bound counts |finite roots| (2h + 5)^nu, though `orbit_cover` walks only
+# two lengths' boxes of (2h + 5)^nu iso tuples: that F4 cover takes about
+# 0.1 s and a 17 MB process peak on a 2.1 GHz Xeon vCPU.  Raising the bound
+# goes with raising `Representation`'s rank and nullity guards (ROADMAP
+# item 4).
 MAX_COVER_STATES = 400_000
 
 

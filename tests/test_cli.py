@@ -269,6 +269,20 @@ def test_miscount_against_torsion_is_one_line_exit_2(tmp_path, capsys, monkeypat
     ]
 
 
+def test_screen_against_the_count_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # the B3 lattice has Inc = 2; a decisive "minimal" screen contradicts it
+    forced = ScreenResult("minimal", (("empty",),))
+    monkeypatch.setattr(integral, "minimality_screen", lambda spec: forced)
+    path = write(tmp_path, B3_LATTICE_DOC)
+    breach = "screen verdict minimal disagrees with collection count 2"
+    assert main(["check", path]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert "Inc(R) = 2" in captured.out
+    assert captured.err.splitlines() == [f"invariant breach: {breach}"]
+    assert main(["check", path, "--json"]) == EXIT_INVARIANT
+    assert json.loads(capsys.readouterr().out)["breaches"] == [breach]
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -417,6 +431,13 @@ class TestCrossCheck:
             self.make_report(1), CenterStructure(free_rank=3, torsion=()), False
         )
         assert any("reduction" in b for b in breaches)
+
+    @pytest.mark.parametrize("inc, screen", [(2, "minimal"), (1, "not_minimal")])
+    def test_screen_mismatch_flagged(self, inc, screen):
+        report = DecisionReport(inc=inc, witnesses=(), screen_result=ScreenResult(screen, ()))
+        torsion = (2,) * (inc.bit_length() - 1)
+        breaches = cross_check(report, CenterStructure(free_rank=3, torsion=torsion), inc == 1)
+        assert breaches == [f"screen verdict {screen} disagrees with collection count {inc}"]
 
 
 class TestClassify:
