@@ -11,8 +11,10 @@ decomposition: the free rank always comes out as nu(nu-1)/2 (each
 relation row pivots on its own z_J column) and the torsion subgroup is
 an elementary abelian 2-group whose order equals the number of integral
 collections.  That equality is the independent cross-check for the
-enumeration path.  The rows, and the residues in `kernel_exponents`,
-are read from the spec's pair-incidence table, `RootSystemSpec.incidence`.
+enumeration path.  Delta and integrality are read from the spec's
+pair-incidence table, `RootSystemSpec.incidence`: the rows, and in
+`kernel_exponents` the integrality test (`PairIncidence.is_integral`)
+and the pair quotients.  The module does not import `integral`.
 
 `smith_normal_form` pairs the diagonal of the library's one integer
 elimination, `exactmat.smith_diagonal`, with the matrix shape; no
@@ -24,10 +26,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Sequence
 
 from .exactmat import smith_diagonal
-from .integral import is_integral
 from .rootsystem import RootSystemSpec, exact_div
 
 
@@ -114,20 +115,24 @@ def center_structure(spec: RootSystemSpec) -> CenterStructure:
     )
 
 
-def kernel_exponents(spec: RootSystemSpec, eps: Mapping[int, int]) -> tuple[int, ...]:
+def kernel_exponents(spec: RootSystemSpec, bits: int) -> tuple[int, ...]:
     """Exponent vector of the kernel element attached to an integral collection.
 
-    The pair coordinates carry minus the Delta-quotient pair sums and the
-    family coordinates carry eps itself; doubling the vector lands in the
-    relation row space, so the element is 2-torsion in the presented
-    center.
+    `bits` is the collection as a bitset over the table's family
+    positions.  The pair coordinates carry minus the Delta-quotient of
+    the chosen members containing the pair and the family coordinates
+    carry the choice itself; doubling the vector lands in the relation
+    row space, so the element is 2-torsion in the presented center.
     """
-    if not is_integral(spec, eps):
-        raise NotIntegral("assignment is not an integral collection")
     table = spec.incidence
-    weights = [eps[j] for j in table.family]
-    coords = [-(total // delta) for total, delta in zip(table.pair_sums(weights), table.divisors)]
-    return tuple(coords + weights)
+    if not 0 <= bits < 1 << len(table.family):
+        raise NotIntegral(f"choice {bits:#b} is not a set of the {len(table.family)} positions")
+    if not table.is_integral(bits):
+        raise NotIntegral(f"choice {bits:#b} is not an integral collection")
+    coords = [
+        -((bits & row).bit_count() // delta) for row, delta in zip(table.rows, table.divisors)
+    ]
+    return tuple(coords + [bits >> pos & 1 for pos in range(len(table.family))])
 
 
 def in_row_space(rows: Sequence[Sequence[int]], vector: Sequence[int]) -> bool:

@@ -12,10 +12,10 @@ exits 1 with nothing on stderr.  An input error (`SpecValidationError`,
 `SemilatticeError`, or a malformed command line) exits 1 with one
 `error:` line.  A library invariant that breaks (`InvariantBreach`: a
 non-integral quotient, bad Cartan data, a broken Smith divisibility
-chain, `construct`'s search coming up empty against the existence
-guarantee) exits 2 with one `invariant breach:` line, so 2 always means
-a broken invariant.  Any other exception is a fault of the library and
-propagates with its traceback.
+chain, a word over a non-root, `construct`'s search coming up empty
+against the existence guarantee) exits 2 with one `invariant breach:`
+line, so 2 always means a broken invariant.  Any other exception is a
+fault of the library and propagates with its traceback.
 
 `classify --json` prints the bytes of `json.dumps(..., indent=2)` but
 renders each distinct subset once per call and fills every row into a

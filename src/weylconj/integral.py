@@ -11,14 +11,16 @@ two (the integral assignments form a GF(2)-subspace under coordinatewise
 XOR) and n0 = log2(Inc) counts the 2-torsion factors in the kernel of
 the canonical epimorphism from the presented group.
 
-Every path reads a pair-incidence table (`semilattice.PairIncidence`):
-the count, `is_integral` and the closed form read the spec's table, and
-the reduction and the screen read each free side's own.  The one
-enumeration of integral choices is `_integral_bitsets`: one ascending
-pass over bits = 0 .. 2^|family| - 1, one XOR per choice (from bits - 1
-to bits the parity syndrome changes by a value precomputed for the
-lowest set bit of bits).  `count_collections` re-tests each witness it
-keeps row by row, so a wrong step cannot print a non-integral witness.
+Every path reads Delta and integrality from a pair-incidence table
+(`semilattice.PairIncidence`): the count and the closed form read the
+spec's table, and the reduction and the screen read each free side's
+own.  The one enumeration of integral choices is `_integral_bitsets`:
+one ascending pass over bits = 0 .. 2^|family| - 1, one XOR per choice
+(from bits - 1 to bits the parity syndrome changes by a value
+precomputed for the lowest set bit of bits).  `count_collections`
+re-tests each witness it keeps with the table's own predicate,
+`PairIncidence.is_integral`, so a wrong step cannot print a
+non-integral witness.
 
 `minimality_screen` decides its verdict from integer tests on the free
 sides and keeps each condition that fired as a small tuple, a fact.
@@ -31,7 +33,7 @@ a `classify` row, which prints the verdict alone, formats nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, Mapping, NamedTuple
+from typing import Iterator, NamedTuple
 
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import (
@@ -121,15 +123,6 @@ def _integral_bitsets(table: PairIncidence) -> Iterator[int]:
             yield bits
 
 
-def is_integral(spec: RootSystemSpec, eps: Mapping[int, int]) -> bool:
-    """Whether Delta(r,s) divides the chi-weighted sum for every pair r < s."""
-    table = spec.incidence
-    if set(eps) != set(table.family):
-        raise ValueError("assignment must cover exactly the essential family")
-    sums = table.pair_sums([eps[j] for j in table.family])
-    return all(total % delta == 0 for total, delta in zip(sums, table.divisors))
-
-
 class ScreenResult(NamedTuple):
     """The minimality screen's verdict and the conditions behind it, as facts."""
 
@@ -209,7 +202,7 @@ def count_collections(
             witness = tuple(j for pos, j in enumerate(table.family) if bits >> pos & 1)
             # re-tested row by row, apart from the syndrome walk: at most
             # max_witnesses * |parity| bit operations
-            if any((bits & row).bit_count() % 2 for row in table.parity):
+            if not table.is_integral(bits):
                 raise WitnessNotIntegral(
                     f"witness {[list(elems_of(j)) for j in witness]} is not integral "
                     f"for {_named(spec)}"

@@ -349,11 +349,12 @@ class RootSystemSpec:
     def incidence(self) -> PairIncidence:
         """`essential_members`, sorted, against every global pair.
 
+        The one statement of the spec's Delta, which `pair_divisor` reads.
         Not glued from the sides' tables: the count stays independent of the
         reduction.  A global pair is supported (Delta = 1) exactly when its
-        S1 part is in S1's class and its S2 part in S2's, as `pair_divisor`
-        states case by case: a pair across the two blocks has a singleton
-        on each side.
+        S1 part is in S1's class and its S2 part in S2's: a pair inside one
+        block meets the other in the empty set, and a pair across the two
+        blocks has a singleton on each side, so it is always supported.
         """
         t, low = self.twist, (1 << self.twist) - 1
         supp1, supp2 = self.s1.supp, self.s2.supp
@@ -377,15 +378,11 @@ class RootSystemSpec:
         return 1 if alpha in self.roots.short_roots else self.k_r(r)
 
     def pair_divisor(self, r: int, s: int) -> int:
-        """Divisor Delta(r,s) for a global pair r < s of isotropic directions."""
+        """Divisor Delta(r,s) for a global pair r < s, read from `incidence`."""
         if not 1 <= r < s <= self.nullity:
             raise IndexRange(f"need 1 <= r < s <= {self.nullity}, got ({r}, {s})")
-        t = self.twist
-        if s <= t:
-            return self.s1.pair_divisor(r, s)
-        if r <= t:
-            return 1
-        return self.s2.pair_divisor(r - t, s - t)
+        table = self.incidence
+        return table.divisors[table.pairs.index((r, s))]
 
 
 def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:

@@ -60,10 +60,6 @@ class DimensionMismatch(SemilatticeError):
     pass
 
 
-class IndexOrderError(SemilatticeError):
-    pass
-
-
 class DimTooLarge(SemilatticeError):
     pass
 
@@ -126,7 +122,12 @@ def pair_masks(dim: int) -> tuple[int, ...]:
 
 
 class PairIncidence(NamedTuple):
-    """Per pair r < s: its divisor and the bitset of family positions whose member contains it."""
+    """Per pair r < s: its divisor and the bitset of family positions whose member contains it.
+
+    The library reads Delta(r,s) and integrality only here: each divisor
+    rule is stated once, in the builder of its table (`Semilattice.incidence`,
+    `RootSystemSpec.incidence`), and `is_integral` is the one integrality test.
+    """
 
     dim: int
     family: tuple[int, ...]  # sorted essential members, as bitmasks
@@ -139,9 +140,9 @@ class PairIncidence(NamedTuple):
         """Every r < s in 1..dim, in lexicographic order (shared by every table of this dim)."""
         return _dim_pairs(self.dim).pairs
 
-    def pair_sums(self, weights: Sequence[int]) -> tuple[int, ...]:
-        """Per pair, the total weight of the family positions in its row."""
-        return tuple(sum(w for pos, w in enumerate(weights) if row >> pos & 1) for row in self.rows)
+    def is_integral(self, bits: int) -> bool:
+        """Whether the choice of family positions `bits` meets every Delta = 2 row evenly."""
+        return not any((bits & row).bit_count() & 1 for row in self.parity)
 
 
 def pair_incidence(dim: int, family: Iterable[int], divisors: Sequence[int]) -> PairIncidence:
@@ -226,15 +227,12 @@ class Semilattice:
         """Supporting-class members of size >= 3."""
         return self.supp - _dim_pairs(self.dim).small
 
-    def pair_divisor(self, r: int, s: int) -> int:
-        """1 if the pair {r,s} is supported, else 2 (requires r < s)."""
-        if not 1 <= r < s <= self.dim:
-            raise IndexOrderError(f"need 1 <= r < s <= {self.dim}, got ({r}, {s})")
-        return 1 if (1 << (r - 1)) | (1 << (s - 1)) in self.supp else 2
-
     @cached_attribute
     def incidence(self) -> PairIncidence:
-        """The table of the essential members against this semilattice's own pairs."""
+        """The essential members against this semilattice's own pairs.
+
+        A pair is supported (Delta = 1) exactly when it is a class member.
+        """
         supp = self.supp
         divisors = [1 if pair in supp else 2 for pair in pair_masks(self.dim)]
         return pair_incidence(self.dim, self.essential_supp(), divisors)

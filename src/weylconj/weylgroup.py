@@ -45,7 +45,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from operator import sub
+from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .exactmat import Mat, smith_diagonal
@@ -75,8 +75,8 @@ Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 MAX_COVER_STATES = 400_000
 
 
-class NotARoot(ValueError):
-    pass
+class NotARoot(InvariantBreach):
+    """A word asked for the reflection of a vector that is not a root: its builder is wrong."""
 
 
 class SimpleRootMissing(InvariantBreach):
@@ -90,9 +90,7 @@ def ambient_dim(spec: RootSystemSpec) -> int:
 Sparse = tuple  # of (index, value) pairs, value != 0
 
 
-def reflection_pair(
-    spec: RootSystemSpec, root: Root, coroots: dict | None = None
-) -> tuple[Sparse, Sparse]:
+def reflection_pair(spec: RootSystemSpec, root: Root) -> tuple[Sparse, Sparse]:
     """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
 
     w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
@@ -102,30 +100,21 @@ def reflection_pair(
     (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha): the finite coroot,
     a Cartan integer per finite column, 0 on the sigma columns and
     2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
-    for a short alpha and iso_r for a long one.  The finite coroot and
-    (alpha, alpha) depend on the finite part only; `coroots`, when given,
-    caches them by finite part.  The lambda' entries are divided per
-    root: in a scaled realisation 2k / (alpha, alpha) may be a fraction
-    whose multiples by iso_r are integers.
+    for a short alpha and iso_r for a long one.  The lambda' entries are
+    divided per root: in a scaled realisation 2k / (alpha, alpha) may be
+    a fraction whose multiples by iso_r are integers.
     """
     if not is_root(spec, root):
         raise NotARoot(f"{root} is not a non-isotropic root of the system")
     fr = spec.roots
-    finite = coroots.get(root.finite) if coroots is not None else None
-    if finite is None:
-        aa = fr.pairing(root.finite, root.finite)
-        entries = []
-        for c, row in enumerate(fr.gram):
-            g = sum(x * y for x, y in zip(row, root.finite))
-            q = exact_div(2 * g, aa, "(e_{}, {}^vee)", c, root)
-            if q:
-                entries.append((c, q))
-        finite = (tuple(entries), aa)
-        if coroots is not None:
-            coroots[root.finite] = finite
-    entries, aa = finite
+    gram_alpha = [sum(map(mul, row, root.finite)) for row in fr.gram]
+    aa = sum(map(mul, gram_alpha, root.finite))
     lam = len(root.finite) + spec.nullity  # the first lambda' column
-    coroot = entries + tuple(
+    coroot = tuple([
+        (c, exact_div(2 * g, aa, "(e_{}, {}^vee)", c, root))
+        for c, g in enumerate(gram_alpha)
+        if g
+    ]) + tuple(
         (lam + r, exact_div(2 * fr.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
         for r, x in enumerate(root.iso)
         if x
@@ -200,10 +189,9 @@ def power(word: Word, e: int) -> Word:
 class Representation:
     """The reflection representation of one spec, guarded at rank and nullity <= 4.
 
-    It caches the pair (beta, beta^vee) of each root it meets (and the
-    finite coroot of each finite part) and the matrix of each word it
-    builds.  Reflections act on matrices as rank-one updates, so nothing
-    here multiplies two matrices.
+    It caches the pair (beta, beta^vee) of each root it meets and the
+    matrix of each word it builds.  Reflections act on matrices as
+    rank-one updates, so nothing here multiplies two matrices.
     """
 
     def __init__(self, spec: RootSystemSpec):
@@ -211,7 +199,6 @@ class Representation:
             raise SpecValidationError("verification is guarded at rank <= 4, nullity <= 4")
         self.spec = spec
         self.dim = ambient_dim(spec)
-        self._coroots: dict[tuple, tuple] = {}
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
@@ -219,7 +206,7 @@ class Representation:
         """(beta, beta^vee) of w_root, validated once per root (`reflection_pair`)."""
         got = self._pairs.get(root)
         if got is None:
-            got = self._pairs[root] = reflection_pair(self.spec, root, self._coroots)
+            got = self._pairs[root] = reflection_pair(self.spec, root)
         return got
 
     def mat(self, word: Word) -> Mat:

@@ -22,11 +22,9 @@ from weylconj.center import (
     smith_normal_form,
 )
 from weylconj.corpus import reference_corpus
-from weylconj.integral import count_collections, essential_family
+from weylconj.integral import _integral_bitsets, count_collections
 from weylconj.rootsystem import make_spec
 from weylconj.semilattice import Semilattice, make_semilattice
-
-from integral_choices import integral_collections
 
 LAT = Semilattice.lattice
 Z0 = Semilattice.lattice(0)
@@ -328,21 +326,27 @@ class TestStructure:
 class TestKernel:
     def test_trivial_collection_is_zero(self):
         spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
-        fam = essential_family(spec)
-        assert kernel_exponents(spec, {j: 0 for j in fam}) == (0, 0, 0, 0)
+        assert kernel_exponents(spec, 0) == (0, 0, 0, 0)
 
     def test_doubling_lands_in_row_space(self):
         spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
         rows = center_presentation(spec).rows
-        for eps in integral_collections(spec):
-            vec = kernel_exponents(spec, eps)
+        for bits in _integral_bitsets(spec.incidence):
+            vec = kernel_exponents(spec, bits)
             assert in_row_space(rows, [2 * x for x in vec])
 
     def test_rejects_non_integral(self):
         tri = make_semilattice(3, [[], [1], [2], [3], [1, 2, 3]])
         spec = make_spec("B", 3, 3, 3, tri, Z0)
         with pytest.raises(NotIntegral):
-            kernel_exponents(spec, {0b111: 1})
+            kernel_exponents(spec, 0b1)
+
+    def test_rejects_a_choice_outside_the_family(self):
+        # one family member: a bit past it, or a negative int, is no choice
+        spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
+        for bits in (0b10, -1):
+            with pytest.raises(NotIntegral, match="is not a set of the 1 positions"):
+                kernel_exponents(spec, bits)
 
     def test_injective_into_torsion_cosets(self):
         # distinct collections land in distinct cosets of the row space
@@ -354,7 +358,7 @@ class TestKernel:
         ]
         for spec in cases:
             rows = center_presentation(spec).rows
-            vecs = [kernel_exponents(spec, eps) for eps in integral_collections(spec)]
+            vecs = [kernel_exponents(spec, bits) for bits in _integral_bitsets(spec.incidence)]
             for a, b in itertools.combinations(vecs, 2):
                 diff = [x - y for x, y in zip(a, b)]
                 assert not in_row_space(rows, diff)

@@ -257,6 +257,20 @@ def test_misclassified_generator_is_one_line_exit_2(tmp_path, capsys, monkeypatc
     assert line.endswith(" classified none")
 
 
+def test_word_over_a_non_root_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
+    # with every Delta read as 1, z_{1,2} of the minimal S1 becomes a central
+    # word whose first factor reflects in alpha_1 - sigma_1 - sigma_2, no root
+    monkeypatch.setattr(rootsystem.RootSystemSpec, "pair_divisor", lambda self, r, s: 1)
+    spec = dict(reference_corpus())["B3 nu4 t4 S1=min S2=0"]
+    assert main(["verify", write(tmp_path, spec_to_json(spec))]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "invariant breach: Root(finite=(1, 0, 0), iso=(-1, -1, 0, 0)) "
+        "is not a non-isotropic root of the system"
+    ]
+
+
 def test_miscount_against_torsion_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     # the B3 lattice has Inc = 2 and torsion [2]; a count of 4 contradicts the center
     def miscounted(spec, max_witnesses):

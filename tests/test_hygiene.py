@@ -7,7 +7,9 @@ modules keep no module-level caches: a `weylgroup.Representation` owns
 the matrices of one spec and is dropped with it.  A private module-level
 helper that nothing else in the library mentions is dead code.  The
 matrix modules stay independent of the decision paths: they import
-neither `integral` nor `center`.
+neither `integral` nor `center`.  The count and the Smith form stay
+independent of each other: `integral` and `center` import neither each
+other, and both read Delta and integrality from the pair-incidence table.
 
 The library keeps only what its callers reach.  Every def in
 `src/weylconj` (functions, classes, methods) must be reached by a chain
@@ -39,8 +41,6 @@ UNREACHED = {
     "center.in_row_space": ITEMS_5_AND_9,
     "center.NotIntegral": ITEMS_5_AND_9,
     "center.SmithDecomposition.saturation_index": ITEMS_5_AND_9,
-    "semilattice.PairIncidence.pair_sums": ITEMS_5_AND_9,
-    "integral.is_integral": ITEMS_5_AND_9,
     "weylgroup.reflection": "perfbench/trace.py wraps it through a TARGETS string; "
     "ROADMAP item 14 moves it to tests/",
     "corpus.reference_corpus": "the test corpus: tests/ and perfbench/tests import it",
@@ -95,8 +95,8 @@ def test_no_module_level_caches_in_matrix_modules(name):
     assert offences == []
 
 
-@pytest.mark.parametrize("name", ["exactmat.py", "weylgroup.py"])
-def test_matrix_modules_import_no_decision_path(name):
+def imported_modules(name: str) -> set[str]:
+    """The last component of every module a library file imports."""
     path = next(p for p in SOURCES if p.name == name)
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     imported = set()
@@ -107,7 +107,17 @@ def test_matrix_modules_import_no_decision_path(name):
             imported.add((node.module or "").split(".")[-1])
             if not node.module:  # `from . import integral`
                 imported |= {alias.name for alias in node.names}
-    assert imported & {"integral", "center"} == set()
+    return imported
+
+
+@pytest.mark.parametrize("name", ["exactmat.py", "weylgroup.py"])
+def test_matrix_modules_import_no_decision_path(name):
+    assert imported_modules(name) & {"integral", "center"} == set()
+
+
+def test_count_and_center_import_neither_each_other():
+    assert "center" not in imported_modules("integral.py")
+    assert "integral" not in imported_modules("center.py")
 
 
 def test_no_orphaned_private_helpers():

@@ -1,31 +1,49 @@
 """The pair-incidence table against the per-consumer pair loops it replaced.
 
 `RootSystemSpec.incidence` and `Semilattice.incidence` are the one source
-of the parity constraints, the pair residues and the center relation
-rows.  The functions below keep the loops each consumer ran before the
-table existed, as the reference: the table must give the same rows, sums
-and relation matrix on the corpus, on random draws and on every free
-side's own table.
+of Delta, the parity constraints, the pair residues and the center
+relation rows; `RootSystemSpec.pair_divisor` reads the spec's table.  The
+functions below keep, as the reference, the case split that stated Delta
+before the tables did and the loops each consumer ran before the table
+existed: the tables and `pair_divisor` must give the same divisors, rows,
+sums and relation matrix on the corpus, on random draws and on every
+free side's own table.
 """
 
+import functools
 import json
 import random
+
+import pytest
 
 from weylconj import rootsystem, semilattice
 from weylconj.center import center_presentation, kernel_exponents
 from weylconj.cli import EXIT_NO_PBC, main
 from weylconj.corpus import random_spec, reference_corpus
-from weylconj.integral import essential_family, is_integral
-from weylconj.rootsystem import exact_div
+from weylconj.integral import _integral_bitsets, essential_family
+from weylconj.rootsystem import IndexRange, exact_div
 from weylconj.semilattice import Semilattice, make_semilattice
 
-from integral_choices import integral_collections
-
-# --- the reference: the pair loops of each consumer ---------------------------
+# --- the reference: Delta case by case, and the pair loops of each consumer ----
 
 
 def _pair_mask(r, s):
     return (1 << (r - 1)) | (1 << (s - 1))
+
+
+def ref_side_divisor(semi, r, s):
+    """Delta(r,s) of one semilattice: 1 if the pair is in its class, else 2."""
+    return 1 if _pair_mask(r, s) in semi.supp else 2
+
+
+def ref_pair_divisor(spec, r, s):
+    """Delta(r,s) for a global pair: inside S1's block, across the blocks, inside S2's."""
+    t = spec.twist
+    if s <= t:
+        return ref_side_divisor(spec.s1, r, s)
+    if r <= t:
+        return 1
+    return ref_side_divisor(spec.s2, r - t, s - t)
 
 
 def ref_parity_constraints(family, dim, divisor):
@@ -44,15 +62,15 @@ def ref_parity_constraints(family, dim, divisor):
     return constraints
 
 
-def ref_pair_residues(spec, eps):
-    """Per pair r < s: (sum of chosen J containing the pair, Delta(r,s))."""
-    family = essential_family(spec)
+def ref_pair_residues(spec, bits):
+    """Per pair r < s: (number of chosen J containing the pair, Delta(r,s))."""
+    family = ref_essential_family(spec)
     out = {}
     for r in range(1, spec.nullity + 1):
         for s in range(r + 1, spec.nullity + 1):
             pm = _pair_mask(r, s)
-            total = sum(eps[j] for j in family if pm & j == pm)
-            out[(r, s)] = (total, spec.pair_divisor(r, s))
+            total = sum(bits >> pos & 1 for pos, j in enumerate(family) if pm & j == pm)
+            out[(r, s)] = (total, ref_pair_divisor(spec, r, s))
     return out
 
 
@@ -60,7 +78,7 @@ def ref_center_rows(spec):
     """The relation rows: +2 on the member's own column, -2/Delta on its pairs."""
     nu = spec.nullity
     pairs = tuple((r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1))
-    coeffs = [exact_div(-2, spec.pair_divisor(r, s), "-2/Delta") for r, s in pairs]
+    coeffs = [exact_div(-2, ref_pair_divisor(spec, r, s), "-2/Delta") for r, s in pairs]
     family = essential_family(spec)
     rows = []
     for jpos, j in enumerate(family):
@@ -96,15 +114,14 @@ def all_specs():
 SPECS = all_specs()
 
 
-def assignments(spec, rng):
-    """The first integral collections plus random 0/1 choices on the family."""
-    family = essential_family(spec)
+def choices(spec, rng):
+    """The first integral collections plus random choices, as bitsets over the family."""
     out = []
-    for eps in integral_collections(spec):
-        out.append(eps)
+    for bits in _integral_bitsets(spec.incidence):
+        out.append(bits)
         if len(out) == 8:
             break
-    out += [{j: rng.randrange(2) for j in family} for _ in range(8)]
+    out += [rng.getrandbits(len(essential_family(spec))) for _ in range(8)]
     return out
 
 
@@ -123,11 +140,22 @@ def test_spec_table_matches_the_pair_loops():
         pairs = [(r, s) for r in range(1, spec.nullity + 1) for s in range(r + 1, spec.nullity + 1)]
         if list(table.pairs) != pairs:
             mismatches.append(f"pairs on {label}")
-        if list(table.divisors) != [spec.pair_divisor(r, s) for r, s in pairs]:
+        divisors = [ref_pair_divisor(spec, r, s) for r, s in pairs]
+        if list(table.divisors) != divisors:
             mismatches.append(f"divisors on {label}")
-        if list(table.parity) != ref_parity_constraints(family, spec.nullity, spec.pair_divisor):
+        if [spec.pair_divisor(r, s) for r, s in pairs] != divisors:
+            mismatches.append(f"pair_divisor on {label}")
+        divisor = functools.partial(ref_pair_divisor, spec)
+        if list(table.parity) != ref_parity_constraints(family, spec.nullity, divisor):
             mismatches.append(f"parity on {label}")
     assert mismatches == []
+
+
+def test_pair_divisor_refuses_a_pair_out_of_range():
+    spec = dict(reference_corpus())["B2 nu4 t2 S1=min S2=min"]
+    for r, s in [(0, 1), (2, 1), (2, 2), (3, 5)]:
+        with pytest.raises(IndexRange, match=r"need 1 <= r < s <= 4"):
+            spec.pair_divisor(r, s)
 
 
 def test_each_free_side_table_matches_the_pair_loop():
@@ -139,8 +167,10 @@ def test_each_free_side_table_matches_the_pair_loop():
             s = side.semilattice
             table = s.incidence
             family = sorted(s.essential_supp())
+            divisor = functools.partial(ref_side_divisor, s)
             assert list(table.family) == family, label
-            assert list(table.parity) == ref_parity_constraints(family, s.dim, s.pair_divisor), label
+            assert list(table.divisors) == [divisor(r, t) for r, t in table.pairs], label
+            assert list(table.parity) == ref_parity_constraints(family, s.dim, divisor), label
             checked += 1
     assert checked > 300
 
@@ -149,24 +179,24 @@ def test_residues_and_integrality_match_the_pair_loop():
     rng = random.Random(5)
     for label, spec in SPECS:
         table = spec.incidence
-        for eps in assignments(spec, rng):
-            sums = table.pair_sums([eps[j] for j in table.family])
-            residues = ref_pair_residues(spec, eps)
+        for bits in choices(spec, rng):
+            sums = [(bits & row).bit_count() for row in table.rows]
+            residues = ref_pair_residues(spec, bits)
             assert list(zip(sums, table.divisors)) == [residues[p] for p in table.pairs], label
             expected = all(total % delta == 0 for total, delta in residues.values())
-            assert is_integral(spec, eps) == expected, label
+            assert table.is_integral(bits) == expected, label
 
 
 def test_kernel_exponents_match_the_pair_loop():
     for label, spec in SPECS:
-        for count, eps in enumerate(integral_collections(spec)):
+        for count, bits in enumerate(_integral_bitsets(spec.incidence)):
             if count == 8:
                 break
-            residues = ref_pair_residues(spec, eps)
+            residues = ref_pair_residues(spec, bits)
             pairs, _ = ref_center_rows(spec)
             expected = [-(residues[p][0] // residues[p][1]) for p in pairs]
-            expected += [eps[j] for j in essential_family(spec)]
-            assert kernel_exponents(spec, eps) == tuple(expected), label
+            expected += [bits >> pos & 1 for pos in range(len(essential_family(spec)))]
+            assert kernel_exponents(spec, bits) == tuple(expected), label
 
 
 def test_center_rows_match_the_pair_loop():

@@ -16,7 +16,6 @@ from weylconj.integral import (
     count_collections,
     decide_by_reduction,
     essential_family,
-    is_integral,
     minimality_screen,
     semilattice_collection_count,
 )
@@ -28,8 +27,6 @@ from weylconj.semilattice import (
     pair_incidence,
     pair_masks,
 )
-
-from integral_choices import integral_collections
 
 LAT = Semilattice.lattice
 Z0 = Semilattice.lattice(0)
@@ -153,23 +150,38 @@ class TestPairDivisor:
 
 
 class TestIsIntegral:
+    """`PairIncidence.is_integral`, the one integrality test, on choices as bitsets."""
+
     def test_trivial_always(self):
         for _, spec in reference_corpus():
-            fam = essential_family(spec)
-            assert is_integral(spec, {j: 0 for j in fam})
+            assert spec.incidence.is_integral(0)
 
     def test_lattice_triple(self):
         spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
-        assert is_integral(spec, {0b111: 1})
+        assert spec.incidence.is_integral(0b1)
 
     def test_sparse_triple_blocked(self):
         spec = make_spec("B", 3, 3, 3, TRI3, Z0)
-        assert not is_integral(spec, {0b111: 1})
+        assert not spec.incidence.is_integral(0b1)
 
-    def test_wrong_domain_rejected(self):
-        spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
-        with pytest.raises(ValueError):
-            is_integral(spec, {})
+    def test_every_divisor_divides_its_pair_count(self):
+        # every choice of every small corpus table, spec's and free sides':
+        # integral exactly when Delta(r,s) divides the chosen members containing {r,s}
+        checked = 0
+        for label, spec in reference_corpus():
+            tables = [spec.incidence]
+            tables += [side.semilattice.incidence for side in spec.sides if side.free]
+            for table in tables:
+                if len(table.family) > 10:
+                    continue
+                for bits in range(1 << len(table.family)):
+                    expected = all(
+                        (bits & row).bit_count() % delta == 0
+                        for row, delta in zip(table.rows, table.divisors)
+                    )
+                    assert table.is_integral(bits) == expected, (label, bits)
+                    checked += 1
+        assert checked > 400
 
 
 class TestCount:
@@ -330,14 +342,10 @@ def specs(draw):
 @given(specs())
 @settings(max_examples=60, deadline=None)
 def test_xor_closure_and_power_of_two(spec):
-    fam = essential_family(spec)
-    found = [
-        tuple(eps[j] for j in fam) for eps in integral_collections(spec)
-    ]
+    found = list(_integral_bitsets(spec.incidence))
     as_set = set(found)
     assert len(as_set) == len(found)
     assert len(found) & (len(found) - 1) == 0
     for a in found:
         for b in found:
-            x = tuple(p ^ q for p, q in zip(a, b))
-            assert x in as_set
+            assert a ^ b in as_set

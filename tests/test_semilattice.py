@@ -15,7 +15,6 @@ from weylconj.semilattice import (
     _precedes,
     DimTooLarge,
     DimensionMismatch,
-    IndexOrderError,
     MissingSingleton,
     MissingZeroClass,
     Semilattice,
@@ -170,24 +169,30 @@ class TestIndexAndEssential:
         assert s.to_subsets() == [[], [1], [2], [3], [1, 2, 3]]
 
 
+def side_divisors(s):
+    """Delta(r,t) per pair r < t, read from the semilattice's own table."""
+    return dict(zip(s.incidence.pairs, s.incidence.divisors))
+
+
 class TestPairDivisor:
     def test_lattice_pairs(self):
         s = Semilattice.lattice(3)
         for r, t in itertools.combinations([1, 2, 3], 2):
-            assert s.pair_divisor(r, t) == 1
+            assert side_divisors(s)[(r, t)] == 1
 
     def test_unsupported_pair(self):
         s = Semilattice.minimal(2)
-        assert s.pair_divisor(1, 2) == 2
+        assert side_divisors(s) == {(1, 2): 2}
 
     def test_partially_supported(self):
         s = make_semilattice(3, [[], [1], [2], [3], [1, 3]])
-        assert s.pair_divisor(1, 3) == 1
-        assert s.pair_divisor(2, 3) == 2
+        assert side_divisors(s) == {(1, 2): 2, (1, 3): 1, (2, 3): 2}
 
-    def test_order_enforced(self):
-        with pytest.raises(IndexOrderError):
-            Semilattice.lattice(2).pair_divisor(2, 1)
+    def test_one_divisor_per_ordered_pair(self):
+        for dim in range(5):
+            table = Semilattice.lattice(dim).incidence
+            assert table.pairs == tuple(itertools.combinations(range(1, dim + 1), 2))
+            assert table.divisors == (1,) * (dim * (dim - 1) // 2)
 
 
 class TestEnumeration:

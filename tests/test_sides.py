@@ -111,7 +111,7 @@ def ref_closed_form_exponent(spec):
 
     def all_pairs_supported(s):
         return all(
-            s.pair_divisor(r, t) == 1
+            (1 << (r - 1)) | (1 << (t - 1)) in s.supp
             for r in range(1, s.dim + 1)
             for t in range(r + 1, s.dim + 1)
         )
@@ -136,7 +136,8 @@ def ref_not_minimal_reasons(s, side, span):
     for j in sorted(s.essential_supp()):
         members = elems_of(j)
         if all(
-            s.pair_divisor(r, t) == 1 for r, t in itertools.combinations(members, 2)
+            (1 << (r - 1)) | (1 << (t - 1)) in s.supp
+            for r, t in itertools.combinations(members, 2)
         ):
             reasons.append(
                 f"essential member {list(members)} of {side} has all pairs supported"
