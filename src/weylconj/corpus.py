@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 
-from .rootsystem import RootSystemSpec, free_sides, make_spec
+from .rootsystem import RootSystemSpec, free_sides, make_spec, type_label
 from .semilattice import Semilattice, enumerate_semilattices, make_semilattice
 
 
@@ -54,7 +54,7 @@ def reference_corpus() -> list[tuple[str, RootSystemSpec]]:
     def add(family, rank, nullity, twist, s1_tagged, s2_tagged):
         for tag1, s1 in s1_tagged:
             for tag2, s2 in s2_tagged:
-                label = f"{family}{rank} nu{nullity} t{twist} S1={tag1} S2={tag2}"
+                label = f"{type_label(family, rank)} nu{nullity} t{twist} S1={tag1} S2={tag2}"
                 out.append(
                     (label, make_spec(family, rank, nullity, twist, s1, s2))
                 )

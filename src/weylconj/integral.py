@@ -14,13 +14,16 @@ the canonical epimorphism from the presented group.
 Every path reads Delta and integrality from a pair-incidence table
 (`semilattice.PairIncidence`): the count and the closed form read the
 spec's table, and the reduction and the screen read each free side's
-own.  The one enumeration of integral choices is `_integral_bitsets`:
-one ascending pass over bits = 0 .. 2^|family| - 1, one XOR per choice
-(from bits - 1 to bits the parity syndrome changes by a value
+own.  The count and the reduction run different algorithms.  The count
+enumerates: `_integral_bitsets` is the one enumeration of integral
+choices, one ascending pass over bits = 0 .. 2^|family| - 1, one XOR per
+choice (from bits - 1 to bits the parity syndrome changes by a value
 precomputed for the lowest set bit of bits).  `count_collections`
 re-tests each witness it keeps with the table's own predicate,
 `PairIncidence.is_integral`, so a wrong step cannot print a
-non-integral witness.
+non-integral witness.  The reduction enumerates nothing: a side's
+integral choices are the kernel of its Delta = 2 rows over GF(2), so its
+count is 2^(|family| - rank), the rank taken by `gf2_rank`.
 
 `minimality_screen` decides its verdict from integer tests on the free
 sides and keeps each condition that fired as a small tuple, a fact.
@@ -33,7 +36,7 @@ a `classify` row, which prints the verdict alone, formats nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import (
@@ -46,10 +49,11 @@ from .rootsystem import (
     validate_slice,
 )
 
-# The guard bounds 2^|family| choices.  A 24-member `check` (B3, nu = t = 7,
-# S1 the minimal class plus its first 24 members of size >= 3, Inc = 1024)
-# takes 2.8 s end to end with one XOR per choice, against 24.5 s with a
-# test of every Delta = 2 row per choice (2-vCPU Xeon, Python 3.11.7).
+# The guard bounds the 2^|family| choices the count enumerates; the
+# reduction takes a GF(2) rank and is not guarded.  A 24-member `check` (B3,
+# nu = t = 7, S1 the minimal class plus its first 24 members of size >= 3,
+# Inc = 1024) takes about 1.8 s end to end, one XOR per choice in the
+# count's one pass (2-vCPU Xeon, Python 3.11.7, median of 5 runs).
 MAX_FAMILY = 24
 WITNESS_CAP = 16
 
@@ -220,13 +224,40 @@ def count_collections(
     )
 
 
+def gf2_rank(rows: Iterable[int]) -> int:
+    """The GF(2) rank of bitset rows, by one XOR basis keyed on each row's highest set bit.
+
+    Each row is reduced by the basis rows in the order they joined; a
+    basis row has none of the earlier keys set, so no step sets a key
+    cleared before it.  A row left non-zero joins under its highest bit.
+    """
+    basis: dict[int, int] = {}
+    for row in rows:
+        for top, base in basis.items():
+            if row >> top & 1:
+                row ^= base
+        if row:
+            basis[row.bit_length() - 1] = row
+    return len(basis)
+
+
 def semilattice_collection_count(s: Semilattice) -> int:
-    """Integral collections of a single semilattice against its own pair divisors."""
-    return sum(1 for _ in _integral_bitsets(s.incidence))
+    """Integral collections of a single semilattice against its own pair divisors.
+
+    They are the kernel of the Delta = 2 rows over GF(2), so the count is
+    2^(|family| - rank) and nothing is enumerated.
+    """
+    table = s.incidence
+    return 1 << (len(table.family) - gf2_rank(table.parity))
 
 
 def decide_by_reduction(spec: RootSystemSpec) -> bool:
-    """Presentation-by-conjugation verdict: each free side alone has Inc = 1."""
+    """Presentation-by-conjugation verdict: each free side alone has Inc = 1.
+
+    Each free side's count is a GF(2) rank over its own pair table
+    (`semilattice_collection_count`), independent of the spec's table that
+    `count_collections` enumerates; no family size is refused here.
+    """
     return all(
         semilattice_collection_count(side.semilattice) == 1
         for side in spec.sides
@@ -341,9 +372,10 @@ def construct_nonminimal(
     lattice, and an index given for it is refused, not ignored.  The
     search runs over the permutation representatives of the target
     index in the varying dimension, in ascending raw order, and
-    keeps the first one admitting a non-trivial collection; the result is
-    re-certified by full enumeration, and that count's report is returned
-    with the spec.
+    keeps the first one admitting a non-trivial collection, read from the
+    GF(2) rank of the candidate's own table; the result is re-certified
+    by full enumeration, and that count's report is returned with the
+    spec.
     Visiting only the target index keeps dimension 5 (twist 5 for B,
     nu - t = 5 for C) within a second for every index.
     """

@@ -17,7 +17,7 @@ from weylconj.integral import (
     count_collections,
     essential_family,
 )
-from weylconj.rootsystem import make_spec
+from weylconj.rootsystem import make_spec, type_label
 from weylconj.semilattice import Semilattice, enumerate_semilattices
 from weylconj.weylgroup import (
     Representation,
@@ -124,9 +124,9 @@ def test_criterion_4_nullity3_classification_sweeps():
 
 def test_criterion_5_center_oracle_equivalence():
     corpus = reference_corpus()
-    families = {spec.family + str(spec.rank) for _, spec in corpus}
+    families = {type_label(spec.family, spec.rank) for _, spec in corpus}
     assert len(corpus) >= 50
-    assert {"B2", "B3", "C3", "F44", "G22"} <= families
+    assert {"B2", "B3", "C3", "F4", "G2"} <= families
     assert all(spec.nullity <= 4 for _, spec in corpus)
     for label, spec in corpus:
         decision = count_collections(spec)

@@ -6,7 +6,7 @@ key order of the report.  The specs cover:
 - `B2 nu4 t4 S1=ind14 S2=0`: Inc = 16 with 15 witnesses, a near-full-index
   reason and no closed form (exit 3);
 - `C3 nu3 t0 S1=0 S2=tri`: Inc = 1 with two minimal reasons;
-- `F44 nu2 t1 S1=lat S2=lat`: an empty family, so zero relation rows and
+- `F4 nu2 t1 S1=lat S2=lat`: an empty family, so zero relation rows and
   no torsion;
 - `B3 nu3 t3 S1=lat S2=0`: the lattice-of-dimension->=-3 reason and a
   closed form with n0 = 1 (exit 3);
@@ -32,7 +32,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = {
     "B2 nu4 t4 S1=ind14 S2=0": EXIT_NO_PBC,
     "C3 nu3 t0 S1=0 S2=tri": EXIT_OK,
-    "F44 nu2 t1 S1=lat S2=lat": EXIT_OK,
+    "F4 nu2 t1 S1=lat S2=lat": EXIT_OK,
     "B3 nu3 t3 S1=lat S2=0": EXIT_NO_PBC,
     "C3 nu4 t0 S1=0 S2=lat": EXIT_NO_PBC,
     "B2 nu3 t3 S1=tri S2=0": EXIT_OK,

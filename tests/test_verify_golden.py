@@ -7,7 +7,7 @@ and k = 3:
 - `B2 nu3 t1 S1=lat S2=min`: mixed pairs (1,2), (1,3) and the
   unsupported S2 pair (2,3);
 - `B3 nu3 t3 S1=pairs S2=0`: every pair supported;
-- `G22 nu2 t1 S1=lat S2=lat`: a mixed pair at k = 3.
+- `G2 nu2 t1 S1=lat S2=lat`: a mixed pair at k = 3.
 """
 
 import json
@@ -23,7 +23,7 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 LABELS = [
     "B2 nu3 t1 S1=lat S2=min",
     "B3 nu3 t3 S1=pairs S2=0",
-    "G22 nu2 t1 S1=lat S2=lat",
+    "G2 nu2 t1 S1=lat S2=lat",
 ]
 
 

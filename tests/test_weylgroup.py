@@ -447,7 +447,7 @@ class TestUpdatesAgainstProducts:
     def test_conjugate_and_commutes_match_products(self):
         outcomes = set()
         for spec in (spec_b2_mixed(), spec_g2(), corpus_spec("B3 nu3 t3 S1=pairs S2=0"),
-                     corpus_spec("F44 nu2 t1 S1=lat S2=lat")):
+                     corpus_spec("F4 nu2 t1 S1=lat S2=lat")):
             rep = Representation(spec)
             mats = sample_matrices(rep)
             for root, w in conjugation_cases(spec):
