@@ -13,11 +13,14 @@ exits 1 with nothing on stderr.  An input error (`SpecValidationError`,
 `error:` line.  A library invariant that breaks (`InvariantBreach`: a
 non-integral quotient, bad Cartan data, a broken Smith divisibility
 chain, a word over a non-root, `construct`'s search coming up empty
-against the existence guarantee) exits 2 with one `invariant breach:`
+against the existence guarantee, or its count disagreeing with the free
+sides' GF(2) ranks) exits 2 with one `invariant breach:`
 line, so 2 always means a broken invariant.  Any other exception is a
 fault of the library and propagates with its traceback.
 
-`classify --json` prints the bytes of `json.dumps(..., indent=2)` but
+Every `--json` document, and `construct`'s spec, is printed as one
+line, the bytes of `json.dumps(doc)`; stdout holds no clock reading, so
+it depends only on the command line and the spec.  `classify --json`
 renders each distinct subset once per call and fills every row into a
 fixed frame (`_classify_json`).  The argument parser is built on the
 first `main` call and reused for every later call in the process.
@@ -30,13 +33,11 @@ import functools
 import json
 import os
 import sys
-import time
 
 from . import __version__
 from .center import CenterStructure, center_structure
 from .corpus import classification_pairs
 from .integral import (
-    WITNESS_CAP,
     DecisionReport,
     construct_nonminimal,
     count_collections,
@@ -130,13 +131,11 @@ def _spec_line(spec: RootSystemSpec) -> str:
 
 
 def _cmd_check(args) -> int:
-    started = time.monotonic()
     spec = _load_spec(args.spec)
-    decision = count_collections(spec, max_witnesses=args.max_witnesses)
+    decision = count_collections(spec)
     center = center_structure(spec)
     reduction = decide_by_reduction(spec)
     breaches = cross_check(decision, center, reduction)
-    elapsed = time.monotonic() - started
     if args.json:
         payload = {
             "version": __version__,
@@ -145,9 +144,8 @@ def _cmd_check(args) -> int:
             "center": center.to_json(),
             "reduction_pbc": reduction,
             "breaches": breaches,
-            "elapsed_s": round(elapsed, 6),
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(_spec_line(spec))
         print(f"Inc(R) = {decision.inc}   n0 = {decision.n0}")
@@ -159,7 +157,6 @@ def _cmd_check(args) -> int:
             print(f"  [{note}]")
         for witness in decision.witnesses:
             print(f"  witness: {[list(elems_of(j)) for j in witness]}")
-        print(f"elapsed: {elapsed:.3f}s")
     if breaches:
         for b in breaches:
             print(f"invariant breach: {b}", file=sys.stderr)
@@ -212,24 +209,12 @@ def _cmd_classify(args) -> int:
     return EXIT_OK
 
 
-# One classify row of `json.dumps(..., indent=2)`, keys in output order;
-# the s1 and s2 slots take the side's subsets, one per line group.
-_ROW_FRAME = """\
-    {{
-      "s1": [
-{}
-      ],
-      "s2": [
-{}
-      ],
-      "ind1": {},
-      "ind2": {},
-      "inc": {},
-      "n0": {},
-      "pbc": {},
-      "screen": {}
-    }}"""
-_SUBSET_PAD = " " * 8  # row subsets sit at depth 4 of the document
+# One classify row of `json.dumps(...)`, keys in output order; the s1
+# and s2 slots take the side's subsets.
+_ROW_FRAME = (
+    '{{"s1": [{}], "s2": [{}], "ind1": {}, "ind2": {}, "inc": {}, "n0": {}, '
+    '"pbc": {}, "screen": {}}}'
+)
 # The JSON text of a row's "pbc" and "screen" values, which come from these fixed sets.
 _JSON_LITERAL = {
     True: "true",
@@ -241,13 +226,12 @@ _JSON_LITERAL = {
 def _classify_json(
     rows: list[tuple[Semilattice, Semilattice, DecisionReport]], summary: dict
 ) -> str:
-    """The bytes of `json.dumps({"rows": ..., "summary": summary}, indent=2)`.
+    """The bytes of `json.dumps({"rows": ..., "summary": summary})`.
 
-    With `indent` the json module falls back to its pure-Python encoder,
-    which spent most of a classify call printing subsets.  Each distinct
-    subset mask (at most 16 at nullity <= 4) is rendered once here, and
-    every row is filled into `_ROW_FRAME` from those pieces, its verdicts
-    from `_JSON_LITERAL`.
+    A slice has few distinct subsets (at most 16 masks at nullity <= 4)
+    but up to 2,048 rows, nearly every one with its own side.  Each mask
+    is dumped once here, and every row is filled into `_ROW_FRAME` from
+    those pieces, its verdicts from `_JSON_LITERAL`.
     """
     subsets: dict[int, str] = {}
 
@@ -256,26 +240,21 @@ def _classify_json(
         for mask in s.members:
             text = subsets.get(mask)
             if text is None:
-                text = _SUBSET_PAD + json.dumps(list(elems_of(mask)), indent=2).replace(
-                    "\n", "\n" + _SUBSET_PAD
-                )
-                subsets[mask] = text
+                text = subsets[mask] = json.dumps(list(elems_of(mask)))
             parts.append(text)
-        return ",\n".join(parts)
+        return ", ".join(parts)
 
-    body = ",\n".join(
+    body = ", ".join(
         _ROW_FRAME.format(
             side(s1), side(s2), s1.index, s2.index, d.inc, d.n0,
             _JSON_LITERAL[d.has_pbc], _JSON_LITERAL[d.screen],
         )
         for s1, s2, d in rows
     )
-    tail = json.dumps(summary, indent=2).replace("\n", "\n  ")
-    return f'{{\n  "rows": [\n{body}\n  ],\n  "summary": {tail}\n}}'
+    return f'{{"rows": [{body}], "summary": {json.dumps(summary)}}}'
 
 
 def _cmd_verify(args) -> int:
-    started = time.monotonic()
     spec = _load_spec(args.spec)
     rep = Representation(spec)
     cover = orbit_cover(spec, args.height)  # refuses an oversized box before any suite runs
@@ -283,7 +262,6 @@ def _cmd_verify(args) -> int:
     translationv = verify_translation_identities(rep)
     choice = verify_choice_independence(rep) if spec.nullity >= 2 else None
     freeness = verify_center_freeness(rep)
-    elapsed = time.monotonic() - started
     reports = {
         "structure": structure,
         "translation": translationv,
@@ -303,9 +281,8 @@ def _cmd_verify(args) -> int:
             "orbit_cover": cover.to_json(),
             "center_freeness": freeness.to_json(),
             "pass": all_ok,
-            "elapsed_s": round(elapsed, 6),
         }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps(payload))
     else:
         print(_spec_line(spec))
         for name, rep in reports.items():
@@ -316,7 +293,6 @@ def _cmd_verify(args) -> int:
             f" {'ok' if cover.passed else 'INCOMPLETE'}"
         )
         print(f"  center freeness: {'ok' if freeness.passed else 'FAILED'}")
-        print(f"elapsed: {elapsed:.3f}s")
     return EXIT_OK if all_ok else EXIT_INVARIANT
 
 
@@ -329,7 +305,7 @@ def _cmd_construct(args) -> int:
         f"t={spec.twist} ind(S1)={spec.s1.index} ind(S2)={spec.s2.index} "
         f"Inc={decision.inc}"
     )
-    print(json.dumps(spec_to_json(spec, label=label), indent=2))
+    print(json.dumps(spec_to_json(spec, label=label)))
     return EXIT_OK
 
 
@@ -366,7 +342,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_check = sub.add_parser("check", help="decide one spec file")
     p_check.add_argument("spec", help="JSON spec document")
     p_check.add_argument("--json", action="store_true")
-    p_check.add_argument("--max-witnesses", type=_non_negative_int, default=WITNESS_CAP)
     p_check.set_defaults(func=_cmd_check)
 
     p_cls = sub.add_parser("classify", help="sweep all semilattice pairs for a slice")

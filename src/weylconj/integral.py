@@ -35,6 +35,7 @@ a `classify` row, which prints the verdict alone, formats nothing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -76,6 +77,10 @@ class ContradictoryScreen(InvariantBreach):
 
 class SearchExhausted(InvariantBreach):
     """The non-minimal construction found no witness, against the existence result."""
+
+
+class CountDisagreement(InvariantBreach):
+    """The count and the free sides' GF(2) ranks give different Inc: an implementation bug."""
 
 
 def _named(spec: RootSystemSpec) -> str:
@@ -192,9 +197,7 @@ class DecisionReport:
         }
 
 
-def count_collections(
-    spec: RootSystemSpec, max_witnesses: int = WITNESS_CAP
-) -> DecisionReport:
+def count_collections(spec: RootSystemSpec) -> DecisionReport:
     """Count integral collections and decide the presentation by conjugation."""
     _guard_family(len(spec.essential_members))  # before the pair table is built
     table = spec.incidence
@@ -202,10 +205,10 @@ def count_collections(
     witnesses: list[tuple[int, ...]] = []
     for bits in _integral_bitsets(table):
         inc += 1
-        if bits and len(witnesses) < max_witnesses:
+        if bits and len(witnesses) < WITNESS_CAP:
             witness = tuple(j for pos, j in enumerate(table.family) if bits >> pos & 1)
             # re-tested row by row, apart from the syndrome walk: at most
-            # max_witnesses * |parity| bit operations
+            # WITNESS_CAP * |parity| bit operations
             if not table.is_integral(bits):
                 raise WitnessNotIntegral(
                     f"witness {[list(elems_of(j)) for j in witness]} is not integral "
@@ -375,7 +378,10 @@ def construct_nonminimal(
     keeps the first one admitting a non-trivial collection, read from the
     GF(2) rank of the candidate's own table; the result is re-certified
     by full enumeration, and that count's report is returned with the
-    spec.
+    spec.  The other side is a lattice, so the count must equal the
+    product of the free sides' GF(2) counts (the candidate's alone for
+    B3 and C3, times 2^|members| of the lattice side for B2); a count
+    that differs raises `CountDisagreement`, never a silent skip.
     Visiting only the target index keeps dimension 5 (twist 5 for B,
     nu - t = 5 for C) within a second for every index.
     """
@@ -404,8 +410,15 @@ def construct_nonminimal(
             semis[varying] = cand
             spec = make_spec(family, rank, nullity, t, *semis)
             report = count_collections(spec)
-            if report.inc > 1:
-                return spec, report
+            by_rank = math.prod(
+                semilattice_collection_count(side.semilattice) for side in spec.sides if side.free
+            )
+            if report.inc != by_rank:
+                raise CountDisagreement(
+                    f"the count gives Inc = {report.inc} for {_named(spec)}, "
+                    f"the free sides' GF(2) ranks give {by_rank}"
+                )
+            return spec, report
     raise SearchExhausted(
         f"no index-{target} semilattice of dimension {span} with a non-trivial collection"
     )

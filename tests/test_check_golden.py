@@ -1,4 +1,4 @@
-"""`check` stdout pinned byte for byte, text and `--json`, the elapsed line dropped.
+"""`check` stdout pinned byte for byte, text and `--json`.
 
 The golden files fix the decision, the center, every note string and the
 key order of the report.  The specs cover:
@@ -64,15 +64,13 @@ def run_check(label, tmp_path, capsys, *flags):
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_check_json_matches_golden(label, tmp_path, capsys):
     out = run_check(label, tmp_path, capsys, "--json")
-    kept = "".join(line for line in out.splitlines(True) if '"elapsed_s"' not in line)
-    assert kept == golden_path(label, ".json").read_text(encoding="utf-8")
+    assert out == golden_path(label, ".json").read_text(encoding="utf-8")
 
 
 @pytest.mark.parametrize("label", sorted(CASES))
 def test_check_text_matches_golden(label, tmp_path, capsys):
     out = run_check(label, tmp_path, capsys)
-    kept = "".join(line for line in out.splitlines(True) if not line.startswith("elapsed: "))
-    assert kept == golden_path(label, ".txt").read_text(encoding="utf-8")
+    assert out == golden_path(label, ".txt").read_text(encoding="utf-8")
 
 
 def test_cases_cover_every_note_kind():

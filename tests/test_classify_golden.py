@@ -11,8 +11,8 @@ and one text slice are pinned:
 - `B 3 4 4`: 180 rows, with all three screen verdicts and Inc from 1 to 32.
 
 The oracle test runs every slice at nullity <= 3 of the five sweep types,
-with and without `--no-perm`, and asks that the output equal the indent-2
-dump of its own parsed document.
+with and without `--no-perm`, and asks that the output equal the
+`json.dumps` of its own parsed document.
 
 A classify row prints only the screen's verdict, so it must not write the
 screen's reason text: with the reason formatter made to raise, the 180-row
@@ -63,14 +63,14 @@ def oracle_slices():
                     yield [family, str(rank), str(nullity), str(twist), *flags]
 
 
-def test_json_is_the_indent_2_dump_of_itself(capsys):
+def test_json_is_the_dump_of_itself(capsys):
     slices = list(oracle_slices())
     assert len(slices) == 90
     for argv in slices:
         assert main(["classify", *argv, "--json"]) == EXIT_OK, argv
         out = capsys.readouterr().out
         doc = json.loads(out)
-        assert out == json.dumps(doc, indent=2) + "\n", argv
+        assert out == json.dumps(doc) + "\n", argv
         assert len(doc["rows"]) == doc["summary"]["rows"] >= 1, argv
 
 

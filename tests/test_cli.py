@@ -2,6 +2,7 @@
 
 import json
 from itertools import combinations
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -20,7 +21,7 @@ from weylconj.cli import (
     cross_check,
     main,
 )
-from weylconj.integral import WITNESS_CAP, DecisionReport, ScreenResult, SearchExhausted
+from weylconj.integral import DecisionReport, ScreenResult, SearchExhausted
 from weylconj.rootsystem import (
     MAX_NULLITY,
     MAX_RANK,
@@ -273,13 +274,30 @@ def test_word_over_a_non_root_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
 
 def test_miscount_against_torsion_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
     # the B3 lattice has Inc = 2 and torsion [2]; a count of 4 contradicts the center
-    def miscounted(spec, max_witnesses):
+    def miscounted(spec):
         return DecisionReport(inc=4, witnesses=())
 
     monkeypatch.setattr(cli, "count_collections", miscounted)
     assert main(["check", write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
     assert capsys.readouterr().err.splitlines() == [
         "invariant breach: center torsion order 2 != collection count 4"
+    ]
+
+
+def test_construct_count_against_the_rank_is_one_line_exit_2(capsys, monkeypatch):
+    # the B3 lattice's GF(2) rank gives Inc = 2; a count of 1 contradicts it,
+    # and the search stops there instead of moving to the next candidate
+    def uncounted(spec):
+        return DecisionReport(inc=1, witnesses=())
+
+    monkeypatch.setattr(integral, "count_collections", uncounted)
+    assert main(["construct", "B", "3", "3", "--m1", "7"]) == EXIT_INVARIANT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    lattice = semilattice.Semilattice.lattice(3).to_subsets()
+    assert captured.err.splitlines() == [
+        f"invariant breach: the count gives Inc = 1 for B3 nu=3 t=3 S1={lattice} S2=[[]], "
+        "the free sides' GF(2) ranks give 2"
     ]
 
 
@@ -401,22 +419,6 @@ class TestCheck:
                 f"error: nullity {nullity} exceeds the bound {MAX_NULLITY}"
             ]
 
-    def test_max_witnesses_default_is_the_library_cap(self):
-        assert build_parser().parse_args(["check", "SPEC"]).max_witnesses == WITNESS_CAP
-
-    def test_max_witnesses_flag(self, tmp_path, capsys):
-        import itertools
-
-        supp1 = [list(c) for r in range(5)
-                 for c in itertools.combinations(range(1, 5), r)]
-        doc = {"type": "B", "rank": 3, "nullity": 4, "twist": 4,
-               "supp1": supp1, "supp2": [[]]}
-        code = main(["check", write(tmp_path, doc), "--json", "--max-witnesses", "2"])
-        assert code == EXIT_NO_PBC
-        payload = json.loads(capsys.readouterr().out)
-        assert payload["decision"]["inc"] == 32
-        assert len(payload["decision"]["witnesses"]) == 2
-
 
 class TestCrossCheck:
     def make_report(self, inc):
@@ -487,21 +489,29 @@ class TestClassify:
         second = capsys.readouterr().out
         assert first == second
 
-    def test_byte_identical_across_processes(self):
+    def test_byte_identical_across_processes(self, tmp_path):
         import os
         import subprocess
         import sys
 
-        outputs = []
-        for seed in ("0", "424242"):
-            env = dict(os.environ, PYTHONHASHSEED=seed)
-            proc = subprocess.run(
-                [sys.executable, "-m", "weylconj.cli",
-                 "classify", "B", "3", "3", "3", "--no-perm", "--json"],
-                capture_output=True, env=env, check=True,
-            )
-            outputs.append(proc.stdout)
-        assert outputs[0] == outputs[1]
+        corpus = dict(reference_corpus())
+        check_spec = write(tmp_path, spec_to_json(corpus["B2 nu4 t4 S1=ind14 S2=0"]), "c.json")
+        verify_spec = write(tmp_path, spec_to_json(corpus["B2 nu3 t1 S1=lat S2=min"]), "v.json")
+        for argv in (
+            ["classify", "B", "3", "3", "3", "--no-perm", "--json"],
+            ["check", check_spec, "--json"],
+            ["verify", verify_spec, "--json"],
+        ):
+            outputs = []
+            for seed in ("0", "424242"):
+                env = dict(os.environ, PYTHONHASHSEED=seed)
+                proc = subprocess.run(
+                    [sys.executable, "-m", "weylconj.cli", *argv],
+                    capture_output=True, env=env,
+                )
+                assert proc.returncode in (EXIT_OK, EXIT_NO_PBC), argv
+                outputs.append(proc.stdout)
+            assert outputs[0] == outputs[1], argv
 
     def test_permutation_reduction(self, capsys):
         code = main(["classify", "B", "3", "3", "3", "--json"])
@@ -554,6 +564,18 @@ class TestClassify:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {message}"]
+
+
+GOLDEN_JSON = sorted((Path(__file__).resolve().parent / "golden").glob("*.json"))
+
+
+@pytest.mark.parametrize("path", GOLDEN_JSON, ids=lambda p: p.name)
+def test_golden_json_is_its_own_dump(path):
+    # every pinned --json output is one valid document, printed by json.dumps, with no clock
+    text = path.read_text(encoding="utf-8")
+    doc = json.loads(text)
+    assert text == json.dumps(doc) + "\n"
+    assert "elapsed_s" not in doc
 
 
 class TestVerify:
@@ -656,7 +678,7 @@ class TestConstruct:
     @pytest.mark.parametrize("m1", sorted(TWIST5_PINNED))
     def test_twist5_pinned(self, m1, capsys):
         assert main(["construct", "B", "5", "5", "--m1", str(m1)]) == EXIT_OK
-        assert capsys.readouterr().out == json.dumps(self.TWIST5_PINNED[m1], indent=2) + "\n"
+        assert capsys.readouterr().out == json.dumps(self.TWIST5_PINNED[m1]) + "\n"
 
 
 B2_LATTICE6_DOC = {  # |family| = 42, past the enumeration guard
@@ -712,24 +734,17 @@ class TestUsage:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: ")
 
-    @pytest.mark.parametrize(
-        "argv",
-        [["verify", "--height", "-1"], ["check", "--max-witnesses", "-1"]],
-        ids=["verify height", "check max-witnesses"],
-    )
-    def test_negative_count_is_one_line_input_error(self, tmp_path, capsys, argv):
-        command, *flags = argv
-        assert main([command, write(tmp_path, B3_LATTICE_DOC), *flags]) == EXIT_INPUT
+    def test_negative_height_is_one_line_input_error(self, tmp_path, capsys):
+        path = write(tmp_path, B3_LATTICE_DOC)
+        assert main(["verify", path, "--height", "-1"]) == EXIT_INPUT
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.splitlines() == [
-            f"error: argument {flags[0]}: must be non-negative, got -1"
+            "error: argument --height: must be non-negative, got -1"
         ]
 
-    def test_zero_counts_are_accepted(self, tmp_path, capsys):
+    def test_zero_height_is_accepted(self, tmp_path, capsys):
         path = write(tmp_path, B3_LATTICE_DOC)
-        assert main(["check", path, "--json", "--max-witnesses", "0"]) == EXIT_NO_PBC
-        assert json.loads(capsys.readouterr().out)["decision"]["witnesses"] == []
         assert main(["verify", path, "--json", "--height", "0"]) == EXIT_OK
         assert json.loads(capsys.readouterr().out)["orbit_cover"]["target"] > 0
 
@@ -757,20 +772,12 @@ class TestUsage:
 class TestParserReuse:
     """`main` reuses one parser; nothing of one call carries into the next."""
 
-    B3_NU4_LATTICE_DOC = {
-        "type": "B", "rank": 3, "nullity": 4, "twist": 4,
-        "supp1": [list(c) for r in range(5) for c in combinations(range(1, 5), r)],
-        "supp2": [[]],
-    }
-
     @staticmethod
     def report(capsys, argv):
-        """Exit code, JSON document without `elapsed_s`, and stderr of one call."""
+        """Exit code, JSON document and stderr of one call."""
         code = main(argv)
         captured = capsys.readouterr()
-        doc = json.loads(captured.out)
-        del doc["elapsed_s"]
-        return code, doc, captured.err
+        return code, json.loads(captured.out), captured.err
 
     def test_one_parser_per_process(self):
         assert build_parser() is build_parser()
@@ -785,15 +792,6 @@ class TestParserReuse:
             capture_output=True, text=True, check=True,
         )
         assert proc.stdout == "0\n"
-
-    def test_max_witnesses_does_not_carry_over(self, tmp_path, capsys):
-        good = ["check", write(tmp_path, self.B3_NU4_LATTICE_DOC), "--json"]
-        first = self.report(capsys, good)
-        assert first[0] == EXIT_NO_PBC
-        assert len(first[1]["decision"]["witnesses"]) == WITNESS_CAP == 16
-        zero = self.report(capsys, [*good, "--max-witnesses", "0"])
-        assert zero[1]["decision"]["witnesses"] == []
-        assert self.report(capsys, good) == first
 
     def test_height_does_not_carry_over(self, tmp_path, capsys):
         good = ["verify", write(tmp_path, B3_NU1_DOC), "--json"]
@@ -828,9 +826,10 @@ class TestClosedStdout:
         import subprocess
         import sys
 
-        # the 111 kB document is larger than a pipe buffer, so the writer sees the close
+        # the 360 kB document is larger than a pipe buffer, so the writer sees the close
         proc = subprocess.Popen(
-            [sys.executable, "-m", "weylconj.cli", "classify", "B", "3", "4", "4", "--json"],
+            [sys.executable, "-m", "weylconj.cli",
+             "classify", "B", "2", "4", "4", "--no-perm", "--json"],
             stdout=subprocess.PIPE, stderr=subprocess.PIPE,
         )
         assert proc.stdout.read(1) == b"{"

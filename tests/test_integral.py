@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from weylconj.corpus import random_spec, reference_corpus
 from weylconj.integral import (
+    WITNESS_CAP,
     FamilyTooLarge,
     _integral_bitsets,
     closed_form_exponent,
@@ -240,9 +241,9 @@ class TestCount:
 
     def test_witness_cap(self):
         spec = make_spec("B", 3, 4, 4, LAT(4), Z0)
-        report = count_collections(spec, max_witnesses=3)
+        report = count_collections(spec)
         assert report.inc == 32
-        assert len(report.witnesses) == 3
+        assert len(report.witnesses) == WITNESS_CAP == 16
 
     def test_enumeration_guard(self):
         # the count refuses the family; the side's rank enumerates nothing

@@ -1,4 +1,4 @@
-"""`verify --json` stdout pinned byte for byte, the `elapsed_s` line dropped.
+"""`verify --json` stdout pinned byte for byte.
 
 The golden files fix the order and the indices of every identity item.
 Together the three specs cover supported, unsupported and mixed pairs
@@ -37,6 +37,4 @@ def test_verify_json_matches_golden(label, tmp_path, capsys):
     path = tmp_path / "spec.json"
     path.write_text(json.dumps(spec_to_json(spec)))
     assert main(["verify", str(path), "--json"]) == EXIT_OK
-    out = capsys.readouterr().out
-    kept = "".join(line for line in out.splitlines(True) if '"elapsed_s"' not in line)
-    assert kept == golden_path(label).read_text(encoding="utf-8")
+    assert capsys.readouterr().out == golden_path(label).read_text(encoding="utf-8")
