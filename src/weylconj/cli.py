@@ -7,16 +7,17 @@ collection count must be a power of two; a breach is printed with its
 witness).  `verify` exits 2 on any failed matrix identity.
 
 A subcommand returns only its verdict's code; every refusal is raised,
-and `main` is the one place a refusal becomes an exit code.  A stdout closed by its reader
-exits 1 with nothing on stderr.  An input error (`SpecValidationError`,
-`SemilatticeError`, or a malformed command line) exits 1 with one
-`error:` line.  A library invariant that breaks (`InvariantBreach`: a
-non-integral quotient, bad Cartan data, a broken Smith divisibility
-chain, a word over a non-root, `construct`'s search coming up empty
-against the existence guarantee, or its count disagreeing with the free
-sides' GF(2) ranks) exits 2 with one `invariant breach:`
-line, so 2 always means a broken invariant.  Any other exception is a
-fault of the library and propagates with its traceback.
+and `main` is the one place a refusal becomes an exit code.  A stdout
+closed by its reader exits 1 with nothing on stderr.  An input error
+(`SpecValidationError`, `SemilatticeError`, a size past its bound in
+`limits`, or a malformed command line) exits 1 with one `error:` line.
+A library invariant that breaks (`InvariantBreach`: a non-integral
+quotient, bad Cartan data, a broken Smith divisibility chain, a word
+over a non-root, `construct`'s search coming up empty against the
+existence guarantee, or its count disagreeing with the free sides'
+GF(2) ranks) exits 2 with one `invariant breach:` line, so 2 always
+means a broken invariant.  Any other exception is a fault of the
+library and propagates with its traceback.
 
 Every `--json` document, and `construct`'s spec, is printed as one
 line, the bytes of `json.dumps(doc)`; stdout holds no clock reading, so
@@ -43,6 +44,7 @@ from .integral import (
     count_collections,
     decide_by_reduction,
 )
+from .limits import MAX_CLASSIFY_NULLITY, TooLarge, refuse_past
 from .rootsystem import (
     InvariantBreach,
     RootSystemSpec,
@@ -165,8 +167,7 @@ def _cmd_check(args) -> int:
 
 
 def _cmd_classify(args) -> int:
-    if args.nullity > 4:
-        raise SpecValidationError("classification sweeps are guarded at nullity <= 4")
+    refuse_past("classify nullity", args.nullity, MAX_CLASSIFY_NULLITY)
     validate_slice(args.family, args.rank, args.nullity, args.twist)
     pairs = classification_pairs(
         args.family, args.rank, args.nullity, args.twist, not args.no_perm
@@ -385,7 +386,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except (_UsageError, SpecValidationError, SemilatticeError) as exc:
+    except (_UsageError, SpecValidationError, SemilatticeError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantBreach as exc:

@@ -39,6 +39,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
+from .limits import MAX_FAMILY, refuse_past
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import (
     InvariantBreach,
@@ -50,17 +51,7 @@ from .rootsystem import (
     validate_slice,
 )
 
-# The guard bounds the 2^|family| choices the count enumerates; the
-# reduction takes a GF(2) rank and is not guarded.  A 24-member `check` (B3,
-# nu = t = 7, S1 the minimal class plus its first 24 members of size >= 3,
-# Inc = 1024) takes about 1.8 s end to end, one XOR per choice in the
-# count's one pass (2-vCPU Xeon, Python 3.11.7, median of 5 runs).
-MAX_FAMILY = 24
 WITNESS_CAP = 16
-
-
-class FamilyTooLarge(SpecValidationError):
-    """The essential family has more than `MAX_FAMILY` members: an input the count refuses."""
 
 
 class WitnessNotIntegral(InvariantBreach):
@@ -96,12 +87,6 @@ def essential_family(spec: RootSystemSpec) -> tuple[int, ...]:
     return spec.incidence.family
 
 
-def _guard_family(size: int) -> None:
-    """Refuse a family of more than `MAX_FAMILY` members: 2^size choices to enumerate."""
-    if size > MAX_FAMILY:
-        raise FamilyTooLarge(f"|family| = {size} exceeds the enumeration guard {MAX_FAMILY}")
-
-
 def _integral_bitsets(table: PairIncidence) -> Iterator[int]:
     """Integral choices as bitsets over the table's family positions, in ascending order.
 
@@ -112,7 +97,6 @@ def _integral_bitsets(table: PairIncidence) -> Iterator[int]:
     flips[p] the XOR of the column syndromes of positions 0..p; bits is
     yielded when the syndrome is 0.
     """
-    _guard_family(len(table.family))
     cols = [0] * len(table.family)  # per position, the parity rows containing it
     for i, row in enumerate(table.parity):
         while row:
@@ -199,7 +183,7 @@ class DecisionReport:
 
 def count_collections(spec: RootSystemSpec) -> DecisionReport:
     """Count integral collections and decide the presentation by conjugation."""
-    _guard_family(len(spec.essential_members))  # before the pair table is built
+    refuse_past("|family|", len(spec.essential_members), MAX_FAMILY)  # before the pair table
     table = spec.incidence
     inc = 0
     witnesses: list[tuple[int, ...]] = []

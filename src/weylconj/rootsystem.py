@@ -35,6 +35,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
+from .limits import MAX_NULLITY, MAX_RANK, refuse_past
 from .semilattice import (
     PairIncidence,
     Semilattice,
@@ -46,15 +47,6 @@ from .semilattice import (
 )
 
 FAMILIES = ("B", "C", "F4", "G2")
-# Bound on a spec document's nullity: a supporting class holds up to 2^nu
-# members.  `check` refuses a family past `integral.MAX_FAMILY` from the
-# essential members alone, before any pair table is built, so the center
-# never runs on such a spec.  Reading and validating the document sets the
-# cost: about 0.2 s for the nullity-16 lattice, growing as 2^nu.
-MAX_NULLITY = 16
-# Bound on the rank: `finite_roots` builds 2 rank^2 roots at about rank^2
-# work each, so a spec's time grows as rank^4.
-MAX_RANK = 32
 
 
 class SpecValidationError(ValueError):
@@ -388,8 +380,7 @@ class RootSystemSpec:
 def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
     """Reject a type, rank (at most `MAX_RANK`), nullity and twist; builds no roots."""
     _validate_family_rank(family, rank)
-    if rank > MAX_RANK:
-        raise RankOutOfRange(f"rank {rank} exceeds the bound {MAX_RANK}")
+    refuse_past("rank", rank, MAX_RANK)
     if nullity < 0:
         raise SpecValidationError("nullity must be non-negative")
     if not 0 <= twist <= nullity:
@@ -556,8 +547,7 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
         supp2 = _json_class(doc, "supp2")
     except (KeyError, TypeError) as exc:
         raise SpecValidationError(f"malformed spec document: {exc}") from exc
-    if nullity > MAX_NULLITY:
-        raise SpecValidationError(f"nullity {nullity} exceeds the bound {MAX_NULLITY}")
+    refuse_past("nullity", nullity, MAX_NULLITY)
     validate_slice(family, rank, nullity, twist)  # before S1 and S2 take their dimensions
     s1 = make_semilattice(twist, supp1)
     s2 = make_semilattice(nullity - twist, supp2)

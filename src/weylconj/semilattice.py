@@ -28,6 +28,8 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
+from .limits import MAX_SEMILATTICE_DIM, refuse_past
+
 
 class SemilatticeError(ValueError):
     """Invalid supporting-class data."""
@@ -57,10 +59,6 @@ class RepeatedCoordinate(SemilatticeError):
 
 
 class DimensionMismatch(SemilatticeError):
-    pass
-
-
-class DimTooLarge(SemilatticeError):
     pass
 
 
@@ -108,8 +106,8 @@ class _DimPairs(NamedTuple):
 def _dim_pairs(dim: int) -> _DimPairs:
     """The pairs of 1..dim, built once per dimension.
 
-    A spec's nullity is at most 16, and a sweep asks for a handful of
-    dimensions millions of times.
+    A spec's nullity is bounded (`limits.MAX_NULLITY`), and a sweep asks
+    for a handful of dimensions millions of times.
     """
     pairs = tuple(itertools.combinations(range(1, dim + 1), 2))
     masks = tuple([(1 << (r - 1)) | (1 << (s - 1)) for r, s in pairs])
@@ -384,10 +382,8 @@ def enumerate_semilattices(
     that sorts before it.  Every raw class is still visited, at up to
     dim! images each, so a full listing is feasible up to dim 4; at dim 5
     only the first classes of a listing or of an `index` slice are.
-    Guarded at dim <= 5.
     """
-    if dim > 5:
-        raise DimTooLarge(f"enumeration guarded at dim <= 5, got {dim}")
+    refuse_past("semilattice dimension", dim, MAX_SEMILATTICE_DIM)
     if dim < 0:
         raise SemilatticeError("dimension must be non-negative")
     base = [0] + [1 << i for i in range(dim)]

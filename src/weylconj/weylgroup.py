@@ -49,12 +49,12 @@ from operator import mul, sub
 from typing import Iterator, Sequence
 
 from .exactmat import Mat, smith_diagonal
+from .limits import MAX_COVER_STATES, MAX_VERIFY_NULLITY, MAX_VERIFY_RANK, refuse_past
 from .rootsystem import (
     InvariantBreach,
     Root,
     RootClass,
     RootSystemSpec,
-    SpecValidationError,
     commutator_coeff,
     conj_exponent,
     exact_div,
@@ -65,14 +65,6 @@ from .rootsystem import (
 from .semilattice import elems_of
 
 Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
-
-# Admits F4 at nullity 4, height 2: 48 roots * 9^4 = 314,928 states.  The
-# bound counts |finite roots| (2h + 5)^nu, though `orbit_cover` walks only
-# two lengths' boxes of (2h + 5)^nu iso tuples: that F4 cover takes about
-# 0.1 s and a 17 MB process peak on a 2.1 GHz Xeon vCPU.  Raising the bound
-# goes with raising `Representation`'s rank and nullity guards (ROADMAP
-# item 4).
-MAX_COVER_STATES = 400_000
 
 
 class NotARoot(InvariantBreach):
@@ -187,7 +179,7 @@ def power(word: Word, e: int) -> Word:
 
 
 class Representation:
-    """The reflection representation of one spec, guarded at rank and nullity <= 4.
+    """The reflection representation of one spec, within `verify`'s rank and nullity bounds.
 
     It caches the pair (beta, beta^vee) of each root it meets and the
     matrix of each word it builds.  Reflections act on matrices as
@@ -195,8 +187,8 @@ class Representation:
     """
 
     def __init__(self, spec: RootSystemSpec):
-        if spec.rank > 4 or spec.nullity > 4:
-            raise SpecValidationError("verification is guarded at rank <= 4, nullity <= 4")
+        refuse_past("verify rank", spec.rank, MAX_VERIFY_RANK)
+        refuse_past("verify nullity", spec.nullity, MAX_VERIFY_NULLITY)
         self.spec = spec
         self.dim = ambient_dim(spec)
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
@@ -528,17 +520,6 @@ class CoverReport:
         }
 
 
-def check_cover_height(spec: RootSystemSpec, height_bound: int) -> None:
-    """Refuse a height whose box, |finite roots| (2h + 5)^nu states, exceeds `MAX_COVER_STATES`."""
-    roots = spec.roots.short_roots | spec.roots.long_roots
-    states = len(roots) * (2 * height_bound + 5) ** spec.nullity
-    if states > MAX_COVER_STATES:
-        raise SpecValidationError(
-            f"orbit cover at height {height_bound} spans {states} states, "
-            f"above the bound {MAX_COVER_STATES}"
-        )
-
-
 def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     """BFS of the generator set under its own reflections.
 
@@ -562,9 +543,10 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     `classify_vector` reads only the length and the iso residues, so
     one representative per length decides which iso tuples are roots.
     """
-    check_cover_height(spec, height_bound)
     fr = spec.roots
     nu = spec.nullity
+    states = (len(fr.short_roots) + len(fr.long_roots)) * (2 * height_bound + 5) ** nu
+    refuse_past("orbit cover states", states, MAX_COVER_STATES)  # before any search
     slack = height_bound + 2
     gens = generating_roots(spec)
     zero = (0,) * nu

@@ -10,6 +10,8 @@ matrix modules stay independent of the decision paths: they import
 neither `integral` nor `center`.  The count and the Smith form stay
 independent of each other: `integral` and `center` import neither each
 other, and both read Delta and integrality from the pair-incidence table.
+Every size bound is assigned in `limits`, which imports nothing, and only
+`limits.refuse_past` raises its refusal, `TooLarge`.
 
 The library keeps only what its callers reach.  Every def in
 `src/weylconj` (functions, classes, methods) must be reached by a chain
@@ -118,6 +120,33 @@ def test_matrix_modules_import_no_decision_path(name):
 def test_count_and_center_import_neither_each_other():
     assert "center" not in imported_modules("integral.py")
     assert "integral" not in imported_modules("center.py")
+
+
+def test_every_size_bound_is_in_limits():
+    # a module-level MAX_* assignment outside limits.py, or a TooLarge
+    # raised outside refuse_past, is a second place a bound is kept
+    offences = [] if imported_modules("limits.py") == set() else ["limits.py imports"]
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        for stmt in tree.body:
+            targets = getattr(stmt, "targets", [getattr(stmt, "target", None)])
+            offences += [
+                f"{path.name}:{stmt.lineno}: {t.id} assigned"
+                for t in targets
+                if isinstance(t, ast.Name) and t.id.startswith("MAX_") and path.name != "limits.py"
+            ]
+
+        def visit(node, owner):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                owner = node.name
+            if isinstance(node, ast.Raise) and "TooLarge" in _reads(node):
+                if (path.name, owner) != ("limits.py", "refuse_past"):
+                    offences.append(f"{path.name}:{node.lineno}: TooLarge raised in {owner}")
+            for child in ast.iter_child_nodes(node):
+                visit(child, owner)
+
+        visit(tree, None)
+    assert offences == []
 
 
 def test_no_orphaned_private_helpers():

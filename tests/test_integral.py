@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weylconj.corpus import random_spec, reference_corpus
 from weylconj.integral import (
     WITNESS_CAP,
-    FamilyTooLarge,
     _integral_bitsets,
     closed_form_exponent,
     construct_nonminimal,
@@ -245,13 +244,9 @@ class TestCount:
         assert report.inc == 32
         assert len(report.witnesses) == WITNESS_CAP == 16
 
-    def test_enumeration_guard(self):
-        # the count refuses the family; the side's rank enumerates nothing
-        spec = make_spec("B", 2, 6, 6, LAT(6), Z0)
-        assert len(essential_family(spec)) == 42
-        with pytest.raises(FamilyTooLarge) as spec_err:
-            count_collections(spec)
-        assert str(spec_err.value) == "|family| = 42 exceeds the enumeration guard 24"
+    def test_side_rank_past_the_family_bound(self):
+        # the count refuses 42 members (tests/test_limits.py); the side's rank enumerates nothing
+        assert len(LAT(6).incidence.family) == 42
         assert LAT(6).incidence.parity == ()  # no Delta = 2 row: every choice is integral
         assert semilattice_collection_count(LAT(6)) == 2**42
 

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from weylconj import rootsystem
+from weylconj.limits import MAX_RANK
 from weylconj.rootsystem import (
     CartanDataError,
     IndexRange,
@@ -199,15 +200,14 @@ class TestSpecValidation:
         with pytest.raises(LatticeRequired):
             make_spec("F4", 4, 3, 2, Semilattice.minimal(2), Semilattice.lattice(1))
 
-    def test_rank_bound(self, monkeypatch):
+    def test_validate_slice_builds_no_roots(self, monkeypatch):
+        # at the rank bound; one past it is refused (tests/test_limits.py)
         def no_roots(*args):
             raise AssertionError("validate_slice built roots")
 
         monkeypatch.setattr(rootsystem, "finite_roots", no_roots)
-        rootsystem.validate_slice("B", rootsystem.MAX_RANK, 2, 1)
-        rootsystem.validate_slice("C", rootsystem.MAX_RANK, 2, 1)
-        with pytest.raises(RankOutOfRange, match="exceeds the bound"):
-            rootsystem.validate_slice("B", rootsystem.MAX_RANK + 1, 2, 1)
+        rootsystem.validate_slice("B", MAX_RANK, 2, 1)
+        rootsystem.validate_slice("C", MAX_RANK, 2, 1)
 
     def test_twist_bounds(self):
         with pytest.raises(TwistOutOfRange):

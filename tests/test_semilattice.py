@@ -13,7 +13,6 @@ from weylconj.semilattice import (
     _free_masks,
     _permuted_mask,
     _precedes,
-    DimTooLarge,
     DimensionMismatch,
     MissingSingleton,
     MissingZeroClass,
@@ -207,10 +206,6 @@ class TestEnumeration:
 
     def test_dim3_yields_sixteen(self):
         assert sum(1 for _ in enumerate_semilattices(3)) == 16
-
-    def test_guard(self):
-        with pytest.raises(DimTooLarge):
-            list(enumerate_semilattices(6))
 
     def test_up_to_permutation_dim3(self):
         check_orbit_representatives(3)

@@ -15,21 +15,18 @@ from weylconj.rootsystem import (
     FiniteRoots,
     IntegralityViolation,
     Root,
-    SpecValidationError,
     generating_roots,
     make_spec,
     sigma_vec,
 )
 from weylconj.semilattice import Semilattice, elems_of, make_semilattice
 from weylconj.weylgroup import (
-    MAX_COVER_STATES,
     CoverReport,
     NotARoot,
     Representation,
     SimpleRootMissing,
     ambient_dim,
     central_image,
-    check_cover_height,
     central_word,
     commutator,
     inverse,
@@ -498,11 +495,6 @@ class TestVerifiers:
         assert verify_structure_identities(rep).passed
         assert verify_translation_identities(rep).passed
 
-    def test_guard(self):
-        spec = make_spec("B", 2, 5, 2, LAT(2), LAT(3))
-        with pytest.raises(SpecValidationError, match="guarded at rank <= 4, nullity <= 4"):
-            Representation(spec)
-
     def test_report_serialization(self):
         report = verify_structure_identities(Representation(spec_b2()))
         payload = report.to_json()
@@ -635,25 +627,6 @@ class TestOrbitCover:
         assert report.passed
         fr = spec.roots
         assert report.target_count == len(fr.short_roots) + len(fr.long_roots)
-
-    @pytest.mark.parametrize(
-        "family,rank", [("B", 2), ("B", 3), ("B", 4), ("C", 3), ("C", 4), ("F4", 4), ("G2", 2)]
-    )
-    def test_height_two_admitted_at_nullity_four(self, family, rank):
-        # the largest box the tests and the benchmark ask for: F4, 48 roots * 9^4 states
-        check_cover_height(make_spec(family, rank, 4, 2, LAT(2), LAT(2)), 2)
-
-    def test_height_bound(self):
-        # B3 at nullity 4: 18 finite roots, (2h + 5)^4 iso tuples each
-        spec = make_spec("B", 3, 4, 4, Semilattice.minimal(4), Z0)
-        assert 18 * 11**4 <= MAX_COVER_STATES < 18 * 13**4
-        check_cover_height(spec, 3)
-        with pytest.raises(SpecValidationError) as err:
-            orbit_cover(spec, 4)
-        assert str(err.value) == (
-            f"orbit cover at height 4 spans {18 * 13**4} states, "
-            f"above the bound {MAX_COVER_STATES}"
-        )
 
 
 GRID_EXPONENTS = range(-2, 3)
