@@ -32,10 +32,6 @@ from .exactmat import smith_diagonal
 from .rootsystem import RootSystemSpec, exact_div
 
 
-class NotIntegral(ValueError):
-    pass
-
-
 @dataclass(frozen=True)
 class CenterPresentation:
     """Relation matrix over generators (z_{r,s} for r<s) + (z_J for J in family)."""
@@ -126,9 +122,9 @@ def kernel_exponents(spec: RootSystemSpec, bits: int) -> tuple[int, ...]:
     """
     table = spec.incidence
     if not 0 <= bits < 1 << len(table.family):
-        raise NotIntegral(f"choice {bits:#b} is not a set of the {len(table.family)} positions")
+        raise ValueError(f"choice {bits:#b} is not a set of the {len(table.family)} positions")
     if not table.is_integral(bits):
-        raise NotIntegral(f"choice {bits:#b} is not an integral collection")
+        raise ValueError(f"choice {bits:#b} is not an integral collection")
     coords = [
         -((bits & row).bit_count() // delta) for row, delta in zip(table.rows, table.divisors)
     ]

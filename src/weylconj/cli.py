@@ -9,8 +9,8 @@ witness).  `verify` exits 2 on any failed matrix identity.
 A subcommand returns only its verdict's code; every refusal is raised,
 and `main` is the one place a refusal becomes an exit code.  A stdout
 closed by its reader exits 1 with nothing on stderr.  An input error
-(`SpecValidationError`, `SemilatticeError`, a size past its bound in
-`limits`, or a malformed command line) exits 1 with one `error:` line.
+(`SpecValidationError`, a size past its bound in `limits` (`TooLarge`),
+or a malformed command line) exits 1 with one `error:` line.
 A library invariant that breaks (`InvariantBreach`: a non-integral
 quotient, bad Cartan data, a broken Smith divisibility chain, a word
 over a non-root, `construct`'s search coming up empty against the
@@ -55,7 +55,7 @@ from .rootsystem import (
     type_label,
     validate_slice,
 )
-from .semilattice import Semilattice, SemilatticeError, elems_of
+from .semilattice import Semilattice, elems_of
 from .weylgroup import (
     Representation,
     orbit_cover,
@@ -71,9 +71,7 @@ EXIT_INVARIANT = 2
 EXIT_NO_PBC = 3
 
 
-def cross_check(
-    decision: DecisionReport, center: CenterStructure, reduction_pbc: bool
-) -> list[str]:
+def cross_check(decision: DecisionReport, center: CenterStructure, reduction: int) -> list[str]:
     """Consistency of the three decision paths; non-empty means a bug."""
     breaches = []
     if center.torsion_order != decision.inc:
@@ -82,10 +80,8 @@ def cross_check(
         )
     if any(d != 2 for d in center.torsion):
         breaches.append(f"non-elementary torsion factors {center.torsion}")
-    if reduction_pbc != decision.has_pbc:
-        breaches.append(
-            f"reduction verdict {reduction_pbc} != enumeration verdict {decision.has_pbc}"
-        )
+    if reduction != decision.inc:
+        breaches.append(f"reduction Inc {reduction} != collection count {decision.inc}")
     if decision.screen_disagrees:
         breaches.append(
             f"screen verdict {decision.screen} disagrees with collection count {decision.inc}"
@@ -144,7 +140,7 @@ def _cmd_check(args) -> int:
             "spec": spec_to_json(spec),
             "decision": decision.to_json(),
             "center": center.to_json(),
-            "reduction_pbc": reduction,
+            "reduction_pbc": reduction == 1,
             "breaches": breaches,
         }
         print(json.dumps(payload))
@@ -386,7 +382,7 @@ def main(argv: list[str] | None = None) -> int:
         os.dup2(devnull, sys.stdout.fileno())
         os.close(devnull)
         return EXIT_INPUT
-    except (_UsageError, SpecValidationError, SemilatticeError, TooLarge) as exc:
+    except (_UsageError, SpecValidationError, TooLarge) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except InvariantBreach as exc:

@@ -24,10 +24,6 @@ from typing import Sequence
 from .rootsystem import InvariantBreach
 
 
-class DivisibilityChainBroken(InvariantBreach):
-    """A Smith normal form diagonal entry does not divide the next one."""
-
-
 class Mat:
     def __init__(self, rows: Sequence[Sequence[int]]):
         self.rows = tuple(tuple(row) for row in rows)
@@ -130,7 +126,7 @@ def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
     for i in range(len(diag) - 1):
         if diag[i + 1] % diag[i] if diag[i] else diag[i + 1]:
-            raise DivisibilityChainBroken(
+            raise InvariantBreach(
                 f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
             )
     return diag

@@ -35,7 +35,6 @@ a `classify` row, which prints the verdict alone, formats nothing.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
@@ -52,26 +51,6 @@ from .rootsystem import (
 )
 
 WITNESS_CAP = 16
-
-
-class WitnessNotIntegral(InvariantBreach):
-    """The enumeration yielded a choice that meets a Delta = 2 row oddly: an implementation bug."""
-
-
-class NotPowerOfTwo(InvariantBreach):
-    """Enumeration produced a count that is not a power of two: an implementation bug."""
-
-
-class ContradictoryScreen(InvariantBreach):
-    """The minimality screen fired both a minimal and a non-minimal condition."""
-
-
-class SearchExhausted(InvariantBreach):
-    """The non-minimal construction found no witness, against the existence result."""
-
-
-class CountDisagreement(InvariantBreach):
-    """The count and the free sides' GF(2) ranks give different Inc: an implementation bug."""
 
 
 def _named(spec: RootSystemSpec) -> str:
@@ -194,13 +173,13 @@ def count_collections(spec: RootSystemSpec) -> DecisionReport:
             # re-tested row by row, apart from the syndrome walk: at most
             # WITNESS_CAP * |parity| bit operations
             if not table.is_integral(bits):
-                raise WitnessNotIntegral(
+                raise InvariantBreach(
                     f"witness {[list(elems_of(j)) for j in witness]} is not integral "
                     f"for {_named(spec)}"
                 )
             witnesses.append(witness)
     if inc & (inc - 1):
-        raise NotPowerOfTwo(
+        raise InvariantBreach(
             f"{inc} integral collections for {_named(spec)}: not a power of two"
         )
     return DecisionReport(
@@ -238,18 +217,19 @@ def semilattice_collection_count(s: Semilattice) -> int:
     return 1 << (len(table.family) - gf2_rank(table.parity))
 
 
-def decide_by_reduction(spec: RootSystemSpec) -> bool:
-    """Presentation-by-conjugation verdict: each free side alone has Inc = 1.
+def decide_by_reduction(spec: RootSystemSpec) -> int:
+    """Inc by the reduction: the product of the free sides' own counts.
 
     Each free side's count is a GF(2) rank over its own pair table
     (`semilattice_collection_count`), independent of the spec's table that
-    `count_collections` enumerates; no family size is refused here.
+    `count_collections` enumerates; no family size is refused here.  The
+    presentation by conjugation holds exactly when the product is 1.
     """
-    return all(
-        semilattice_collection_count(side.semilattice) == 1
-        for side in spec.sides
-        if side.free
-    )
+    inc = 1
+    for side in spec.sides:
+        if side.free:
+            inc *= semilattice_collection_count(side.semilattice)
+    return inc
 
 
 def closed_form_exponent(spec: RootSystemSpec) -> int | None:
@@ -331,7 +311,7 @@ def minimality_screen(spec: RootSystemSpec) -> ScreenResult:
         if low_dim:
             minimal.append(("low_dim", free))
     if minimal and not_minimal:
-        raise ContradictoryScreen(
+        raise InvariantBreach(
             f"contradictory screen for {_named(spec)}: "
             f"minimal {[_reason_text(f) for f in minimal]} "
             f"vs not minimal {[_reason_text(f) for f in not_minimal]}"
@@ -363,9 +343,10 @@ def construct_nonminimal(
     GF(2) rank of the candidate's own table; the result is re-certified
     by full enumeration, and that count's report is returned with the
     spec.  The other side is a lattice, so the count must equal the
-    product of the free sides' GF(2) counts (the candidate's alone for
+    reduction's Inc (`decide_by_reduction`), the product of the free
+    sides' GF(2) counts (the candidate's alone for
     B3 and C3, times 2^|members| of the lattice side for B2); a count
-    that differs raises `CountDisagreement`, never a silent skip.
+    that differs raises `InvariantBreach`, never a silent skip.
     Visiting only the target index keeps dimension 5 (twist 5 for B,
     nu - t = 5 for C) within a second for every index.
     """
@@ -394,15 +375,13 @@ def construct_nonminimal(
             semis[varying] = cand
             spec = make_spec(family, rank, nullity, t, *semis)
             report = count_collections(spec)
-            by_rank = math.prod(
-                semilattice_collection_count(side.semilattice) for side in spec.sides if side.free
-            )
+            by_rank = decide_by_reduction(spec)
             if report.inc != by_rank:
-                raise CountDisagreement(
+                raise InvariantBreach(
                     f"the count gives Inc = {report.inc} for {_named(spec)}, "
                     f"the free sides' GF(2) ranks give {by_rank}"
                 )
             return spec, report
-    raise SearchExhausted(
+    raise InvariantBreach(
         f"no index-{target} semilattice of dimension {span} with a non-trivial collection"
     )

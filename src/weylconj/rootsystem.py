@@ -13,7 +13,7 @@ can be substituted.
 
 Arithmetic is integer-only: coordinates, pairings and Cartan numbers are
 ints, and every quotient the construction guarantees integral goes
-through `exact_div`, which raises `IntegralityViolation` otherwise.
+through `exact_div`, which raises `InvariantBreach` otherwise.
 
 An extended affine system R(X, S1, S2) of rank l, nullity nu and twist t
 consists of the vectors
@@ -39,6 +39,7 @@ from .limits import MAX_NULLITY, MAX_RANK, refuse_past
 from .semilattice import (
     PairIncidence,
     Semilattice,
+    SpecValidationError,
     cached_attribute,
     make_semilattice,
     odd_mask,
@@ -49,46 +50,8 @@ from .semilattice import (
 FAMILIES = ("B", "C", "F4", "G2")
 
 
-class SpecValidationError(ValueError):
-    """Invalid extended affine root system data."""
-
-
-class UnsupportedType(SpecValidationError):
-    pass
-
-
-class RankOutOfRange(SpecValidationError):
-    pass
-
-
-class TwistOutOfRange(SpecValidationError):
-    pass
-
-
-class LatticeRequired(SpecValidationError):
-    def __init__(self, side: str, family: str) -> None:
-        super().__init__(f"{side} must be a lattice for type {family}")
-        self.side = side
-
-
-class IndexRange(SpecValidationError):
-    pass
-
-
 class InvariantBreach(RuntimeError):
     """An invariant the construction guarantees failed; the message names the witness."""
-
-
-class IntegralityViolation(InvariantBreach):
-    """A coefficient the construction guarantees integral came out fractional."""
-
-
-class CartanDataError(InvariantBreach):
-    """The Cartan data do not define the expected finite root system."""
-
-
-class GeneratorMisclassified(InvariantBreach):
-    """An affine generator is not a short or long root of its own system."""
 
 
 Vec = tuple  # integer coordinate tuple
@@ -103,7 +66,7 @@ def exact_div(num: int, den: int, what: str, *args) -> int:
     """
     q, rem = divmod(num, den)
     if rem:
-        raise IntegralityViolation(f"{what.format(*args)} = {num}/{den} is not an integer")
+        raise InvariantBreach(f"{what.format(*args)} = {num}/{den} is not an integer")
     return q
 
 
@@ -166,7 +129,7 @@ def _chain_data(family: str, rank: int):
         d = [1, 3]
         bonds = {(1, 2): (-1, -3)}
     else:  # pragma: no cover - guarded by finite_roots
-        raise UnsupportedType(family)
+        raise SpecValidationError(family)
     return d, bonds
 
 
@@ -177,15 +140,15 @@ def type_label(family: str, rank: int) -> str:
 
 def _validate_family_rank(family: str, rank: int) -> None:
     if family not in FAMILIES:
-        raise UnsupportedType(f"unknown type {family!r}; expected one of {FAMILIES}")
+        raise SpecValidationError(f"unknown type {family!r}; expected one of {FAMILIES}")
     if family == "B" and rank < 2:
-        raise RankOutOfRange("type B requires rank >= 2")
+        raise SpecValidationError("type B requires rank >= 2")
     if family == "C" and rank < 3:
-        raise RankOutOfRange("type C requires rank >= 3")
+        raise SpecValidationError("type C requires rank >= 3")
     if family == "F4" and rank != 4:
-        raise RankOutOfRange("type F4 has rank 4")
+        raise SpecValidationError("type F4 has rank 4")
     if family == "G2" and rank != 2:
-        raise RankOutOfRange("type G2 has rank 2")
+        raise SpecValidationError("type G2 has rank 2")
 
 
 @lru_cache(maxsize=None)
@@ -203,7 +166,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
     for i in range(rank):
         for j in range(i):
             if gram[i][j] != gram[j][i]:
-                raise CartanDataError(
+                raise InvariantBreach(
                     f"Cartan data of {type_label(family, rank)} do not symmetrise at "
                     f"({i + 1}, {j + 1}): {gram[i][j]} != {gram[j][i]}"
                 )
@@ -228,7 +191,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
                     nxt.append(img_t)
         frontier = nxt
         if len(roots) > cap:  # pragma: no cover - malformed Cartan data only
-            raise CartanDataError(
+            raise InvariantBreach(
                 f"reflection closure of {type_label(family, rank)} exceeds {cap} roots"
             )
 
@@ -241,7 +204,7 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         elif sq == 2 * k:
             long_.add(v)
         else:  # pragma: no cover
-            raise CartanDataError(f"unexpected root length {sq} for {v}")
+            raise InvariantBreach(f"unexpected root length {sq} for {v}")
     fr = FiniteRoots(
         family=family,
         rank=rank,
@@ -252,12 +215,12 @@ def finite_roots(family: str, rank: int) -> FiniteRoots:
         k=k,
     )
     if fr.theta1 not in fr.short_roots or fr.theta2 not in fr.long_roots:
-        raise CartanDataError(
+        raise InvariantBreach(
             f"{type_label(family, rank)}: need alpha_1 = {fr.theta1} short and "
             f"alpha_2 = {fr.theta2} long"
         )
     if fr.pairing(fr.theta1, fr.theta2) == 0:
-        raise CartanDataError(
+        raise InvariantBreach(
             f"{type_label(family, rank)}: alpha_1 = {fr.theta1} and alpha_2 = {fr.theta2} "
             "are orthogonal"
         )
@@ -359,20 +322,20 @@ class RootSystemSpec:
     def k_r(self, r: int) -> int:
         """Scale of the isotropic direction r: k on the twisted block, else 1."""
         if not 1 <= r <= self.nullity:
-            raise IndexRange(f"direction {r} outside 1..{self.nullity}")
+            raise SpecValidationError(f"direction {r} outside 1..{self.nullity}")
         return self.k if r <= self.twist else 1
 
     def translation_step(self, i: int, r: int) -> int:
         """Least n >= 1 with alpha_i + n sigma_r a root: 1 for short alpha_i, k_r for long."""
         if not 1 <= i <= self.rank:
-            raise IndexRange(f"simple-root index {i} outside 1..{self.rank}")
+            raise SpecValidationError(f"simple-root index {i} outside 1..{self.rank}")
         alpha = self.roots.simple[i - 1]
         return 1 if alpha in self.roots.short_roots else self.k_r(r)
 
     def pair_divisor(self, r: int, s: int) -> int:
         """Divisor Delta(r,s) for a global pair r < s, read from `incidence`."""
         if not 1 <= r < s <= self.nullity:
-            raise IndexRange(f"need 1 <= r < s <= {self.nullity}, got ({r}, {s})")
+            raise SpecValidationError(f"need 1 <= r < s <= {self.nullity}, got ({r}, {s})")
         table = self.incidence
         return table.divisors[table.pairs.index((r, s))]
 
@@ -384,7 +347,7 @@ def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
     if nullity < 0:
         raise SpecValidationError("nullity must be non-negative")
     if not 0 <= twist <= nullity:
-        raise TwistOutOfRange(f"twist {twist} outside 0..{nullity}")
+        raise SpecValidationError(f"twist {twist} outside 0..{nullity}")
 
 
 def make_spec(
@@ -409,7 +372,7 @@ def make_spec(
     spec = RootSystemSpec(family, rank, nullity, twist, s1, s2, roots)
     for side in spec.sides:
         if not side.free and not side.semilattice.is_lattice:
-            raise LatticeRequired(side.name, family)
+            raise SpecValidationError(f"{side.name} must be a lattice for type {family}")
     return spec
 
 
@@ -426,7 +389,7 @@ def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
 def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> int:
     """Coefficient a_{i,j}(r,s); its Delta(r,s)-quotient is the commutator exponent."""
     if not 1 <= r <= s <= spec.nullity:
-        raise IndexRange(f"need r <= s in 1..{spec.nullity}, got ({r}, {s})")
+        raise SpecValidationError(f"need r <= s in 1..{spec.nullity}, got ({r}, {s})")
     fr = spec.roots
     ai = fr.simple[i - 1]
     aj = fr.simple[j - 1]
@@ -437,7 +400,7 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
         "a_({},{})({},{})", i, j, r, s,
     )
     if r < s and out % spec.pair_divisor(r, s):
-        raise IntegralityViolation(
+        raise InvariantBreach(
             f"Delta({r},{s}) does not divide a_({i},{j})({r},{s}) = {out}"
         )
     return out
@@ -504,7 +467,7 @@ def generating_roots(spec: RootSystemSpec) -> list[Root]:
     for root in out:
         cls = root_class(spec, root)
         if cls not in (RootClass.SHORT, RootClass.LONG):
-            raise GeneratorMisclassified(f"generator {root} classified {cls.value}")
+            raise InvariantBreach(f"generator {root} classified {cls.value}")
     return out
 
 

@@ -31,35 +31,8 @@ from typing import Iterable, Iterator, NamedTuple, Sequence
 from .limits import MAX_SEMILATTICE_DIM, refuse_past
 
 
-class SemilatticeError(ValueError):
-    """Invalid supporting-class data."""
-
-
-class MissingZeroClass(SemilatticeError):
-    def __init__(self) -> None:
-        super().__init__("supporting class must contain the empty set")
-
-
-class MissingSingleton(SemilatticeError):
-    def __init__(self, coordinate: int) -> None:
-        super().__init__(f"supporting class must contain the singleton {{{coordinate}}}")
-        self.coordinate = coordinate
-
-
-class OutOfRangeIndex(SemilatticeError):
-    def __init__(self, coordinate: int, dim: int) -> None:
-        super().__init__(f"coordinate {coordinate} outside 1..{dim}")
-        self.coordinate = coordinate
-
-
-class RepeatedCoordinate(SemilatticeError):
-    def __init__(self, coordinate: int, subset: Sequence[int]) -> None:
-        super().__init__(f"coordinate {coordinate} repeated in subset {list(subset)}")
-        self.coordinate = coordinate
-
-
-class DimensionMismatch(SemilatticeError):
-    pass
+class SpecValidationError(ValueError):
+    """Invalid extended affine root system data."""
 
 
 def mask_of(elems: Sequence[int], dim: int) -> int:
@@ -67,10 +40,10 @@ def mask_of(elems: Sequence[int], dim: int) -> int:
     mask = 0
     for r in elems:
         if not 1 <= r <= dim:
-            raise OutOfRangeIndex(r, dim)
+            raise SpecValidationError(f"coordinate {r} outside 1..{dim}")
         bit = 1 << (r - 1)
         if mask & bit:
-            raise RepeatedCoordinate(r, elems)
+            raise SpecValidationError(f"coordinate {r} repeated in subset {list(elems)}")
         mask |= bit
     return mask
 
@@ -216,9 +189,7 @@ class Semilattice:
         class.
         """
         if len(coords) != self.dim:
-            raise DimensionMismatch(
-                f"expected {self.dim} coordinates, got {len(coords)}"
-            )
+            raise SpecValidationError(f"expected {self.dim} coordinates, got {len(coords)}")
         return odd_mask(coords) in self.supp
 
     def essential_supp(self) -> frozenset[int]:
@@ -261,13 +232,13 @@ def make_semilattice(dim: int, subsets: Iterable[Sequence[int]]) -> Semilattice:
     the zero semilattice with class {{}}.
     """
     if dim < 0:
-        raise SemilatticeError("dimension must be non-negative")
+        raise SpecValidationError("dimension must be non-negative")
     masks = frozenset(mask_of(sub, dim) for sub in subsets)
     if 0 not in masks:
-        raise MissingZeroClass()
+        raise SpecValidationError("supporting class must contain the empty set")
     for i in range(dim):
         if (1 << i) not in masks:
-            raise MissingSingleton(i + 1)
+            raise SpecValidationError(f"supporting class must contain the singleton {{{i + 1}}}")
     return Semilattice(dim, masks)
 
 
@@ -385,7 +356,7 @@ def enumerate_semilattices(
     """
     refuse_past("semilattice dimension", dim, MAX_SEMILATTICE_DIM)
     if dim < 0:
-        raise SemilatticeError("dimension must be non-negative")
+        raise SpecValidationError("dimension must be non-negative")
     base = [0] + [1 << i for i in range(dim)]
     free = _free_masks(dim)
     if up_to_permutation:

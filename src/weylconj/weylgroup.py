@@ -67,14 +67,6 @@ from .semilattice import elems_of
 Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
 
-class NotARoot(InvariantBreach):
-    """A word asked for the reflection of a vector that is not a root: its builder is wrong."""
-
-
-class SimpleRootMissing(InvariantBreach):
-    """A finite simple root at iso 0 is not a generator, so the cover's W_0 argument fails."""
-
-
 def ambient_dim(spec: RootSystemSpec) -> int:
     return len(spec.roots.simple[0]) + 2 * spec.nullity
 
@@ -97,7 +89,7 @@ def reflection_pair(spec: RootSystemSpec, root: Root) -> tuple[Sparse, Sparse]:
     a fraction whose multiples by iso_r are integers.
     """
     if not is_root(spec, root):
-        raise NotARoot(f"{root} is not a non-isotropic root of the system")
+        raise InvariantBreach(f"{root} is not a non-isotropic root of the system")
     fr = spec.roots
     gram_alpha = [sum(map(mul, row, root.finite)) for row in fr.gram]
     aa = sum(map(mul, gram_alpha, root.finite))
@@ -528,7 +520,7 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     The claim certified is only about the bounded slice.
 
     The search runs once per root length, over iso tuples.  The finite
-    simple roots at iso 0 are generators (`SimpleRootMissing`
+    simple roots at iso 0 are generators (`InvariantBreach`
     otherwise).  Their reflections generate the finite Weyl group W_0,
     which moves the finite part and leaves the iso part alone, so the
     reached set is W_0-stable.  W_0 is transitive on the roots of each
@@ -552,7 +544,7 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     zero = (0,) * nu
     for alpha in fr.simple:
         if Root(alpha, zero) not in gens:
-            raise SimpleRootMissing(
+            raise InvariantBreach(
                 f"generator set lacks the finite simple root {Root(alpha, zero)}"
             )
     affine = [g for g in gens if any(g.iso)]

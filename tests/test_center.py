@@ -14,7 +14,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylconj.center import (
-    NotIntegral,
     center_presentation,
     center_structure,
     in_row_space,
@@ -338,14 +337,14 @@ class TestKernel:
     def test_rejects_non_integral(self):
         tri = make_semilattice(3, [[], [1], [2], [3], [1, 2, 3]])
         spec = make_spec("B", 3, 3, 3, tri, Z0)
-        with pytest.raises(NotIntegral):
+        with pytest.raises(ValueError, match="^choice 0b1 is not an integral collection$"):
             kernel_exponents(spec, 0b1)
 
     def test_rejects_a_choice_outside_the_family(self):
         # one family member: a bit past it, or a negative int, is no choice
         spec = make_spec("B", 3, 3, 3, LAT(3), Z0)
         for bits in (0b10, -1):
-            with pytest.raises(NotIntegral, match="is not a set of the 1 positions"):
+            with pytest.raises(ValueError, match="is not a set of the 1 positions$"):
                 kernel_exponents(spec, bits)
 
     def test_injective_into_torsion_cosets(self):

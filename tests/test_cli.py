@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from weylconj import cli, integral, rootsystem, semilattice, weylgroup
 from weylconj.center import CenterStructure
 from weylconj.corpus import reference_corpus
-from weylconj.exactmat import DivisibilityChainBroken
 from weylconj.cli import (
     EXIT_INPUT,
     EXIT_INVARIANT,
@@ -20,14 +19,9 @@ from weylconj.cli import (
     cross_check,
     main,
 )
-from weylconj.integral import DecisionReport, ScreenResult, SearchExhausted
+from weylconj.integral import DecisionReport, ScreenResult
 from weylconj.limits import MAX_NULLITY
-from weylconj.rootsystem import (
-    CartanDataError,
-    IntegralityViolation,
-    RootClass,
-    spec_to_json,
-)
+from weylconj.rootsystem import InvariantBreach, RootClass, spec_to_json
 
 F4_DOC = {
     "type": "F4", "rank": 4, "nullity": 3, "twist": 1,
@@ -118,12 +112,12 @@ def test_integer_past_the_digit_limit_is_one_line_input_error(tmp_path, capsys, 
 @pytest.mark.parametrize(
     "breach",
     [
-        IntegralityViolation("a_(1,2)(1) = 3/2 is not an integer"),
-        CartanDataError("B3: alpha_1 = (1, 0, 0) and alpha_2 = (0, 1, 0) are orthogonal"),
-        DivisibilityChainBroken("d_1 = 2 does not divide d_2 = 3"),
-        SearchExhausted("no index-7 semilattice of dimension 3 with a non-trivial collection"),
+        "a_(1,2)(1) = 3/2 is not an integer",
+        "B3: alpha_1 = (1, 0, 0) and alpha_2 = (0, 1, 0) are orthogonal",
+        "d_1 = 2 does not divide d_2 = 3",
+        "no index-7 semilattice of dimension 3 with a non-trivial collection",
     ],
-    ids=lambda exc: type(exc).__name__,
+    ids=["quotient", "cartan", "divisibility", "search"],
 )
 @pytest.mark.parametrize(
     "command,target",
@@ -137,7 +131,7 @@ def test_invariant_breach_is_one_line_exit_2(
     tmp_path, capsys, monkeypatch, breach, command, target
 ):
     def broken(*args, **kwargs):
-        raise breach
+        raise InvariantBreach(breach)
 
     monkeypatch.setattr(cli, target, broken)
     argv = (
@@ -269,14 +263,16 @@ def test_word_over_a_non_root_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
 
 
 def test_miscount_against_torsion_is_one_line_exit_2(tmp_path, capsys, monkeypatch):
-    # the B3 lattice has Inc = 2 and torsion [2]; a count of 4 contradicts the center
+    # the B3 lattice has Inc = 2 and torsion [2]; a count of 4 contradicts the
+    # center and the reduction, though all three verdicts say "no"
     def miscounted(spec):
         return DecisionReport(inc=4, witnesses=())
 
     monkeypatch.setattr(cli, "count_collections", miscounted)
     assert main(["check", write(tmp_path, B3_LATTICE_DOC)]) == EXIT_INVARIANT
     assert capsys.readouterr().err.splitlines() == [
-        "invariant breach: center torsion order 2 != collection count 4"
+        "invariant breach: center torsion order 2 != collection count 4",
+        "invariant breach: reduction Inc 2 != collection count 4",
     ]
 
 
@@ -345,33 +341,40 @@ class TestCrossCheck:
 
     def test_consistent(self):
         breaches = cross_check(
-            self.make_report(2), CenterStructure(free_rank=3, torsion=(2,)), False
+            self.make_report(2), CenterStructure(free_rank=3, torsion=(2,)), 2
         )
         assert breaches == []
 
     def test_torsion_mismatch_flagged(self):
         breaches = cross_check(
-            self.make_report(2), CenterStructure(free_rank=3, torsion=()), False
+            self.make_report(2), CenterStructure(free_rank=3, torsion=()), 2
         )
         assert any("torsion order" in b for b in breaches)
 
     def test_bad_factor_flagged(self):
         breaches = cross_check(
-            self.make_report(4), CenterStructure(free_rank=3, torsion=(4,)), False
+            self.make_report(4), CenterStructure(free_rank=3, torsion=(4,)), 4
         )
         assert any("non-elementary" in b for b in breaches)
 
     def test_reduction_mismatch_flagged(self):
         breaches = cross_check(
-            self.make_report(1), CenterStructure(free_rank=3, torsion=()), False
+            self.make_report(1), CenterStructure(free_rank=3, torsion=()), 2
         )
-        assert any("reduction" in b for b in breaches)
+        assert breaches == ["reduction Inc 2 != collection count 1"]
+
+    def test_reduction_count_mismatch_flagged_when_verdicts_agree(self):
+        # both say "no presentation", but the reduction's Inc is off by a factor of 2
+        breaches = cross_check(
+            self.make_report(4), CenterStructure(free_rank=3, torsion=(2, 2)), 2
+        )
+        assert breaches == ["reduction Inc 2 != collection count 4"]
 
     @pytest.mark.parametrize("inc, screen", [(2, "minimal"), (1, "not_minimal")])
     def test_screen_mismatch_flagged(self, inc, screen):
         report = DecisionReport(inc=inc, witnesses=(), screen_result=ScreenResult(screen, ()))
         torsion = (2,) * (inc.bit_length() - 1)
-        breaches = cross_check(report, CenterStructure(free_rank=3, torsion=torsion), inc == 1)
+        breaches = cross_check(report, CenterStructure(free_rank=3, torsion=torsion), inc)
         assert breaches == [f"screen verdict {screen} disagrees with collection count {inc}"]
 
 

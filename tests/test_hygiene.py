@@ -11,7 +11,10 @@ neither `integral` nor `center`.  The count and the Smith form stay
 independent of each other: `integral` and `center` import neither each
 other, and both read Delta and integrality from the pair-incidence table.
 Every size bound is assigned in `limits`, which imports nothing, and only
-`limits.refuse_past` raises its refusal, `TooLarge`.
+`limits.refuse_past` raises its refusal, `TooLarge`.  A run fails in one
+of four ways, each with one exception type that `cli.main` catches:
+`SpecValidationError`, `TooLarge` and `_UsageError` exit 1, and
+`InvariantBreach` exits 2.
 
 The library keeps only what its callers reach.  Every def in
 `src/weylconj` (functions, classes, methods) must be reached by a chain
@@ -26,6 +29,7 @@ entry goes when that lands.
 """
 
 import ast
+import builtins
 from pathlib import Path
 
 import pytest
@@ -41,7 +45,6 @@ ITEMS_5_AND_9 = "ROADMAP items 5 (collections onto the center) and 9 (kernel ele
 UNREACHED = {
     "center.kernel_exponents": ITEMS_5_AND_9,
     "center.in_row_space": ITEMS_5_AND_9,
-    "center.NotIntegral": ITEMS_5_AND_9,
     "center.SmithDecomposition.saturation_index": ITEMS_5_AND_9,
     "weylgroup.reflection": "perfbench/trace.py wraps it through a TARGETS string; "
     "ROADMAP item 14 moves it to tests/",
@@ -258,3 +261,44 @@ def test_gate_fails_without_an_allowlist_entry(entry):
     allowed = {q: why for q, why in UNREACHED.items() if q != entry}
     unreached = unreached_defs(LIBRARY, CALLER_TREES)
     assert gate_offences(unreached, allowed) == [f"{entry}: no root reaches it"]
+
+
+EXCEPTION_TYPES = {"SpecValidationError", "TooLarge", "InvariantBreach", "_UsageError"}
+BUILTIN_EXCEPTIONS = {
+    name for name, value in vars(builtins).items()
+    if isinstance(value, type) and issubclass(value, BaseException)
+}
+
+
+def exception_classes(trees: list[ast.Module]) -> set[str]:
+    """The classes the trees define that derive from a built-in exception or from each other."""
+    classes = [node for tree in trees for node in ast.walk(tree) if isinstance(node, ast.ClassDef)]
+    found: set[str] = set()
+    grown = True
+    while grown:
+        grown = False
+        for node in classes:
+            bases = set().union(*map(_reads, node.bases))
+            if node.name not in found and bases & (BUILTIN_EXCEPTIONS | found):
+                found.add(node.name)
+                grown = True
+    return found
+
+
+def test_four_exception_types():
+    # one type per way a run fails; main catches each and no other library type
+    assert exception_classes(list(LIBRARY.values())) == EXCEPTION_TYPES
+    main = next(
+        node for node in ast.walk(LIBRARY["cli"])
+        if isinstance(node, ast.FunctionDef) and node.name == "main"
+    )
+    caught = set().union(
+        *(_reads(node.type) for node in ast.walk(main) if isinstance(node, ast.ExceptHandler))
+    )
+    assert caught - BUILTIN_EXCEPTIONS == EXCEPTION_TYPES
+
+
+def test_a_planted_subclass_is_a_fifth_type():
+    planted = ast.parse("class Planted(InvariantBreach):\n    pass\n")
+    found = exception_classes([*LIBRARY.values(), planted])
+    assert found == EXCEPTION_TYPES | {"Planted"}

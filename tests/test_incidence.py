@@ -21,7 +21,7 @@ from weylconj.center import center_presentation, kernel_exponents
 from weylconj.cli import EXIT_NO_PBC, main
 from weylconj.corpus import random_spec, reference_corpus
 from weylconj.integral import _integral_bitsets, essential_family
-from weylconj.rootsystem import IndexRange, exact_div
+from weylconj.rootsystem import SpecValidationError, exact_div
 from weylconj.semilattice import Semilattice, make_semilattice
 
 # --- the reference: Delta case by case, and the pair loops of each consumer ----
@@ -154,7 +154,7 @@ def test_spec_table_matches_the_pair_loops():
 def test_pair_divisor_refuses_a_pair_out_of_range():
     spec = dict(reference_corpus())["B2 nu4 t2 S1=min S2=min"]
     for r, s in [(0, 1), (2, 1), (2, 2), (3, 5)]:
-        with pytest.raises(IndexRange, match=r"need 1 <= r < s <= 4"):
+        with pytest.raises(SpecValidationError, match=r"^need 1 <= r < s <= 4"):
             spec.pair_divisor(r, s)
 
 

@@ -8,15 +8,10 @@ import pytest
 from weylconj import rootsystem
 from weylconj.limits import MAX_RANK
 from weylconj.rootsystem import (
-    CartanDataError,
-    IndexRange,
-    IntegralityViolation,
-    LatticeRequired,
-    RankOutOfRange,
+    InvariantBreach,
     Root,
     RootClass,
-    TwistOutOfRange,
-    UnsupportedType,
+    SpecValidationError,
     classify_vector,
     commutator_coeff,
     conj_exponent,
@@ -122,32 +117,32 @@ class TestFiniteRoots:
             assert fr.pairing(v, v) == 2 * fr.k
 
     def test_bad_types(self):
-        with pytest.raises(UnsupportedType):
+        with pytest.raises(SpecValidationError, match="^unknown type 'A'; expected one of "):
             finite_roots("A", 3)
-        with pytest.raises(UnsupportedType):
+        with pytest.raises(SpecValidationError, match="^unknown type 'BC'; expected one of "):
             finite_roots("BC", 3)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(SpecValidationError, match="^type B requires rank >= 2$"):
             finite_roots("B", 1)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(SpecValidationError, match="^type C requires rank >= 3$"):
             finite_roots("C", 2)
-        with pytest.raises(RankOutOfRange):
+        with pytest.raises(SpecValidationError, match="^type G2 has rank 2$"):
             finite_roots("G2", 3)
 
     def test_asymmetric_cartan_data_names_the_entry(self, monkeypatch):
         monkeypatch.setattr(
             rootsystem, "_chain_data", lambda family, rank: ([1, 1], {(1, 2): (-1, -2)})
         )
-        with pytest.raises(CartanDataError, match=r"at \(2, 1\): -2 != -1"):
+        with pytest.raises(InvariantBreach, match=r"at \(2, 1\): -2 != -1"):
             finite_roots.__wrapped__("B", 2)
 
     def test_orthogonal_distinguished_roots_named(self, monkeypatch):
         monkeypatch.setattr(rootsystem, "_chain_data", lambda family, rank: ([1, 2], {}))
-        with pytest.raises(CartanDataError, match=r"\(0, 1\) are orthogonal"):
+        with pytest.raises(InvariantBreach, match=r"\(0, 1\) are orthogonal"):
             finite_roots.__wrapped__("B", 2)
 
     def test_breach_prints_g2_bare(self, monkeypatch):
         monkeypatch.setattr(rootsystem, "_chain_data", lambda family, rank: ([1, 3], {}))
-        with pytest.raises(CartanDataError, match=r"^G2: alpha_1 = \(1, 0\) and alpha_2"):
+        with pytest.raises(InvariantBreach, match=r"^G2: alpha_1 = \(1, 0\) and alpha_2"):
             finite_roots.__wrapped__("G2", 2)
 
     def test_type_label(self):
@@ -157,7 +152,7 @@ class TestFiniteRoots:
 
     def test_exact_div(self):
         assert exact_div(-6, 3, "q") == -2
-        with pytest.raises(IntegralityViolation, match="q = 3/2 is not an integer"):
+        with pytest.raises(InvariantBreach, match="q = 3/2 is not an integer"):
             exact_div(3, 2, "q")
 
     def test_exact_div_formats_its_description_only_when_it_raises(self):
@@ -175,7 +170,7 @@ class TestFiniteRoots:
             "B", 2, ((0, 1), (1, -1)), frozenset(), frozenset(), ((2, 0), (0, 2)), 2
         )
         assert fr.cartan((2, 0), (1, 1)) == 2
-        with pytest.raises(IntegralityViolation) as err:
+        with pytest.raises(InvariantBreach) as err:
             fr.cartan((1, 0), (2, 2))
         assert str(err.value) == "((1, 0), (2, 2)^vee) = 8/16 is not an integer"
 
@@ -188,16 +183,15 @@ class TestSpecValidation:
         assert spec.k == 2
 
     def test_b3_needs_lattice_s2(self):
-        with pytest.raises(LatticeRequired) as err:
+        with pytest.raises(SpecValidationError, match="^S2 must be a lattice for type B$"):
             make_spec("B", 3, 3, 1, Semilattice.lattice(1), Semilattice.minimal(2))
-        assert err.value.side == "S2"
 
     def test_f4_valid(self):
         spec = make_spec("F4", 4, 2, 1, Semilattice.lattice(1), Semilattice.lattice(1))
         assert spec.nullity == 2
 
     def test_f4_needs_lattices(self):
-        with pytest.raises(LatticeRequired):
+        with pytest.raises(SpecValidationError, match="^S1 must be a lattice for type F4$"):
             make_spec("F4", 4, 3, 2, Semilattice.minimal(2), Semilattice.lattice(1))
 
     def test_validate_slice_builds_no_roots(self, monkeypatch):
@@ -210,7 +204,7 @@ class TestSpecValidation:
         rootsystem.validate_slice("C", MAX_RANK, 2, 1)
 
     def test_twist_bounds(self):
-        with pytest.raises(TwistOutOfRange):
+        with pytest.raises(SpecValidationError, match=r"^twist 3 outside 0\.\.2$"):
             make_spec("B", 2, 2, 3, Semilattice.lattice(3), Semilattice.lattice(0))
 
     @pytest.mark.parametrize("nullity,twist", [(3, -1), (1, 5)])
@@ -218,7 +212,7 @@ class TestSpecValidation:
         # checked before S1 and S2 are built with dimensions t and nu - t
         doc = {"type": "B", "rank": 3, "nullity": nullity, "twist": twist,
                "supp1": [[], [1]], "supp2": [[]]}
-        with pytest.raises(TwistOutOfRange, match=rf"^twist {twist} outside 0\.\.{nullity}$"):
+        with pytest.raises(SpecValidationError, match=rf"^twist {twist} outside 0\.\.{nullity}$"):
             spec_from_json(doc)
 
     def test_dimension_agreement(self):
@@ -261,9 +255,9 @@ class TestScales:
 
     def test_index_range(self):
         spec = make_spec("B", 2, 1, 1, Semilattice.lattice(1), Semilattice.lattice(0))
-        with pytest.raises(IndexRange):
+        with pytest.raises(SpecValidationError, match=r"^simple-root index 3 outside 1\.\.2$"):
             spec.translation_step(3, 1)
-        with pytest.raises(IndexRange):
+        with pytest.raises(SpecValidationError, match=r"^direction 2 outside 1\.\.1$"):
             spec.k_r(2)
 
 

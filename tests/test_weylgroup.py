@@ -13,7 +13,7 @@ from weylconj.cli import EXIT_INVARIANT
 from weylconj.exactmat import Mat
 from weylconj.rootsystem import (
     FiniteRoots,
-    IntegralityViolation,
+    InvariantBreach,
     Root,
     generating_roots,
     make_spec,
@@ -22,9 +22,7 @@ from weylconj.rootsystem import (
 from weylconj.semilattice import Semilattice, elems_of, make_semilattice
 from weylconj.weylgroup import (
     CoverReport,
-    NotARoot,
     Representation,
-    SimpleRootMissing,
     ambient_dim,
     central_image,
     central_word,
@@ -159,7 +157,7 @@ class TestReflection:
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0, roots=half_scaled_b2_realization())
         short, long_ = spec.roots.simple
         assert reflection(spec, Root(short, (0,))).rows  # every coefficient integral
-        with pytest.raises(IntegralityViolation, match=r"\(e_0, .*\^vee\) = 8/16"):
+        with pytest.raises(InvariantBreach, match=r"\(e_0, .*\^vee\) = 8/16"):
             reflection(spec, Root(long_, (0,)))
 
     def test_orthogonal_reflections_commute(self):
@@ -191,7 +189,7 @@ class TestReflection:
 
     def test_rejects_non_roots(self):
         spec = spec_b2()
-        with pytest.raises(NotARoot):
+        with pytest.raises(InvariantBreach, match="is not a non-isotropic root of the system$"):
             reflection(spec, Root(spec.roots.theta2, (1, 0)))  # needs k | twisted part
 
     def test_involution_and_covariance_over_generators(self):
@@ -606,7 +604,7 @@ class TestOrbitCover:
         gens = generating_roots(spec)
         assert gens[1] == Root(spec.roots.simple[1], (0, 0))
         monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens[:1] + gens[2:])
-        with pytest.raises(SimpleRootMissing) as err:
+        with pytest.raises(InvariantBreach) as err:
             orbit_cover(spec, 1)
         assert str(err.value) == f"generator set lacks the finite simple root {gens[1]}"
 
