@@ -18,7 +18,10 @@ and the pair quotients.  The module does not import `integral`.
 
 `smith_normal_form` pairs the diagonal of the library's one integer
 elimination, `exactmat.smith_diagonal`, with the matrix shape; no
-unimodular transform is built.  `in_row_space` reads row-lattice
+unimodular transform is built.  That elimination pivots on units and
+divides out contents over the integer rows, then normalises the
+diagonal by gcd/lcm; it never reduces mod 2, so the torsion stays
+independent of the count.  `in_row_space` reads row-lattice
 membership from two diagonals, without and with the vector.
 """
 

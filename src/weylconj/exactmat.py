@@ -14,11 +14,19 @@ build is a word in reflections, its inverse is another word and its
 power a longer word (see `weylgroup`).  `smith_diagonal` is the
 library's one integer elimination: it serves the center's torsion
 (`center.smith_normal_form`) and the center-freeness rank, the number
-of non-zero diagonal entries of the flattened displacements.
+of non-zero diagonal entries of the flattened displacements.  It
+diagonalises first and normalises last: it pivots on a +-1 wherever a
+row holds one, divides out a content that every entry shares, drops a
+row as soon as its pivot divides it, and turns the recorded pivots into
+the chain d_1 | d_2 | ... by gcd/lcm at the end.  A relation matrix's
+entries are 0, +-1 and +-2, so nearly every pivot is a unit and no
+pass scans the whole matrix for the least entry.  It reads only the
+integer rows: nothing is reduced mod 2.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Sequence
 
 from .rootsystem import InvariantBreach
@@ -71,62 +79,70 @@ class Mat:
 def smith_diagonal(rows: Sequence[Sequence[int]]) -> tuple[int, ...]:
     """Exact integer Smith normal form diagonal d_1 | d_2 | ..., one entry per min(shape).
 
-    Smallest-absolute-value pivoting on the matrix alone; empty matrices are fine.
+    Diagonalise first, normalise last.  The pivot is a +-1 whenever a
+    live row holds one; failing that, a content g > 1 shared by every
+    live entry is divided out (Smith(gB) = g Smith(B)) and multiplies
+    every later pivot; failing that, the entry of least absolute value.
+    Integer row operations clear the pivot's column, and a remainder
+    smaller than the pivot takes its place, as in Euclid's algorithm.
+    A pivot that divides its own row is recorded and the row dropped:
+    the column operations that would clear the row touch no other row.
+    Otherwise the row keeps its remainders mod the pivot and the least
+    of them pivots next.  The recorded entries become the divisibility
+    chain by gcd/lcm, padded with zeros to min(shape).  Empty matrices
+    are fine.
     """
-    nrows = len(rows)
-    ncols = len(rows[0]) if nrows else 0
-    a = [[int(x) for x in row] for row in rows]
-    for row in a:
-        if len(row) != ncols:
-            raise ValueError("ragged matrix")
+    ncols = len(rows[0]) if rows else 0
+    if any(len(row) != ncols for row in rows):
+        raise ValueError("ragged matrix")
+    live = [list(map(int, row)) for row in rows if any(row)]
+    found = []
+    content = 1
+    while live:
+        top = next((row for row in live if 1 in row or -1 in row), None)
+        if top is not None:
+            j = top.index(1) if 1 in top else top.index(-1)
+        else:
+            g = math.gcd(*(math.gcd(*row) for row in live))
+            if g > 1:
+                live = [[x // g for x in row] for row in live]
+                content *= g
+                continue
+            top = min(live, key=lambda row: min(abs(x) for x in row if x))
+            j = min((k for k, x in enumerate(top) if x), key=lambda k: abs(top[k]))
+        while True:
+            p = top[j]
+            kept, rest = [], []
+            for row in live:
+                if row[j] and row is not top:
+                    c = row[j] // p
+                    row = [x - c * y for x, y in zip(row, top)]
+                    if row[j]:
+                        rest.append(row)
+                    elif not any(row):
+                        continue
+                kept.append(row)
+            live = kept
+            if rest:
+                top = min(rest, key=lambda row: abs(row[j]))
+                continue
+            if p in (1, -1) or not any(x % p for x in top):
+                found.append(abs(p) * content)
+                live.remove(top)
+                break
+            top[:] = [x % p if k != j else p for k, x in enumerate(top)]
+            j = min((k for k, x in enumerate(top) if x and k != j), key=lambda k: abs(top[k]))
 
-    t = 0
-    while t < min(nrows, ncols):
-        # smallest non-zero entry of the trailing submatrix becomes the pivot
-        pivot = None
-        for i in range(t, nrows):
-            for j in range(t, ncols):
-                if a[i][j] and (pivot is None or abs(a[i][j]) < abs(a[pivot[0]][pivot[1]])):
-                    pivot = (i, j)
-        if pivot is None:
-            break
-        pi, pj = pivot
-        if pi != t:
-            a[pi], a[t] = a[t], a[pi]
-        if pj != t:
-            for row in a:
-                row[pj], row[t] = row[t], row[pj]
-        top = a[t]
-        p = top[t]
-        dirty = False
-        for i in range(t + 1, nrows):
-            if a[i][t]:
-                c = a[i][t] // p
-                a[i] = [x - c * y for x, y in zip(a[i], top)]
-                dirty = dirty or a[i][t] != 0
-        for j in range(t + 1, ncols):
-            if top[j]:
-                c = top[j] // p
-                for row in a:
-                    row[j] -= c * row[t]
-                dirty = dirty or top[j] != 0
-        if dirty:
-            continue  # remainders shrink the next pivot
-        # pivot divides the rest of the submatrix, or pull a bad row in and retry
-        offender = next(
-            (row for row in a[t + 1:] if any(x % p for x in row[t + 1:])), None
-        )
-        if offender is not None:
-            a[t] = [x + y for x, y in zip(top, offender)]
-            continue
-        if p < 0:
-            a[t] = [-x for x in top]
-        t += 1
-
-    diag = tuple(a[i][i] for i in range(min(nrows, ncols)))
+    # gcd/lcm on neighbours sorts each prime's exponents, as a bubble sort
+    diag = sorted(found)
+    while any(b % a for a, b in zip(diag, diag[1:])):
+        for i in range(len(diag) - 1):
+            g = math.gcd(diag[i], diag[i + 1])
+            diag[i], diag[i + 1] = g, diag[i] // g * diag[i + 1]
+    diag += [0] * (min(len(rows), ncols) - len(diag))
     for i in range(len(diag) - 1):
         if diag[i + 1] % diag[i] if diag[i] else diag[i + 1]:
             raise InvariantBreach(
                 f"d_{i + 1} = {diag[i]} does not divide d_{i + 2} = {diag[i + 1]}"
             )
-    return diag
+    return tuple(diag)

@@ -1,12 +1,16 @@
 """Center presentation, Smith normal form and the torsion oracle.
 
-The library keeps only the Smith diagonal.  `reference_smith` runs the
-same elimination with both unimodular transforms; it audits U·M·V = D
-and is the oracle for the diagonal and for row-lattice membership.
+The library keeps only the Smith diagonal.  `reference_smith` is an
+independent smallest-pivot elimination that keeps both unimodular
+transforms; it audits U·M·V = D and is the oracle for the diagonal and
+for row-lattice membership.  The determinantal minors are a second
+oracle, and on the B3 lattice the closed form of the collection count
+is a third, at a scale the other two cannot reach.
 """
 
 import itertools
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -21,7 +25,7 @@ from weylconj.center import (
     smith_normal_form,
 )
 from weylconj.corpus import reference_corpus
-from weylconj.integral import _integral_bitsets, count_collections
+from weylconj.integral import _integral_bitsets, closed_form_exponent, count_collections
 from weylconj.rootsystem import make_spec
 from weylconj.semilattice import Semilattice, make_semilattice
 
@@ -37,6 +41,71 @@ MATRICES = st.integers(1, 6).flatmap(
         max_size=5,
     )
 )
+# no +-1 entry, so the elimination divides out a content or pivots on
+# the least entry: scaled MATRICES, and entries from a unit-free set
+NO_UNIT_MATRICES = st.one_of(
+    st.tuples(MATRICES, st.sampled_from([2, 3, 4, 6])).map(
+        lambda mg: [[mg[1] * x for x in row] for row in mg[0]]
+    ),
+    st.integers(1, 6).flatmap(
+        lambda ncols: st.lists(
+            st.lists(
+                st.sampled_from([0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9]),
+                min_size=ncols,
+                max_size=ncols,
+            ),
+            min_size=1,
+            max_size=5,
+        )
+    ),
+)
+# single rows and single columns
+LINES = st.integers(1, 7).flatmap(
+    lambda n: st.lists(st.integers(-9, 9), min_size=n, max_size=n).flatmap(
+        lambda line: st.sampled_from([[line], [[x] for x in line]])
+    )
+)
+
+
+@st.composite
+def with_zero_lines(draw, matrices):
+    """A matrix of up to 4 x 5 with one zero row and one zero column put in."""
+    rows = [row[:5] for row in draw(matrices)[:4]]
+    ncols = len(rows[0])
+    col = draw(st.integers(0, ncols))
+    rows = [row[:col] + [0] + row[col:] for row in rows]
+    at = draw(st.integers(0, len(rows)))
+    return rows[:at] + [[0] * (ncols + 1)] + rows[at:]
+
+
+def decide_style_specs(seed):
+    """B3 (twist nu), C3 (twist 0) and B2 (random split) specs at nu = 5..7.
+
+    One of each type per family size 0..19; a class holds the empty
+    set, the singletons, each pair with probability 1/2 and `size`
+    members of size >= 3 drawn at random.
+    """
+    rng = random.Random(seed)
+
+    def big(dim):
+        return [m for m in range(1 << dim) if m.bit_count() >= 3]
+
+    def random_class(dim, size):
+        pairs = [m for m in range(1 << dim) if m.bit_count() == 2 and rng.random() < 0.5]
+        small = [0, *(1 << i for i in range(dim)), *pairs]
+        return Semilattice(dim, frozenset(small + rng.sample(big(dim), size)))
+
+    for size in range(20):
+        nu = rng.choice([n for n in (5, 6, 7) if len(big(n)) >= size])
+        yield make_spec("B", 3, nu, nu, random_class(nu, size), Z0)
+        nu = rng.choice([n for n in (5, 6, 7) if len(big(n)) >= size])
+        yield make_spec("C", 3, nu, 0, Z0, random_class(nu, size))
+        nu, t = rng.choice([
+            (n, t) for n in (5, 6, 7) for t in range(n + 1)
+            if len(big(t)) + len(big(n - t)) >= size
+        ])
+        k1 = rng.randint(max(0, size - len(big(nu - t))), min(size, len(big(t))))
+        yield make_spec("B", 2, nu, t, random_class(t, k1), random_class(nu - t, size - k1))
 
 
 def frac_det(rows):
@@ -90,8 +159,11 @@ def snf_matches_minor_oracle(rows):
 def reference_smith(rows):
     """Smith normal form with both unimodular transforms: U @ M @ V = D.
 
-    The same smallest-pivot elimination as the library, run on U and V
-    alongside the matrix; it returns (U, V, diag).
+    The textbook elimination, independent of the library's unit-pivot
+    one: the least non-zero entry of the whole trailing submatrix
+    pivots, its row and column are cleared, and a row the pivot does
+    not divide is added in, so the chain d_1 | d_2 | ... holds as it
+    goes.  U and V are carried alongside; it returns (U, V, diag).
     """
     nrows = len(rows)
     ncols = len(rows[0]) if nrows else 0
@@ -232,10 +304,29 @@ class TestSmith:
     def test_diagonal_matches_reference(self, rows):
         assert smith_normal_form(rows).diag == reference_smith(rows)[2]
 
+    @given(
+        st.one_of(
+            NO_UNIT_MATRICES, LINES, with_zero_lines(st.one_of(MATRICES, NO_UNIT_MATRICES))
+        )
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_without_units_and_with_zero_lines(self, rows):
+        # content division, least-entry pivots and remainders, zero lines
+        audit(rows)
+        snf_matches_minor_oracle(rows)
+
     def test_corpus_relation_matrices_match_reference(self):
         for label, spec in reference_corpus():
             rows = center_presentation(spec).rows
             assert smith_normal_form(rows).diag == reference_smith(rows)[2], label
+
+    def test_decide_style_relation_matrices_match_reference(self):
+        sizes = []
+        for spec in decide_style_specs(seed=7):
+            rows = center_presentation(spec).rows
+            sizes.append(len(rows))
+            assert smith_normal_form(rows).diag == reference_smith(rows)[2], spec
+        assert sorted(sizes) == sorted([*range(20)] * 3)
 
 
 class TestRowSpace:
@@ -314,6 +405,14 @@ class TestStructure:
         tri = make_semilattice(3, [[], [1], [2], [3], [1, 2, 3]])
         cs = center_structure(make_spec("B", 3, 3, 3, tri, Z0))
         assert cs.torsion == ()
+
+    def test_b3_nu8_lattice_torsion_is_the_closed_form(self):
+        # 219 x 247: no Delta = 2 pair, so n0 = |family| with no elimination
+        spec = make_spec("B", 3, 8, 8, LAT(8), Z0)
+        assert closed_form_exponent(spec) == len(spec.incidence.family) == 219
+        cs = center_structure(spec)
+        assert cs.torsion == (2,) * 219
+        assert cs.free_rank == 8 * 7 // 2
 
     def test_torsion_order_equals_collection_count(self):
         for label, spec in reference_corpus():

@@ -2,6 +2,7 @@
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -111,6 +112,11 @@ def test_smith_rank_matches_rational_elimination(rows):
     _, pivots = fraction_rref(rows)
     assert len(diag) == min(len(rows), len(rows[0]))
     assert sum(1 for d in diag if d) == len(pivots)
+
+
+def test_smith_refuses_a_ragged_matrix():
+    with pytest.raises(ValueError, match="^ragged matrix$"):
+        smith_diagonal([[1, 2], [3]])
 
 
 def fraction_inverse(m: Mat) -> list[list[Fraction]]:

@@ -120,6 +120,23 @@ def test_matrix_modules_import_no_decision_path(name):
     assert imported_modules(name) & {"integral", "center"} == set()
 
 
+def test_the_elimination_reads_only_integer_rows():
+    # the Smith path stays independent of the count: exactmat takes only
+    # InvariantBreach from the package and names no pair table or parity
+    path = next(p for p in SOURCES if p.name == "exactmat.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    package = {
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+    }
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert package == {"InvariantBreach"}
+    assert names & {"incidence", "parity", "PairIncidence", "is_integral"} == set()
+
+
 def test_count_and_center_import_neither_each_other():
     assert "center" not in imported_modules("integral.py")
     assert "integral" not in imported_modules("center.py")
