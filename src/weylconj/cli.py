@@ -59,6 +59,7 @@ from .semilattice import Semilattice, elems_of
 from .weylgroup import (
     Representation,
     orbit_cover,
+    refuse_verify_size,
     verify_center_freeness,
     verify_choice_independence,
     verify_structure_identities,
@@ -99,8 +100,11 @@ def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
     return doc
 
 
-def _load_spec(path: str) -> RootSystemSpec:
-    """The spec document at `path`; a file that is not UTF-8 JSON raises an input error."""
+def _load_spec(path: str, admit=None) -> RootSystemSpec:
+    """The spec document at `path`; a file that is not UTF-8 JSON raises an input error.
+
+    `admit` is `spec_from_json`'s: a command's own rank and nullity bounds.
+    """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             doc = json.load(fh, object_pairs_hook=_unique_keys)
@@ -118,7 +122,7 @@ def _load_spec(path: str) -> RootSystemSpec:
         raise SpecValidationError(
             f"spec document holds an integer too long to decode: {exc}"
         ) from None
-    return spec_from_json(doc)
+    return spec_from_json(doc, admit)
 
 
 def _spec_line(spec: RootSystemSpec) -> str:
@@ -252,7 +256,7 @@ def _classify_json(
 
 
 def _cmd_verify(args) -> int:
-    spec = _load_spec(args.spec)
+    spec = _load_spec(args.spec, refuse_verify_size)  # before S1 and S2 are built
     rep = Representation(spec)
     cover = orbit_cover(spec, args.height)  # refuses an oversized box before any suite runs
     structure = verify_structure_identities(rep)

@@ -2,13 +2,18 @@
 
 Built for the reflection representation, whose basis is chosen so that
 every reflection has integer entries (see `weylgroup`), so a `Mat` is a
-tuple of integer rows and equality and hashing are structural.  The
-verifiers build no matrix by products: `weylgroup` applies each
-reflection as a rank-one update.  The product serves the center-freeness
-check's D_a D_b and the tests, which compare the updates with dense
-products.  It is a sparse row combination: row i of `a @ b` is the sum
-of `x * b[k]` over the nonzero entries `x = a[i][k]`, which skips the
-zeros that make up most of a reflection-word matrix.  Nothing here
+tuple of integer rows and equality and hashing are structural.  Rows
+are immutable tuples, so two matrices may hold the same row object:
+`Mat.wrap` takes a tuple of row tuples as it is, and `weylgroup` builds
+each word's matrix that way, sharing every row a reflection leaves
+alone with the prefix's matrix.  `is_identity` reads each row's
+diagonal entry and its count of zeros.  The verifiers build no matrix
+by products: `weylgroup` applies each reflection as a rank-one update.
+The product serves the center-freeness check's D_a D_b and the tests,
+which compare the updates with dense products.  It is a sparse row
+combination: row i of `a @ b` is the sum of `x * b[k]` over the nonzero
+entries `x = a[i][k]`, which skips the zeros that make up most of a
+reflection-word matrix.  Nothing here
 inverts a matrix or raises one to a power: every matrix the verifiers
 build is a word in reflections, its inverse is another word and its
 power a longer word (see `weylgroup`).  `smith_diagonal` is the
@@ -37,6 +42,13 @@ class Mat:
         self.rows = tuple(tuple(row) for row in rows)
 
     @classmethod
+    def wrap(cls, rows: tuple[tuple[int, ...], ...]) -> "Mat":
+        """The matrix of rows that are already a tuple of integer tuples, taken as they are."""
+        mat = object.__new__(cls)
+        mat.rows = rows
+        return mat
+
+    @classmethod
     def identity(cls, n: int) -> "Mat":
         return cls([[1 if i == j else 0 for j in range(n)] for i in range(n)])
 
@@ -58,10 +70,11 @@ class Mat:
         return Mat(rows)
 
     def is_identity(self) -> bool:
+        # row i is e_i: a 1 at i and n - 1 zeros, counted in C
+        n = len(self.rows)
         return all(
-            x == (1 if i == j else 0)
+            len(row) == n and row[i] == 1 and row.count(0) == n - 1
             for i, row in enumerate(self.rows)
-            for j, x in enumerate(row)
         )
 
     def __eq__(self, other) -> bool:

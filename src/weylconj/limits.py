@@ -15,7 +15,8 @@ MAX_FAMILY = 24
 # `verify` builds a (rank + 2 nu)-square matrix per word, over words in every pair of directions.
 MAX_VERIFY_RANK = 4
 MAX_VERIFY_NULLITY = 4
-# The cover's box, |finite roots| (2h + 5)^nu states: F4 at nu = 4, h = 2 (314,928) takes 0.1 s.
+# The cover's box, |finite roots| (2h + 5)^nu states, one bit each: F4 at nu = 4, h = 2
+# (314,928) takes 0.005 s; the costliest box admitted, B2 at nu = 1, h = 24,997, takes 0.5 s.
 MAX_COVER_STATES = 400_000
 # `classify` lists every class of a side, and a full listing at dimension 5 is infeasible.
 MAX_CLASSIFY_NULLITY = 4

@@ -33,7 +33,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 from .limits import MAX_NULLITY, MAX_RANK, refuse_past
 from .semilattice import (
@@ -491,7 +491,9 @@ def _json_class(doc: dict, key: str) -> list[list[int]]:
     return value
 
 
-def spec_from_json(doc: dict) -> RootSystemSpec:
+def spec_from_json(
+    doc: dict, admit: Callable[[int, int], None] | None = None
+) -> RootSystemSpec:
     """Build a spec from the JSON document form.
 
     Schema: {"type": "B"|"C"|"F4"|"G2", "rank": l, "nullity": nu,
@@ -499,7 +501,9 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
     indices 1..nu-t.  An optional "label" is ignored here.  The numbers
     must be JSON integers (not booleans, not floats) and each supporting
     class a list of integer lists; nothing is coerced.  The nullity is at
-    most `MAX_NULLITY` and the rank at most `MAX_RANK`.
+    most `MAX_NULLITY` and the rank at most `MAX_RANK`.  `admit`, if
+    given, is called with the validated rank and nullity before S1 and
+    S2 are built, so a caller's own tighter bound refuses first.
     """
     try:
         family = doc["type"]
@@ -512,6 +516,8 @@ def spec_from_json(doc: dict) -> RootSystemSpec:
         raise SpecValidationError(f"malformed spec document: {exc}") from exc
     refuse_past("nullity", nullity, MAX_NULLITY)
     validate_slice(family, rank, nullity, twist)  # before S1 and S2 take their dimensions
+    if admit is not None:
+        admit(rank, nullity)
     s1 = make_semilattice(twist, supp1)
     s2 = make_semilattice(nullity - twist, supp2)
     return make_spec(family, rank, nullity, twist, s1, s2)

@@ -21,11 +21,16 @@ beta beta^vee, the identity minus one outer product, so it acts on a
 matrix as a rank-one update, M w_beta = M - (M beta) beta^vee, and no
 two matrices are ever multiplied to build a word: a product of two
 elements is the matrix of the concatenated word.  A `Representation`
-owns the matrices of one spec: the pair (beta, beta^vee) of each root
-and the matrix of each word, built from its cached prefix by two
-updates.  `Representation.mat` is the only way a word becomes a matrix;
-`Representation.conjugate` applies a reflection on both sides of a
-matrix, and `Representation.commutes` tests that conjugation fixes it.
+owns the matrices of one spec: the pair (beta, beta^vee) of each root,
+the two pairs of each translation factor, the finite part of each
+finite root's coroot, and the matrix of each word, built from its
+cached prefix by two right updates on row tuples.  A row whose product
+with beta is 0 is unchanged by w_beta, so the new matrix holds the
+prefix's row object itself.  `Representation.mat` is the only way a word
+becomes a matrix; `Representation.conjugate` applies a reflection on
+both sides of a matrix, and `Representation.commutes` tests
+M w_beta = w_beta M as the equality of two rank-one matrices,
+(M beta) beta^vee = beta (beta^vee M), without building either side.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -45,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import asdict, dataclass
-from operator import mul, sub
+from operator import mul
 from typing import Iterator, Sequence
 
 from .exactmat import Mat, smith_diagonal
@@ -74,7 +79,22 @@ def ambient_dim(spec: RootSystemSpec) -> int:
 Sparse = tuple  # of (index, value) pairs, value != 0
 
 
-def reflection_pair(spec: RootSystemSpec, root: Root) -> tuple[Sparse, Sparse]:
+def _finite_coroot(spec: RootSystemSpec, root: Root) -> tuple[int, Sparse]:
+    """(alpha, alpha) and the finite columns of beta^vee, for the finite part alpha of a root."""
+    fr = spec.roots
+    gram_alpha = [sum(map(mul, row, root.finite)) for row in fr.gram]
+    aa = sum(map(mul, gram_alpha, root.finite))
+    coroot = tuple([
+        (c, exact_div(2 * g, aa, "(e_{}, {}^vee)", c, root))
+        for c, g in enumerate(gram_alpha)
+        if g
+    ])
+    return aa, coroot
+
+
+def reflection_pair(
+    spec: RootSystemSpec, root: Root, finite: dict | None = None
+) -> tuple[Sparse, Sparse]:
     """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
 
     w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
@@ -86,20 +106,20 @@ def reflection_pair(spec: RootSystemSpec, root: Root) -> tuple[Sparse, Sparse]:
     2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
     for a short alpha and iso_r for a long one.  The lambda' entries are
     divided per root: in a scaled realisation 2k / (alpha, alpha) may be
-    a fraction whose multiples by iso_r are integers.
+    a fraction whose multiples by iso_r are integers.  The finite part,
+    (alpha, alpha) and the finite columns, depends on the finite root
+    only; `finite` caches it by finite root across calls.
     """
     if not is_root(spec, root):
         raise InvariantBreach(f"{root} is not a non-isotropic root of the system")
-    fr = spec.roots
-    gram_alpha = [sum(map(mul, row, root.finite)) for row in fr.gram]
-    aa = sum(map(mul, gram_alpha, root.finite))
+    finite = {} if finite is None else finite
+    got = finite.get(root.finite)
+    if got is None:
+        got = finite[root.finite] = _finite_coroot(spec, root)
+    aa, coroot = got
     lam = len(root.finite) + spec.nullity  # the first lambda' column
-    coroot = tuple([
-        (c, exact_div(2 * g, aa, "(e_{}, {}^vee)", c, root))
-        for c, g in enumerate(gram_alpha)
-        if g
-    ]) + tuple(
-        (lam + r, exact_div(2 * fr.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
+    coroot += tuple(
+        (lam + r, exact_div(2 * spec.roots.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
         for r, x in enumerate(root.iso)
         if x
     )
@@ -118,24 +138,39 @@ def reflection(spec: RootSystemSpec, root: Root) -> Mat:
     return Mat(rows)
 
 
-def _right_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
-    """rows <- rows (I - beta beta^vee) in place: each row u loses (u beta) beta^vee."""
+def _right_rows(rows: Sequence[tuple[int, ...]], beta: Sparse, coroot: Sparse) -> tuple:
+    """rows (I - beta beta^vee) as a tuple of row tuples: row u loses (u beta) beta^vee.
+
+    A row with u beta = 0 is unchanged, and the result holds that same
+    row object rather than a copy.
+    """
+    out = []
     for row in rows:
         x = 0
         for c, b in beta:
             x += row[c] * b
         if x:
+            row = list(row)
             for c, y in coroot:
                 row[c] -= x * y
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
 
 
-def _left_update(rows: list[list[int]], beta: Sparse, coroot: Sparse) -> None:
+def _left_update(rows: list[tuple[int, ...]], beta: Sparse, coroot: Sparse) -> None:
     """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
     v = [0] * len(rows[0])
     for c, y in coroot:
         v = [x + y * z for x, z in zip(v, rows[c])]
     for r, b in beta:
-        rows[r] = [x - b * y for x, y in zip(rows[r], v)]
+        rows[r] = tuple([x - b * y for x, y in zip(rows[r], v)])
+
+
+def refuse_verify_size(rank: int, nullity: int) -> None:
+    """Refuse a rank or nullity past `verify`'s bounds, before any matrix is built."""
+    refuse_past("verify rank", rank, MAX_VERIFY_RANK)
+    refuse_past("verify nullity", nullity, MAX_VERIFY_NULLITY)
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
@@ -173,52 +208,83 @@ def power(word: Word, e: int) -> Word:
 class Representation:
     """The reflection representation of one spec, within `verify`'s rank and nullity bounds.
 
-    It caches the pair (beta, beta^vee) of each root it meets and the
-    matrix of each word it builds.  Reflections act on matrices as
-    rank-one updates, so nothing here multiplies two matrices.
+    It caches the pair (beta, beta^vee) of each root it meets, the two
+    pairs of each translation factor, the finite part of each finite
+    root's coroot and the matrix of each word it builds.  Reflections act
+    on matrices as rank-one updates, so nothing here multiplies two
+    matrices.
     """
 
     def __init__(self, spec: RootSystemSpec):
-        refuse_past("verify rank", spec.rank, MAX_VERIFY_RANK)
-        refuse_past("verify nullity", spec.nullity, MAX_VERIFY_NULLITY)
+        refuse_verify_size(spec.rank, spec.nullity)
         self.spec = spec
         self.dim = ambient_dim(spec)
+        self._finite: dict = {}
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
+        self._factors: dict = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
     def pair(self, root: Root) -> tuple[Sparse, Sparse]:
         """(beta, beta^vee) of w_root, validated once per root (`reflection_pair`)."""
         got = self._pairs.get(root)
         if got is None:
-            got = self._pairs[root] = reflection_pair(self.spec, root)
+            got = self._pairs[root] = reflection_pair(self.spec, root, self._finite)
         return got
 
     def mat(self, word: Word) -> Mat:
         """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
 
         The last factor t_root^sigma acts as two right updates, first by
-        w_(root+sigma), then by w_root, so every prefix is built once.
+        w_(root+sigma), then by w_root, on the prefix's row tuples, so
+        every prefix is built once.  A row the factor leaves alone is
+        shared with the prefix's matrix, not copied.
         """
         got = self._words.get(word)
         if got is None:
-            root, sigma = word[-1]
-            rows = [list(row) for row in self.mat(word[:-1]).rows]
-            _right_update(rows, *self.pair(_add_iso(root, sigma)))
-            _right_update(rows, *self.pair(root))
-            got = self._words[word] = Mat(rows)
+            factor = word[-1]
+            pairs = self._factors.get(factor)
+            if pairs is None:
+                root, sigma = factor
+                pairs = self._factors[factor] = (self.pair(_add_iso(root, sigma)), self.pair(root))
+            rows = self.mat(word[:-1]).rows
+            for beta, coroot in pairs:
+                rows = _right_rows(rows, beta, coroot)
+            got = self._words[word] = Mat.wrap(rows)
         return got
 
     def conjugate(self, root: Root, mat: Mat) -> Mat:
         """w_root mat w_root, as a left and a right update."""
         beta, coroot = self.pair(root)
-        rows = [list(row) for row in mat.rows]
+        rows = list(mat.rows)
         _left_update(rows, beta, coroot)
-        _right_update(rows, beta, coroot)
-        return Mat(rows)
+        return Mat.wrap(_right_rows(rows, beta, coroot))
 
     def commutes(self, mat: Mat, root: Root) -> bool:
-        """Whether mat w_root = w_root mat, that is w_root mat w_root = mat (w_root^2 = I)."""
-        return self.conjugate(root, mat) == mat
+        """Whether mat w_root = w_root mat, by comparing two rank-one matrices.
+
+        With w_root = I - beta beta^vee, M w_root = M - (M beta) beta^vee
+        and w_root M = M - beta (beta^vee M), so they are equal exactly
+        when (M beta) beta^vee = beta (beta^vee M).  As beta^vee != 0,
+        that holds exactly when M beta = l beta and beta^vee M = l beta^vee
+        for one rational l; with i a row where beta_i != 0, l is
+        (M beta)_i / beta_i, and both are tested multiplied by beta_i.
+        """
+        beta, coroot = self.pair(root)
+        rows = mat.rows
+        n = self.dim
+        m_beta = [0] * n
+        for c, b in beta:
+            m_beta = [x + b * row[c] for x, row in zip(m_beta, rows)]
+        co_m = [0] * n
+        for c, y in coroot:
+            co_m = [x + y * z for x, z in zip(co_m, rows[c])]
+        i, b = beta[0]
+        want_m, want_co = [0] * n, [0] * n  # (M beta)_i beta and (M beta)_i beta^vee
+        for c, x in beta:
+            want_m[c] = m_beta[i] * x
+        for c, y in coroot:
+            want_co[c] = m_beta[i] * y
+        return [b * x for x in m_beta] == want_m and [b * x for x in co_m] == want_co
 
 
 def _simple_root(spec: RootSystemSpec, i: int) -> Root:
@@ -512,6 +578,22 @@ class CoverReport:
         }
 
 
+def _digit_pad(shifts: set[tuple[int, ...]]) -> int:
+    """The largest |coordinate| of a shift: each digit's margin on both sides of the box."""
+    return max((abs(x) for shift in shifts for x in shift), default=0)
+
+
+def _box_mask(nu: int, slack: int, pad: int) -> int:
+    """The bits of the iso tuples in [-slack, slack]^nu; digit q of x is x_q + slack + pad."""
+    base = 2 * slack + 1 + 2 * pad
+    mask, weight = 1, 1
+    for _ in range(nu):
+        # mask < 2^weight, so its copies shifted by multiples of weight are disjoint
+        mask *= sum(1 << d * weight for d in range(pad, pad + 2 * slack + 1))
+        weight *= base
+    return mask
+
+
 def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     """BFS of the generator set under its own reflections.
 
@@ -534,6 +616,19 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     the projection of the search over (finite part, iso) states.
     `classify_vector` reads only the length and the iso residues, so
     one representative per length decides which iso tuples are roots.
+
+    Each search is one bitset, a Python int.  Tuple x is bit
+    sum_q (x_q + slack + pad) base^q, base = 2 slack + 1 + 2 pad, with
+    pad the largest |shift coordinate|.  Every start is within pad of 0
+    in each coordinate (a generator's own shifts include 2 g.iso), so it
+    has a bit.  A shift moves each digit by at most pad, so from a state
+    in the box no digit leaves 0..base - 1 and nothing borrows across
+    digits.  From a start outside the box a digit may leave that range,
+    but then it lands outside the box's digits, as the coordinate of the
+    state it stands for lies outside the box.  Subtracting a shift is a
+    bit shift of the whole frontier by that shift's index, and one AND
+    with the in-box bits not yet reached (`_box_mask`) keeps the new
+    states.
     """
     fr = spec.roots
     nu = spec.nullity
@@ -548,7 +643,6 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
                 f"generator set lacks the finite simple root {Root(alpha, zero)}"
             )
     affine = [g for g in gens if any(g.iso)]
-    box = frozenset(range(-slack, slack + 1))  # allowed iso coordinates
     isos = list(itertools.product(range(-height_bound, height_bound + 1), repeat=nu))
     target_count = 0
     unreached: list[Root] = []
@@ -561,19 +655,31 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
         shifts = {
             tuple(c * b for b in g.iso) for g in affine for c in cartans[g.finite]
         }
-        visited = {g.iso for g in gens if g.finite in roots}
-        frontier = list(visited)
+        pad = _digit_pad(shifts)
+        base = 2 * slack + 1 + 2 * pad
+        weights = [base**q for q in range(nu)]
+
+        def index(iso: Sequence[int]) -> int:
+            return sum((x + slack + pad) * w for x, w in zip(iso, weights))
+
+        offsets = {-sum(map(mul, shift, weights)) for shift in shifts}
+        frontier = 0
+        for g in gens:
+            if g.finite in roots:
+                frontier |= 1 << index(g.iso)
+        box = _box_mask(nu, slack, pad)
+        allowed = box & ~frontier  # in the box and not reached yet
         while frontier:
-            nxt = []
-            for iso in frontier:
-                for shift in shifts:
-                    moved = tuple(map(sub, iso, shift))
-                    if moved not in visited and box.issuperset(moved):
-                        visited.add(moved)
-                        nxt.append(moved)
-            frontier = nxt
+            moved = 0
+            for offset in offsets:
+                moved |= frontier << offset if offset > 0 else frontier >> -offset
+            frontier = moved & allowed
+            allowed ^= frontier
+        seen = (box & ~allowed).to_bytes(base**nu // 8 + 1, "little")
         targets = [iso for iso in isos if is_root(spec, Root(parts[0], iso))]
-        missed = [iso for iso in targets if iso not in visited]
+        missed = [
+            iso for iso, k in zip(targets, map(index, targets)) if not seen[k >> 3] >> (k & 7) & 1
+        ]
         target_count += len(parts) * len(targets)
         unreached += [Root(f, iso) for f in parts for iso in missed]
     return CoverReport(

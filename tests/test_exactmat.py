@@ -159,3 +159,24 @@ def test_word_inverse_matches_rational_elimination(monkeypatch):
             assert [list(row) for row in m_inv.rows] == fraction_inverse(m)
         checked += len(words)
     assert checked == 76 + 2 * 10  # 18 specs; 10 of nullity 2 have one pair
+
+
+near_identity = st.integers(1, 5).flatmap(
+    lambda n: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, -1, 2]), min_size=n, max_size=n),
+        min_size=n,
+        max_size=n,
+    ).map(lambda noise: [
+        [int(i == j) if noise[i][j] in (0, 1) else noise[i][j] for j in range(n)]
+        for i in range(n)
+    ])
+)
+
+
+@given(near_identity)
+@settings(max_examples=200, deadline=None)
+def test_is_identity_is_entrywise_delta(rows):
+    n = len(rows)
+    expected = all(x == (i == j) for i, row in enumerate(rows) for j, x in enumerate(row))
+    assert Mat(rows).is_identity() == expected
+    assert Mat.identity(n).is_identity()

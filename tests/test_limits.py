@@ -83,7 +83,7 @@ EDGES = [
     edge("verify nullity 5", ["verify", b_spec(2, 5, minimal(5))],
          "verify nullity 5 exceeds the bound 4", SUITES),
     edge("verify B2 nu16 lattice", ["verify", b_spec(2, 16, lattice(16))],
-         "verify nullity 16 exceeds the bound 4", SUITES),
+         "verify nullity 16 exceeds the bound 4", SUITES + SEMILATTICES),
     # the cover's box: |finite roots| (2h + 5)^nu states
     edge("B3 height 3", ["verify", b_spec(3, 4, minimal(4)), "--height", "3"]),
     edge("B3 height 4", ["verify", b_spec(3, 4, minimal(4)), "--height", "4"],

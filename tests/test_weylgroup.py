@@ -341,6 +341,34 @@ def reference_mat(spec, word, factors: dict | None = None) -> Mat:
     return reduce(matmul, mats, Mat.identity(ambient_dim(spec)))
 
 
+def right_update(rows: list[list[int]], beta, coroot) -> None:
+    """rows <- rows (I - beta beta^vee) in place on list rows: row u loses (u beta) beta^vee."""
+    for row in rows:
+        x = sum(row[c] * b for c, b in beta)
+        if x:
+            for c, y in coroot:
+                row[c] -= x * y
+
+
+def two_pass_mat(spec, word, prefixes: dict) -> Mat:
+    """Oracle: a word's matrix by the two-pass build, with no row shared between matrices.
+
+    The prefix's rows are copied into lists and updated in place, first
+    by w_(root+sigma), then by w_root; `prefixes` caches each prefix.
+    """
+    got = prefixes.get(word)
+    if got is None:
+        if not word:
+            return Mat.identity(ambient_dim(spec))
+        root, sigma = word[-1]
+        rows = [list(row) for row in two_pass_mat(spec, word[:-1], prefixes).rows]
+        shifted = Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
+        right_update(rows, *weylgroup.reflection_pair(spec, shifted))
+        right_update(rows, *weylgroup.reflection_pair(spec, root))
+        got = prefixes[word] = Mat(rows)
+    return got
+
+
 def suite_words(spec) -> tuple[Representation, set]:
     """A representation the suites and freeness ran on, and every word they built.
 
@@ -366,11 +394,23 @@ def suite_words(spec) -> tuple[Representation, set]:
 
 
 def mismatched_words(spec) -> list:
-    """The suite words whose `Representation.mat` differs from `reference_mat`."""
+    """The suite words whose `Representation.mat` differs from either oracle.
+
+    The oracles are `reference_mat` and `two_pass_mat`.
+    """
     rep, words = suite_words(spec)
     assert words
     factors: dict = {}
-    return [word for word in words if rep.mat(word) != reference_mat(spec, word, factors)]
+    prefixes: dict = {}
+    return [
+        word
+        for word in words
+        if not (
+            rep.mat(word)
+            == reference_mat(spec, word, factors)
+            == two_pass_mat(spec, word, prefixes)
+        )
+    ]
 
 
 def corpus_specs():
@@ -385,19 +425,46 @@ def corpus_spec(label):
     return dict(reference_corpus())[label]
 
 
-def flipped_right_update(rows, beta, coroot):
+def flipped_right_rows(rows, beta, coroot):
     """Mutant: rows (I + beta beta^vee), the sign of the right update flipped."""
+    out = []
     for row in rows:
         x = sum(row[c] * b for c, b in beta)
-        for c, y in coroot:
-            row[c] += x * y
+        out.append(tuple(v + x * dict(coroot).get(c, 0) for c, v in enumerate(row)))
+    return tuple(out)
+
+
+def first_term_right_rows(rows, beta, coroot):
+    """Mutant: a row is shared when the first term of u beta is 0, though u beta may not be."""
+    c0, b0 = beta[0]
+    out = []
+    for row in rows:
+        if row[c0] * b0:
+            x = sum(row[c] * b for c, b in beta)
+            row = tuple(v - x * dict(coroot).get(c, 0) for c, v in enumerate(row))
+        out.append(row)
+    return tuple(out)
 
 
 def flipped_left_update(rows, beta, coroot):
     """Mutant: (I + beta beta^vee) rows, the sign of the left update flipped."""
     v = [sum(y * rows[c][j] for c, y in coroot) for j in range(len(rows[0]))]
     for r, b in beta:
-        rows[r] = [x + b * y for x, y in zip(rows[r], v)]
+        rows[r] = tuple(x + b * y for x, y in zip(rows[r], v))
+
+
+def beta_side_commutes(self, mat, root):
+    """Mutant: commutation read from M beta alone, as M beta a multiple of beta.
+
+    It drops the beta^vee M side, beta^vee M the same multiple of beta^vee.
+    """
+    beta, _ = self.pair(root)
+    m_beta = [sum(row[c] * b for c, b in beta) for row in mat.rows]
+    i, b = beta[0]
+    want = [0] * self.dim
+    for c, x in beta:
+        want[c] = m_beta[i] * x
+    return [b * x for x in m_beta] == want
 
 
 def non_central_word(spec, base, mask):
@@ -432,6 +499,27 @@ def conjugation_cases(spec):
     return [(root, reflection(spec, root)) for root in roots]
 
 
+def commute_mismatches() -> tuple[list, set]:
+    """Where `commutes` disagrees with dense products on elementary matrices, and its outcomes.
+
+    On group elements M beta = beta forces beta^vee M = beta^vee, so the
+    suites' matrices cannot tell whether `commutes` reads both sides;
+    the matrices E_ij with one entry 1 can.
+    """
+    mismatches, outcomes = [], set()
+    for spec in (spec_b2_mixed(), spec_g2(), corpus_spec("B3 nu3 t3 S1=pairs S2=0")):
+        rep = Representation(spec)
+        n = rep.dim
+        for root, w in conjugation_cases(spec):
+            for i, j in itertools.product(range(n), repeat=2):
+                m = Mat([[int((r, c) == (i, j)) for c in range(n)] for r in range(n)])
+                commutes = rep.commutes(m, root)
+                if commutes != (m @ w == w @ m):
+                    mismatches.append((root, i, j))
+                outcomes.add(commutes)
+    return mismatches, outcomes
+
+
 class TestUpdatesAgainstProducts:
     """The rank-one updates against the dense products they replace."""
 
@@ -453,11 +541,26 @@ class TestUpdatesAgainstProducts:
                     outcomes.add(commutes)
         assert outcomes == {False, True}
 
+    def test_commutes_matches_products_on_any_matrix(self):
+        mismatches, outcomes = commute_mismatches()
+        assert mismatches == [] and outcomes == {False, True}
+
     def test_flipped_right_update_fails_the_oracle(self, tmp_path, monkeypatch):
         spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
-        monkeypatch.setattr(weylgroup, "_right_update", flipped_right_update)
+        monkeypatch.setattr(weylgroup, "_right_rows", flipped_right_rows)
         assert mismatched_words(spec)
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_row_shared_despite_a_non_zero_product_fails_the_oracle(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(weylgroup, "_right_rows", first_term_right_rows)
+        assert mismatched_words(spec)
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_commutes_without_the_coroot_side_fails(self, monkeypatch):
+        monkeypatch.setattr(Representation, "commutes", beta_side_commutes)
+        mismatches, _ = commute_mismatches()
+        assert mismatches
 
     def test_flipped_left_update_fails_the_conjugation_oracle(self, tmp_path, monkeypatch):
         spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
@@ -554,6 +657,52 @@ def reference_orbit_cover(spec, height_bound: int, gens=None) -> CoverReport:
     )
 
 
+def set_orbit_cover(spec, height_bound: int, gens=None) -> CoverReport:
+    """Oracle: the search by root length over iso tuples, as a set BFS.
+
+    The same per-length shifts as `orbit_cover`, but each state is a
+    tuple, each step a tuple difference and each box test a set test.
+    """
+    fr = spec.roots
+    nu = spec.nullity
+    slack = height_bound + 2
+    gens = generating_roots(spec) if gens is None else gens
+    affine = [g for g in gens if any(g.iso)]
+    box = frozenset(range(-slack, slack + 1))
+    isos = list(itertools.product(range(-height_bound, height_bound + 1), repeat=nu))
+    target_count = 0
+    unreached = []
+    for roots in (fr.short_roots, fr.long_roots):
+        parts = sorted(roots)
+        cartans = {
+            v: {fr.cartan(f, v) for f in parts} - {0}
+            for v in {g.finite for g in affine}
+        }
+        shifts = {tuple(c * b for b in g.iso) for g in affine for c in cartans[g.finite]}
+        visited = {g.iso for g in gens if g.finite in roots}
+        frontier = list(visited)
+        while frontier:
+            nxt = []
+            for iso in frontier:
+                for shift in shifts:
+                    moved = tuple(a - b for a, b in zip(iso, shift))
+                    if moved not in visited and box.issuperset(moved):
+                        visited.add(moved)
+                        nxt.append(moved)
+            frontier = nxt
+        targets = [iso for iso in isos if is_root(spec, Root(parts[0], iso))]
+        missed = [iso for iso in targets if iso not in visited]
+        target_count += len(parts) * len(targets)
+        unreached += [Root(f, iso) for f in parts for iso in missed]
+    return CoverReport(
+        bound=height_bound,
+        slack=slack,
+        target_count=target_count,
+        reached_count=target_count - len(unreached),
+        unreached=unreached,
+    )
+
+
 def corpus_cover_cases():
     from weylconj.corpus import reference_corpus
 
@@ -569,14 +718,44 @@ def corpus_cover_cases():
             yield pytest.param(spec, height, id=f"{label} h{height}")
 
 
-def corpus_affine_cuts():
+def corpus_set_cover_cases():
+    """Where `reference_orbit_cover` is slow: nullity 3 at heights 0 and 2, nullity 4 at 0-3."""
     from weylconj.corpus import reference_corpus
 
     for label, spec in reference_corpus():
-        if spec.nullity <= 2:
+        heights = {3: (0, 2), 4: (0, 1, 2, 3)}.get(spec.nullity, ())
+        for height in heights:
+            yield pytest.param(spec, height, id=f"{label} h{height}")
+
+
+def corpus_affine_cuts(nullities=(1, 2)):
+    from weylconj.corpus import reference_corpus
+
+    for label, spec in reference_corpus():
+        if spec.nullity in nullities:
             for k, g in enumerate(generating_roots(spec)):
                 if any(g.iso):
                     yield pytest.param(spec, k, id=f"{label} drop {k}")
+
+
+def cut_generators(spec, k, monkeypatch) -> list:
+    """The generating roots without the k-th, installed for `orbit_cover`."""
+    gens = generating_roots(spec)
+    gens = gens[:k] + gens[k + 1:]
+    monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens)
+    return gens
+
+
+def cover_mismatches(monkeypatch) -> list:
+    """The nullity-2 corpus cuts where the bitset cover and the set BFS differ at height 1."""
+    found = []
+    for param in corpus_affine_cuts((2,)):
+        spec, k = param.values
+        with monkeypatch.context() as patch:
+            gens = cut_generators(spec, k, patch)
+            if orbit_cover(spec, 1).to_json() != set_orbit_cover(spec, 1, gens).to_json():
+                found.append(param.id)
+    return found
 
 
 class TestOrbitCover:
@@ -592,12 +771,53 @@ class TestOrbitCover:
         # which the corpus cases above never do; the search by root length
         # must report the same roots, in the same order, as the search
         # over whole roots
-        gens = generating_roots(spec)
-        gens = gens[:k] + gens[k + 1:]
-        monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens)
+        gens = cut_generators(spec, k, monkeypatch)
         got = orbit_cover(spec, 1)
         assert not got.passed
         assert got.to_json() == reference_orbit_cover(spec, 1, gens).to_json()
+
+    @pytest.mark.parametrize("spec,height", corpus_set_cover_cases())
+    def test_matches_set_bfs(self, spec, height):
+        assert orbit_cover(spec, height).to_json() == set_orbit_cover(spec, height).to_json()
+
+    @pytest.mark.parametrize("spec,k", corpus_affine_cuts((3,)))
+    def test_matches_set_bfs_with_unreached_roots(self, spec, k, monkeypatch):
+        gens = cut_generators(spec, k, monkeypatch)
+        got = orbit_cover(spec, 1)
+        assert not got.passed
+        assert got.to_json() == set_orbit_cover(spec, 1, gens).to_json()
+
+    def test_starts_outside_the_box_match_set_bfs(self, monkeypatch):
+        # every affine generator moved 4 steps out, past the height-0 box:
+        # its digits may borrow, and the states they stand for lie outside
+        spec = spec_b2()
+        gens = [
+            Root(g.finite, tuple(x + 4 for x in g.iso)) if any(g.iso) else g
+            for g in generating_roots(spec)
+        ]
+        assert all(is_root(spec, g) for g in gens)
+        monkeypatch.setattr(weylgroup, "generating_roots", lambda s: gens)
+        for height in (0, 1):
+            got = orbit_cover(spec, height)
+            assert got.to_json() == set_orbit_cover(spec, height, gens).to_json()
+
+    def test_nu5_lattice_matches_set_bfs(self):
+        spec = make_spec("B", 3, 5, 5, LAT(5), Z0)
+        got = orbit_cover(spec, 0)
+        assert got.passed and got.to_json() == set_orbit_cover(spec, 0).to_json()
+
+    def test_cover_without_digit_pad_fails_the_oracle(self, monkeypatch):
+        # digits with no margin borrow from their neighbours
+        monkeypatch.setattr(weylgroup, "_digit_pad", lambda shifts: 0)
+        assert cover_mismatches(monkeypatch)
+
+    def test_cover_without_box_mask_fails_the_oracle(self, monkeypatch):
+        # every index below base^nu allowed: states leave the box and come back
+        def unboxed(nu, slack, pad):
+            return (1 << (2 * slack + 1 + 2 * pad) ** nu) - 1
+
+        monkeypatch.setattr(weylgroup, "_box_mask", unboxed)
+        assert cover_mismatches(monkeypatch)
 
     def test_missing_simple_root_is_an_invariant_breach(self, monkeypatch):
         spec = spec_b2()
