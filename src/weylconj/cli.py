@@ -12,12 +12,12 @@ closed by its reader exits 1 with nothing on stderr.  An input error
 (`SpecValidationError`, a size past its bound in `limits` (`TooLarge`),
 or a malformed command line) exits 1 with one `error:` line.
 A library invariant that breaks (`InvariantBreach`: a non-integral
-quotient, bad Cartan data, a broken Smith divisibility chain, a word
-over a non-root, `construct`'s search coming up empty against the
-existence guarantee, or its count disagreeing with the free sides'
-GF(2) ranks) exits 2 with one `invariant breach:` line, so 2 always
-means a broken invariant.  Any other exception is a fault of the
-library and propagates with its traceback.
+quotient, bad Cartan data (only `verify` builds roots), a broken Smith
+divisibility chain, a word over a non-root, `construct`'s search coming
+up empty against the existence guarantee, or its count disagreeing with
+the free sides' GF(2) ranks) exits 2 with one `invariant breach:` line,
+so 2 always means a broken invariant.  Any other exception is a fault
+of the library and propagates with its traceback.
 
 Every `--json` document, and `construct`'s spec, is printed as one
 line, the bytes of `json.dumps(doc)`; stdout holds no clock reading, so

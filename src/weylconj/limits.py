@@ -8,8 +8,6 @@ Times are end to end on a 2-vCPU Xeon, Python 3.11.7.
 
 # A supporting class holds up to 2^nu members: reading the nullity-16 lattice takes 0.3 s.
 MAX_NULLITY = 16
-# `finite_roots` builds 2 rank^2 roots at about rank^2 work each, so a spec costs rank^4.
-MAX_RANK = 32
 # The count walks 2^|family| choices: 24 members (B3, nu = t = 7, Inc = 1024) take about 1.8 s.
 MAX_FAMILY = 24
 # `verify` builds a (rank + 2 nu)-square matrix per word, over words in every pair of directions.

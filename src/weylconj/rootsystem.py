@@ -26,23 +26,25 @@ isotropic coordinates).
 `free_sides` states which semilattices the type leaves free (B2 both,
 B_l (l >= 3) S1, C_l S2, F4/G2 neither; every other side is a lattice),
 and `RootSystemSpec.sides` carries that flag for every module that asks.
+The decision paths see the type and the rank only there, so a spec
+builds its finite roots on first read of `RootSystemSpec.roots`, which
+only `verify` makes.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
-from .limits import MAX_NULLITY, MAX_RANK, refuse_past
+from .limits import MAX_NULLITY, refuse_past
 from .semilattice import (
     PairIncidence,
     Semilattice,
     SpecValidationError,
     cached_attribute,
     make_semilattice,
-    odd_mask,
     pair_incidence,
     pair_masks,
 )
@@ -151,6 +153,8 @@ def _validate_family_rank(family: str, rank: int) -> None:
         raise SpecValidationError("type G2 has rank 2")
 
 
+# Only `verify` reads roots, at rank <= MAX_VERIFY_RANK, so the cache holds at
+# most 7 keys (B2-B4, C3, C4, F4, G2); each of its specs would rebuild them otherwise.
 @lru_cache(maxsize=None)
 def finite_roots(family: str, rank: int) -> FiniteRoots:
     """Build the finite root system by reflection closure of the simple roots."""
@@ -256,7 +260,6 @@ class Side(NamedTuple):
 class RootClass(enum.Enum):
     SHORT = "short"
     LONG = "long"
-    ISOTROPIC = "isotropic"
     NONE = "none"
 
 
@@ -275,7 +278,11 @@ class RootSystemSpec:
     twist: int
     s1: Semilattice
     s2: Semilattice
-    roots: FiniteRoots = field(repr=False)
+
+    @cached_attribute
+    def roots(self) -> FiniteRoots:
+        """The finite root system, unless `make_spec` was given another realisation."""
+        return finite_roots(self.family, self.rank)
 
     @property
     def k(self) -> int:
@@ -341,9 +348,8 @@ class RootSystemSpec:
 
 
 def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
-    """Reject a type, rank (at most `MAX_RANK`), nullity and twist; builds no roots."""
+    """Reject a type, rank, nullity and twist; builds no roots and bounds no rank."""
     _validate_family_rank(family, rank)
-    refuse_past("rank", rank, MAX_RANK)
     if nullity < 0:
         raise SpecValidationError("nullity must be non-negative")
     if not 0 <= twist <= nullity:
@@ -359,7 +365,11 @@ def make_spec(
     s2: Semilattice,
     roots: FiniteRoots | None = None,
 ) -> RootSystemSpec:
-    """Validate and assemble an extended affine root system description."""
+    """Validate and assemble an extended affine root system description.
+
+    `roots`, if given, is the finite realisation `spec.roots` returns in
+    place of `finite_roots(family, rank)`; no roots are built here.
+    """
     validate_slice(family, rank, nullity, twist)
     if s1.dim != twist:
         raise SpecValidationError(f"S1 has dimension {s1.dim}, expected twist {twist}")
@@ -367,12 +377,12 @@ def make_spec(
         raise SpecValidationError(
             f"S2 has dimension {s2.dim}, expected nullity - twist = {nullity - twist}"
         )
-    if roots is None:
-        roots = finite_roots(family, rank)
-    spec = RootSystemSpec(family, rank, nullity, twist, s1, s2, roots)
+    spec = RootSystemSpec(family, rank, nullity, twist, s1, s2)
     for side in spec.sides:
         if not side.free and not side.semilattice.is_lattice:
             raise SpecValidationError(f"{side.name} must be a lattice for type {family}")
+    if roots is not None:
+        spec.__dict__["roots"] = roots  # where `cached_attribute` keeps its value
     return spec
 
 
@@ -406,32 +416,24 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
     return out
 
 
-def classify_vector(spec: RootSystemSpec, finite: Vec, iso: Sequence[int]) -> RootClass:
-    """Locate (finite, iso) in the extended affine system, if at all."""
+def root_class(spec: RootSystemSpec, root: Root) -> RootClass:
+    """SHORT or LONG when `root` is a non-isotropic root of the system, else NONE.
+
+    A finite part that is no finite root, the zero part included, is NONE.
+    """
+    finite, iso = root
     if len(iso) != spec.nullity:
         raise SpecValidationError(
             f"expected {spec.nullity} isotropic coordinates, got {len(iso)}"
         )
-    t = spec.twist
-    head, tail = tuple(iso[:t]), tuple(iso[t:])
-    if not any(finite):
-        # isotropic slice: S + S = (S1 + S1) (+) <S2>
-        return (
-            RootClass.ISOTROPIC
-            if odd_mask(head) in spec.s1.sum_supports()
-            else RootClass.NONE
-        )
+    head = iso[:spec.twist]
     if finite in spec.roots.short_roots:
         return RootClass.SHORT if spec.s1.contains(head) else RootClass.NONE
     if finite in spec.roots.long_roots:
         if any(c % spec.k for c in head):
             return RootClass.NONE
-        return RootClass.LONG if spec.s2.contains(tail) else RootClass.NONE
+        return RootClass.LONG if spec.s2.contains(iso[spec.twist:]) else RootClass.NONE
     return RootClass.NONE
-
-
-def root_class(spec: RootSystemSpec, root: Root) -> RootClass:
-    return classify_vector(spec, root.finite, root.iso)
 
 
 def sigma_vec(spec: RootSystemSpec, r: int, coeff: int = 1) -> tuple[int, ...]:
@@ -501,9 +503,9 @@ def spec_from_json(
     indices 1..nu-t.  An optional "label" is ignored here.  The numbers
     must be JSON integers (not booleans, not floats) and each supporting
     class a list of integer lists; nothing is coerced.  The nullity is at
-    most `MAX_NULLITY` and the rank at most `MAX_RANK`.  `admit`, if
-    given, is called with the validated rank and nullity before S1 and
-    S2 are built, so a caller's own tighter bound refuses first.
+    most `MAX_NULLITY`; the rank is unbounded, as no roots are built.
+    `admit`, if given, is called with the validated rank and nullity
+    before S1 and S2 are built, so a caller's own bound refuses first.
     """
     try:
         family = doc["type"]

@@ -206,10 +206,6 @@ class Semilattice:
         divisors = [1 if pair in supp else 2 for pair in pair_masks(self.dim)]
         return pair_incidence(self.dim, self.essential_supp(), divisors)
 
-    def sum_supports(self) -> frozenset[int]:
-        """Odd-coordinate sets of S + S, i.e. symmetric differences of class members."""
-        return frozenset(a ^ b for a in self.supp for b in self.supp)
-
     def to_subsets(self) -> list[list[int]]:
         """Serialisable form: supporting class as sorted integer lists."""
         return [list(elems_of(m)) for m in self.members]

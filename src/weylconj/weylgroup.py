@@ -614,7 +614,7 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     non-zero iso part and c a non-zero (f, g^vee) over f of length l,
     from the iso parts of the generators of length l; its closure is
     the projection of the search over (finite part, iso) states.
-    `classify_vector` reads only the length and the iso residues, so
+    `root_class` reads only the length and the iso residues, so
     one representative per length decides which iso tuples are roots.
 
     Each search is one bitset, a Python int.  Tuple x is bit

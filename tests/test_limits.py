@@ -1,8 +1,11 @@
 """Each size bound at its edge, through `main`: the largest input it admits
 exits 0 or 3 with nothing on stderr, and the smallest it refuses exits 1
 with nothing on stdout and one line naming the size, its value and the
-bound, before the work that refused row names.  The family bound's
-admitted edge, a 24-member `check` (about 1.8 s), runs in CI.
+bound, before the work that refused row names.  An admitted row that
+names work shows that work is never started: the rank is unbounded, and
+`check`, `classify` and `construct` build no roots at any rank.  The
+family bound's admitted edge, a 24-member `check` (about 1.8 s), runs in
+CI.
 """
 
 import itertools
@@ -63,14 +66,14 @@ EDGES = [
     edge("nullity 16", ["check", b_spec(3, 16, minimal(16) + [[1, 2, 3]])]),
     edge("nullity 17", ["check", b_spec(3, 17, minimal(17) + [[1, 2, 3]])],
          "nullity 17 exceeds the bound 16", SEMILATTICES),
-    edge("check rank 32", ["check", b_spec(32, 1, minimal(1))]),
-    edge("check rank 33", ["check", b_spec(33, 1, minimal(1))],
-         "rank 33 exceeds the bound 32", ROOTS),
-    edge("classify rank 32", ["classify", "B", "32", "2", "2"]),
-    edge("classify rank 33", ["classify", "B", "33", "2", "2"],
-         "rank 33 exceeds the bound 32", ROOTS),
-    edge("construct rank 32", [*CONSTRUCT_B3, "32"]),
-    edge("construct rank 33", [*CONSTRUCT_B3, "33"], "rank 33 exceeds the bound 32", ROOTS),
+    # no rank bound: only verify builds roots, and the rank enters a decision
+    # only through `free_sides`
+    edge("check rank 3", ["check", b_spec(3, 1, minimal(1))], work=ROOTS),
+    edge("check rank 33", ["check", b_spec(33, 1, minimal(1))], work=ROOTS),
+    edge("classify rank 3", ["classify", "B", "3", "2", "2"], work=ROOTS),
+    edge("classify rank 33", ["classify", "B", "33", "2", "2"], work=ROOTS),
+    edge("construct rank 3", [*CONSTRUCT_B3, "3"], work=ROOTS),
+    edge("construct rank 33", [*CONSTRUCT_B3, "33"], work=ROOTS),
     edge("|family| 25", ["check", b3_family(25)], "|family| 25 exceeds the bound 24", PAIR_TABLES),
     edge("B2 nu6 lattice", ["check", b_spec(2, 6, lattice(6))],
          "|family| 42 exceeds the bound 24", PAIR_TABLES),
@@ -78,7 +81,7 @@ EDGES = [
          "|family| 65399 exceeds the bound 24", PAIR_TABLES),
     edge("verify rank 4", ["verify", b_spec(4, 1, minimal(1))]),
     edge("verify rank 5", ["verify", b_spec(5, 1, minimal(1))],
-         "verify rank 5 exceeds the bound 4", SUITES),
+         "verify rank 5 exceeds the bound 4", SUITES + ROOTS),
     edge("verify nullity 4", ["verify", b_spec(2, 4, minimal(4))]),
     edge("verify nullity 5", ["verify", b_spec(2, 5, minimal(5))],
          "verify nullity 5 exceeds the bound 4", SUITES),

@@ -6,13 +6,11 @@ from fractions import Fraction
 import pytest
 
 from weylconj import rootsystem
-from weylconj.limits import MAX_RANK
 from weylconj.rootsystem import (
     InvariantBreach,
     Root,
     RootClass,
     SpecValidationError,
-    classify_vector,
     commutator_coeff,
     conj_exponent,
     exact_div,
@@ -195,13 +193,16 @@ class TestSpecValidation:
             make_spec("F4", 4, 3, 2, Semilattice.minimal(2), Semilattice.lattice(1))
 
     def test_validate_slice_builds_no_roots(self, monkeypatch):
-        # at the rank bound; one past it is refused (tests/test_limits.py)
+        # no rank is refused, and a spec builds its roots on first read only
         def no_roots(*args):
-            raise AssertionError("validate_slice built roots")
+            raise AssertionError("built roots")
 
         monkeypatch.setattr(rootsystem, "finite_roots", no_roots)
-        rootsystem.validate_slice("B", MAX_RANK, 2, 1)
-        rootsystem.validate_slice("C", MAX_RANK, 2, 1)
+        rootsystem.validate_slice("B", 100_000, 2, 1)
+        rootsystem.validate_slice("C", 100_000, 2, 1)
+        spec = make_spec("B", 100_000, 1, 1, Semilattice.lattice(1), Semilattice.lattice(0))
+        with pytest.raises(AssertionError, match="^built roots$"):
+            spec.roots
 
     def test_twist_bounds(self):
         with pytest.raises(SpecValidationError, match=r"^twist 3 outside 0\.\.2$"):
@@ -313,38 +314,26 @@ class TestMembership:
 
     def test_short_plus_sigma(self):
         th1 = self.spec.roots.theta1
-        assert classify_vector(self.spec, th1, (1, 0, 0)) is RootClass.SHORT
+        assert root_class(self.spec, Root(th1, (1, 0, 0))) is RootClass.SHORT
 
     def test_long_needs_scaled_twisted_part(self):
         th2 = self.spec.roots.theta2
-        assert classify_vector(self.spec, th2, (1, 0, 0)) is RootClass.NONE
-        assert classify_vector(self.spec, th2, (2, 0, 0)) is RootClass.LONG
+        assert root_class(self.spec, Root(th2, (1, 0, 0))) is RootClass.NONE
+        assert root_class(self.spec, Root(th2, (2, 0, 0))) is RootClass.LONG
 
     def test_long_untwisted_free(self):
         th2 = self.spec.roots.theta2
-        assert classify_vector(self.spec, th2, (0, 0, 5)) is RootClass.LONG
+        assert root_class(self.spec, Root(th2, (0, 0, 5))) is RootClass.LONG
 
     def test_short_unsupported_pair(self):
         th1 = self.spec.roots.theta1
-        assert classify_vector(self.spec, th1, (1, 1, 0)) is RootClass.NONE
+        assert root_class(self.spec, Root(th1, (1, 1, 0))) is RootClass.NONE
 
-    def test_isotropic_by_sum_oracle(self):
-        # brute force S + S over a box and compare the isotropic verdicts
-        spec = self.spec
-        s1pts = set()
-        for v in itertools.product(range(-2, 3), repeat=2):
-            for m in spec.s1.supp:
-                s1pts.add(tuple(2 * v[i] + (m >> i & 1) for i in range(2)))
-        sums = {tuple(a + b for a, b in zip(p, q)) for p in s1pts for q in s1pts}
-        zero = (0,) * len(spec.roots.theta1)
-        for head in itertools.product(range(-2, 3), repeat=2):
-            for tail in range(-2, 3):
-                verdict = classify_vector(spec, zero, head + (tail,))
-                assert (verdict is RootClass.ISOTROPIC) == (head in sums)
-
-    def test_zero_is_isotropic(self):
+    def test_zero_finite_part_is_no_root(self):
+        # isotropic vectors are not classified: no word reflects in one
         zero = (0,) * len(self.spec.roots.theta1)
-        assert classify_vector(self.spec, zero, (0, 0, 0)) is RootClass.ISOTROPIC
+        for iso in itertools.product(range(-2, 3), repeat=3):
+            assert root_class(self.spec, Root(zero, iso)) is RootClass.NONE
 
     def test_translation_step_orbits(self):
         for spec in small_specs():
@@ -362,7 +351,7 @@ class TestMembership:
                         iso = tuple(
                             n * step if q == r - 1 else 0 for q in range(spec.nullity)
                         )
-                        assert classify_vector(spec, alpha, iso) is expected
+                        assert root_class(spec, Root(alpha, iso)) is expected
 
 
 class TestGenerators:

@@ -1,21 +1,27 @@
-"""Every decision path's answer is invariant under permuting a side's coordinates.
+"""Every decision path's answer is invariant under permuting a side's
+coordinates, and under changing the rank of B_l or C_l.
 
 `classify` prints one representative per orbit of S_t x S_(nu-t) and
 `construct` searches only representatives, which is sound only when
 every answer is constant on each orbit.  The metamorphic relation
 (Chen, Cheung & Yiu, "Metamorphic testing: a new approach for
 generating next test cases", HKUST-CS98-01, 1998) is checked on full
-orbits: every raw class pair of a slice, grouped by orbit.
+orbits: every raw class pair of a slice, grouped by orbit.  The rank
+enters a decision only through `rootsystem.free_sides`, which is the
+same for every l >= 3, so `check` must answer alike at every such rank.
 """
 
 import itertools
+import json
 
 import pytest
 
+from weylconj import rootsystem
 from weylconj.center import center_structure
-from weylconj.corpus import classification_pairs
+from weylconj.cli import main
+from weylconj.corpus import classification_pairs, reference_corpus
 from weylconj.integral import count_collections, decide_by_reduction, minimality_screen
-from weylconj.rootsystem import make_spec
+from weylconj.rootsystem import make_spec, spec_to_json
 from weylconj.semilattice import _permuted_mask
 
 
@@ -63,3 +69,26 @@ def test_four_answers_are_constant_on_each_orbit(family, rank, nullity, twist, s
     assert len(pairs) == specs
     reps = classification_pairs(family, rank, nullity, twist, up_to_permutation=True)
     assert len(answers) == len(reps)
+
+
+RANK_3 = {label: spec for label, spec in reference_corpus()
+          if spec.family in ("B", "C") and spec.rank == 3}
+
+
+@pytest.mark.parametrize("spec", list(RANK_3.values()), ids=list(RANK_3))
+def test_check_answers_alike_at_every_rank_from_3(tmp_path, capsys, monkeypatch, spec):
+    # apart from the spec's echo, built without a root
+    def no_roots(*args):
+        raise AssertionError("check built roots")
+
+    monkeypatch.setattr(rootsystem, "finite_roots", no_roots)
+    doc = spec_to_json(spec)
+    answers = {}
+    for rank in (3, 4, 5, 6, 7, 8, 40):
+        path = tmp_path / f"rank{rank}.json"
+        path.write_text(json.dumps({**doc, "rank": rank}))
+        code = main(["check", "--json", str(path)])
+        out = json.loads(capsys.readouterr().out)
+        assert out.pop("spec") == {**doc, "rank": rank}
+        answers[rank] = (code, out)
+    assert answers == dict.fromkeys(answers, answers[3])
