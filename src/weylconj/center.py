@@ -28,15 +28,13 @@ membership from two diagonals, without and with the vector.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .exactmat import smith_diagonal
 from .rootsystem import RootSystemSpec, exact_div
 
 
-@dataclass(frozen=True)
-class CenterPresentation:
+class CenterPresentation(NamedTuple):
     """Relation matrix over generators (z_{r,s} for r<s) + (z_J for J in family)."""
 
     pairs: tuple[tuple[int, int], ...]
@@ -63,8 +61,7 @@ def center_presentation(spec: RootSystemSpec) -> CenterPresentation:
     return CenterPresentation(pairs, table.family, tuple(rows))
 
 
-@dataclass(frozen=True)
-class SmithDecomposition:
+class SmithDecomposition(NamedTuple):
     """The Smith normal form diagonal: d_1 | d_2 | ..., one entry per min(shape)."""
 
     diag: tuple[int, ...]
@@ -89,8 +86,7 @@ def smith_normal_form(rows: Sequence[Sequence[int]]) -> SmithDecomposition:
     return SmithDecomposition(smith_diagonal(rows), (len(rows), len(rows[0]) if rows else 0))
 
 
-@dataclass(frozen=True)
-class CenterStructure:
+class CenterStructure(NamedTuple):
     free_rank: int
     torsion: tuple[int, ...]
 

@@ -35,7 +35,6 @@ a `classify` row, which prints the verdict alone, formats nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple
 
 from .limits import MAX_FAMILY, refuse_past
@@ -107,8 +106,7 @@ class ScreenResult(NamedTuple):
         return tuple(_reason_text(fact) for fact in self.facts)
 
 
-@dataclass(frozen=True)
-class DecisionReport:
+class DecisionReport(NamedTuple):
     """Outcome of the collection count for one root system.
 
     `inc` is a power of two (`count_collections` checks it); n0 and the

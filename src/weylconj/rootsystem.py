@@ -34,7 +34,6 @@ only `verify` makes.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple, Sequence
 
@@ -81,8 +80,7 @@ def _pairing(gram: Sequence[Sequence[int]], u: Vec, v: Vec) -> int:
     return total
 
 
-@dataclass(frozen=True)
-class FiniteRoots:
+class FiniteRoots(NamedTuple):
     """A finite root system with distinguished short alpha_1, long alpha_2."""
 
     family: str
@@ -263,21 +261,22 @@ class RootClass(enum.Enum):
     NONE = "none"
 
 
-@dataclass(frozen=True)
-class RootSystemSpec:
-    """R(X, S1, S2): type, rank, nullity, twist and the two semilattices.
-
-    S1 lives in the first `twist` isotropic coordinates, S2 in the rest;
-    S2's own coordinates are 1..nullity-twist and get shifted when a
-    global index is needed.
-    """
-
+class _SpecFields(NamedTuple):
     family: str
     rank: int
     nullity: int
     twist: int
     s1: Semilattice
     s2: Semilattice
+
+
+class RootSystemSpec(_SpecFields):
+    """R(X, S1, S2): type, rank, nullity, twist and the two semilattices.
+
+    S1 lives in the first `twist` isotropic coordinates, S2 in the rest;
+    S2's own coordinates are 1..nullity-twist and get shifted when a
+    global index is needed.
+    """
 
     @cached_attribute
     def roots(self) -> FiniteRoots:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .limits import MAX_SEMILATTICE_DIM, refuse_past
@@ -145,7 +144,10 @@ class cached_attribute:
     Up to Python 3.11 `cached_property` takes a per-class lock on every
     first access, about 1 us; a classify row reads two fresh tables.  The
     value is stored in the instance dict, which shadows this non-data
-    descriptor from then on (also on frozen dataclasses).
+    descriptor from then on.  A NamedTuple has no instance dict, so a
+    record with cached attributes is a NamedTuple of its fields plus a
+    subclass that holds the methods and declares no `__slots__`; the
+    fields stay read-only, and equality and hashing read only them.
     """
 
     def __init__(self, fn):
@@ -160,12 +162,13 @@ class cached_attribute:
         return value
 
 
-@dataclass(frozen=True)
-class Semilattice:
-    """A semilattice given by dimension and supporting class (as bitmasks)."""
-
+class _SemilatticeFields(NamedTuple):
     dim: int
     supp: frozenset[int]
+
+
+class Semilattice(_SemilatticeFields):
+    """A semilattice given by dimension and supporting class (as bitmasks)."""
 
     @property
     def index(self) -> int:

@@ -49,9 +49,8 @@ base shift, exchange, centrality of the residual forms).
 from __future__ import annotations
 
 import itertools
-from dataclasses import asdict, dataclass
 from operator import mul
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .exactmat import Mat, smith_diagonal
 from .limits import MAX_COVER_STATES, MAX_VERIFY_NULLITY, MAX_VERIFY_RANK, refuse_past
@@ -358,15 +357,13 @@ def _class_members(spec: RootSystemSpec) -> Iterator[tuple[int, int]]:
                 yield side.number, mask
 
 
-@dataclass(frozen=True)
-class CheckItem:
+class CheckItem(NamedTuple):
     identity: str
     indices: tuple
     passed: bool
 
 
-@dataclass
-class VerifyReport:
+class VerifyReport(NamedTuple):
     items: list[CheckItem]
 
     @property
@@ -553,8 +550,7 @@ def verify_choice_independence(rep: Representation) -> VerifyReport:
     return VerifyReport(items)
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     bound: int
     slack: int
     target_count: int
@@ -691,8 +687,7 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     )
 
 
-@dataclass
-class FreenessReport:
+class FreenessReport(NamedTuple):
     """The two facts that prove the z_{r,s} images free (`verify_center_freeness`)."""
 
     pairs: int
@@ -704,7 +699,7 @@ class FreenessReport:
         return self.independent and self.products_vanish
 
     def to_json(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def verify_center_freeness(rep: Representation) -> FreenessReport:

@@ -14,7 +14,10 @@ Every size bound is assigned in `limits`, which imports nothing, and only
 `limits.refuse_past` raises its refusal, `TooLarge`.  A run fails in one
 of four ways, each with one exception type that `cli.main` catches:
 `SpecValidationError`, `TooLarge` and `_UsageError` exit 1, and
-`InvariantBreach` exits 2.
+`InvariantBreach` exits 2.  Every CLI process pays for what
+`import weylconj.cli` loads, so it loads neither `dataclasses` nor
+`inspect` (with `ast`, `dis` and `tokenize` behind it, about 13 ms):
+the records are NamedTuples.
 
 The library keeps only what its callers reach.  Every def in
 `src/weylconj` (functions, classes, methods) must be reached by a chain
@@ -30,6 +33,8 @@ entry goes when that lands.
 
 import ast
 import builtins
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -76,6 +81,17 @@ def test_no_assert_and_no_fractions(path):
             if (node.module or "").split(".")[0] == "fractions":
                 offences.append(f"line {node.lineno}: from {node.module} import")
     assert offences == []
+
+
+def test_the_cli_imports_neither_dataclasses_nor_inspect():
+    # a fresh interpreter; only what the import adds counts, so a site hook
+    # that loaded either module first cannot fail this
+    probe = (
+        "import sys; before = set(sys.modules); import weylconj.cli; "
+        "print(sorted({'dataclasses', 'inspect'} & (sys.modules.keys() - before)))"
+    )
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, check=True)
+    assert proc.stdout == "[]\n"
 
 
 @pytest.mark.parametrize("name", ["exactmat.py", "weylgroup.py"])

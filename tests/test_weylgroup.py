@@ -999,3 +999,35 @@ class TestRealizationIndependence:
             cov_b = orbit_cover(other, 1)
             assert cov_a.passed and cov_b.passed
             assert cov_a.target_count == cov_b.target_count
+
+
+def test_records_compare_and_hash_by_their_fields():
+    # cached attributes sit in the instance dict beside the fields and take
+    # no part in equality or hashing, whatever realisation the roots come
+    # from; the fields themselves are read-only
+    from weylconj.integral import count_collections
+    from weylconj.rootsystem import spec_from_json, spec_to_json
+
+    corpus = dict(corpus_nullity_at_most_3())
+    for label in ("B2 nu3 t1 S1=lat S2=min", "B3 nu3 t3 S1=pairs S2=0"):
+        doc = spec_to_json(corpus[label])
+        spec = spec_from_json(doc)
+        specs = [spec]
+        if spec.rank == 2:
+            alt = alternate_b2_realization()
+            specs.append(make_spec("B", 2, spec.nullity, spec.twist, spec.s1, spec.s2, roots=alt))
+        for read in specs:
+            read.roots, read.sides, read.essential_members, read.incidence
+            for sl in (read.s1, read.s2):
+                sl.members, sl.incidence
+                assert {"members", "incidence"} <= vars(sl).keys()
+            assert {"roots", "sides", "essential_members", "incidence"} <= vars(read).keys()
+            fresh = spec_from_json(doc)
+            assert read == fresh and hash(read) == hash(fresh)
+            for sl, supp in ((read.s1, doc["supp1"]), (read.s2, doc["supp2"])):
+                other = make_semilattice(sl.dim, supp)
+                assert sl == other and hash(sl) == hash(other)
+        report = count_collections(spec)
+        for record, field in ((spec, "nullity"), (spec.s1, "dim"), (report, "inc")):
+            with pytest.raises(AttributeError):
+                setattr(record, field, 3)
