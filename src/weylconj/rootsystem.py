@@ -288,6 +288,16 @@ class RootSystemSpec(_SpecFields):
         return self.roots.k
 
     @cached_attribute
+    def simple_gram(self) -> tuple[tuple[int, ...], ...]:
+        """The pairings (alpha_i, alpha_j) of the simple roots of `roots`, 0-based.
+
+        Every exponent of the presentation reads them (`conj_exponent`,
+        `commutator_coeff`); kept per spec object, as `roots` is.
+        """
+        fr = self.roots
+        return tuple(tuple(fr.pairing(a, b) for b in fr.simple) for a in fr.simple)
+
+    @cached_attribute
     def sides(self) -> tuple[Side, Side]:
         """S1 and S2 with their global shift and whether the type leaves them free."""
         free = free_sides(self.family, self.rank)
@@ -339,11 +349,14 @@ class RootSystemSpec(_SpecFields):
         return 1 if alpha in self.roots.short_roots else self.k_r(r)
 
     def pair_divisor(self, r: int, s: int) -> int:
-        """Divisor Delta(r,s) for a global pair r < s, read from `incidence`."""
+        """Divisor Delta(r,s) for a global pair r < s, read from `incidence`.
+
+        The pairs are in lexicographic order, so (r, s) follows the
+        (r - 1)(2 nu - r) / 2 pairs whose first element is below r.
+        """
         if not 1 <= r < s <= self.nullity:
             raise SpecValidationError(f"need 1 <= r < s <= {self.nullity}, got ({r}, {s})")
-        table = self.incidence
-        return table.divisors[table.pairs.index((r, s))]
+        return self.incidence.divisors[(r - 1) * (2 * self.nullity - r) // 2 + s - r - 1]
 
 
 def validate_slice(family: str, rank: int, nullity: int, twist: int) -> None:
@@ -387,7 +400,10 @@ def make_spec(
 
 def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
     """Exponent a_{i,j}(r) in the conjugation relation w_i t_{j,r} w_i = t_{j,r} t_{i,r}^-a."""
-    cartan = spec.roots.cartan(spec.roots.simple[i - 1], spec.roots.simple[j - 1])
+    gram, simple = spec.simple_gram, spec.roots.simple
+    cartan = exact_div(
+        2 * gram[i - 1][j - 1], gram[j - 1][j - 1], "({}, {}^vee)", simple[i - 1], simple[j - 1]
+    )
     return exact_div(
         spec.translation_step(j, r) * cartan,
         spec.translation_step(i, r),
@@ -399,13 +415,11 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
     """Coefficient a_{i,j}(r,s); its Delta(r,s)-quotient is the commutator exponent."""
     if not 1 <= r <= s <= spec.nullity:
         raise SpecValidationError(f"need r <= s in 1..{spec.nullity}, got ({r}, {s})")
-    fr = spec.roots
-    ai = fr.simple[i - 1]
-    aj = fr.simple[j - 1]
+    gram = spec.simple_gram
     out = exact_div(
-        4 * fr.k * spec.translation_step(i, r) * spec.translation_step(j, s)
-        * fr.pairing(ai, aj),
-        spec.k_r(r) * fr.pairing(ai, ai) * fr.pairing(aj, aj),
+        4 * spec.k * spec.translation_step(i, r) * spec.translation_step(j, s)
+        * gram[i - 1][j - 1],
+        spec.k_r(r) * gram[i - 1][i - 1] * gram[j - 1][j - 1],
         "a_({},{})({},{})", i, j, r, s,
     )
     if r < s and out % spec.pair_divisor(r, s):

@@ -4,7 +4,7 @@ The ambient space is the finite realisation extended by the isotropic
 directions sigma_1..sigma_nu and a scaled dual copy lambda'_1..lambda'_nu
 with (sigma_r, lambda'_s) = k delta_rs; reflections then act faithfully
 enough to separate the translation and central parts.  The factor k
-makes every reflection an integer matrix (see `reflection_pair`).  A
+makes every reflection an integer matrix (see `Representation.pair`).  A
 matrix M in this basis is P M_0 P^-1 for its matrix M_0 in the unscaled
 basis lambda_r, P = diag(1, .., 1, 1/k, .., 1/k), and conjugation
 changes no identity below.  Arithmetic is integer-only: roots have integer
@@ -24,13 +24,16 @@ elements is the matrix of the concatenated word.  A `Representation`
 owns the matrices of one spec: the pair (beta, beta^vee) of each root,
 the two pairs of each translation factor, the finite part of each
 finite root's coroot, and the matrix of each word, built from its
-cached prefix by two right updates on row tuples.  A row whose product
-with beta is 0 is unchanged by w_beta, so the new matrix holds the
-prefix's row object itself.  `Representation.mat` is the only way a word
-becomes a matrix; `Representation.conjugate` applies a reflection on
-both sides of a matrix, and `Representation.commutes` tests
-M w_beta = w_beta M as the equality of two rank-one matrices,
-(M beta) beta^vee = beta (beta^vee M), without building either side.
+cached prefix in one pass over the prefix's row tuples.  The factor
+w_1 w_2 takes row u to u - x1 beta_1^vee - x2 beta_2^vee, with
+x1 = u beta_1 and x2 = u beta_2 - c x1, c = beta_1^vee beta_2 kept per
+factor: the two rank-one updates at once.  A row with x1 = x2 = 0 is
+unchanged, so the new matrix holds the prefix's row object itself.
+`Representation.mat` is the only way a word becomes a matrix;
+`Representation.conjugate` applies a reflection on both sides of a
+matrix, and `Representation.commutes` tests M w_beta = w_beta M as the
+equality of two rank-one matrices, (M beta) beta^vee = beta (beta^vee M),
+without building either side.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -49,7 +52,8 @@ base shift, exchange, centrality of the residual forms).
 from __future__ import annotations
 
 import itertools
-from operator import mul
+import math
+from operator import add, mul, neg
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactmat import Mat, smith_diagonal
@@ -66,7 +70,7 @@ from .rootsystem import (
     root_class,
     sigma_vec,
 )
-from .semilattice import elems_of
+from .semilattice import cached_attribute, elems_of
 
 Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
@@ -91,44 +95,9 @@ def _finite_coroot(spec: RootSystemSpec, root: Root) -> tuple[int, Sparse]:
     return aa, coroot
 
 
-def reflection_pair(
-    spec: RootSystemSpec, root: Root, finite: dict | None = None
-) -> tuple[Sparse, Sparse]:
-    """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
-
-    w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
-    of alpha, (finite, iso, 0..0).  The form pairs sigma_r with lambda'_r
-    only, as k, so G alpha = (gram finite, 0..0, k iso) and (alpha, alpha)
-    is the finite pairing.  beta^vee is the row of coefficients
-    (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha): the finite coroot,
-    a Cartan integer per finite column, 0 on the sigma columns and
-    2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
-    for a short alpha and iso_r for a long one.  The lambda' entries are
-    divided per root: in a scaled realisation 2k / (alpha, alpha) may be
-    a fraction whose multiples by iso_r are integers.  The finite part,
-    (alpha, alpha) and the finite columns, depends on the finite root
-    only; `finite` caches it by finite root across calls.
-    """
-    if not is_root(spec, root):
-        raise InvariantBreach(f"{root} is not a non-isotropic root of the system")
-    finite = {} if finite is None else finite
-    got = finite.get(root.finite)
-    if got is None:
-        got = finite[root.finite] = _finite_coroot(spec, root)
-    aa, coroot = got
-    lam = len(root.finite) + spec.nullity  # the first lambda' column
-    coroot += tuple(
-        (lam + r, exact_div(2 * spec.roots.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
-        for r, x in enumerate(root.iso)
-        if x
-    )
-    beta = tuple((c, x) for c, x in enumerate(root.finite + root.iso) if x)
-    return beta, coroot
-
-
 def reflection(spec: RootSystemSpec, root: Root) -> Mat:
-    """The matrix I - beta beta^vee of w_root (see `reflection_pair`)."""
-    beta, coroot = reflection_pair(spec, root)
+    """The matrix I - beta beta^vee of w_root (see `Representation.pair`)."""
+    beta, coroot = Representation(spec).pair(root)
     n = ambient_dim(spec)
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
     for r, b in beta:
@@ -157,6 +126,44 @@ def _right_rows(rows: Sequence[tuple[int, ...]], beta: Sparse, coroot: Sparse) -
     return tuple(out)
 
 
+def _factor_rows(
+    rows: Sequence[tuple[int, ...]],
+    beta1: Sparse, coroot1: Sparse, beta2: Sparse, coroot2: Sparse, c: int,
+) -> tuple:
+    """rows w_1 w_2 in one pass, w_i = I - beta_i beta_i^vee and c = beta_1^vee beta_2.
+
+    Row u loses x1 beta_1^vee + x2 beta_2^vee, x1 = u beta_1 and
+    x2 = u beta_2 - c x1: the integers of `_right_rows` by w_1, then by
+    w_2, whose second product is (u - x1 beta_1^vee) beta_2.  A row with
+    x1 = x2 = 0 is unchanged, and the result holds that same row object
+    rather than a copy.
+    """
+    out = []
+    for row in rows:
+        x1 = 0
+        for i, b in beta1:
+            x1 += row[i] * b
+        x2 = -c * x1
+        for i, b in beta2:
+            x2 += row[i] * b
+        if x1 or x2:
+            row = list(row)
+            for i, y in coroot1:
+                row[i] -= x1 * y
+            for i, y in coroot2:
+                row[i] -= x2 * y
+            row = tuple(row)
+        out.append(row)
+    return tuple(out)
+
+
+def _factor_args(pair1: tuple[Sparse, Sparse], pair2: tuple[Sparse, Sparse]) -> tuple:
+    """The arguments of `_factor_rows` after the rows: both pairs and c = beta_1^vee beta_2."""
+    (beta1, coroot1), (beta2, coroot2) = pair1, pair2
+    c = sum([y * b for i, y in coroot1 for j, b in beta2 if i == j])
+    return beta1, coroot1, beta2, coroot2, c
+
+
 def _left_update(rows: list[tuple[int, ...]], beta: Sparse, coroot: Sparse) -> None:
     """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
     v = [0] * len(rows[0])
@@ -173,11 +180,11 @@ def refuse_verify_size(rank: int, nullity: int) -> None:
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
-    return Root(root.finite, tuple(a + b for a, b in zip(root.iso, delta)))
+    return Root(root.finite, tuple(map(add, root.iso, delta)))
 
 
 def _neg(vec: Sequence[int]) -> tuple[int, ...]:
-    return tuple(-x for x in vec)
+    return tuple(map(neg, vec))
 
 
 def is_root(spec: RootSystemSpec, root: Root) -> bool:
@@ -191,7 +198,7 @@ def translation_word(root: Root, sigma: Sequence[int]) -> Word:
 
 def inverse(word: Word) -> Word:
     """The inverse word: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), reversed."""
-    return tuple((_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word))
+    return tuple([(_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word)])
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -207,48 +214,116 @@ def power(word: Word, e: int) -> Word:
 class Representation:
     """The reflection representation of one spec, within `verify`'s rank and nullity bounds.
 
-    It caches the pair (beta, beta^vee) of each root it meets, the two
-    pairs of each translation factor, the finite part of each finite
-    root's coroot and the matrix of each word it builds.  Reflections act
-    on matrices as rank-one updates, so nothing here multiplies two
-    matrices.
+    It keeps what the suites would otherwise derive again on every use:
+    whether each root it meets is a root (one `root_class` call each),
+    the pair (beta, beta^vee) of each root, the finite part of each
+    finite root's coroot, the arguments of each translation factor, the
+    generating roots, each word t_{i,r}^n, each inverse word it is asked
+    for and the matrix of each word it builds.  Every table lives as long
+    as the representation, which `verify` builds once per call.
+    Reflections act on matrices as rank-one updates, so nothing here
+    multiplies two matrices.
     """
 
     def __init__(self, spec: RootSystemSpec):
         refuse_verify_size(spec.rank, spec.nullity)
         self.spec = spec
         self.dim = ambient_dim(spec)
+        self._roots: dict[Root, bool] = {}
         self._finite: dict = {}
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
         self._factors: dict = {}
+        self._translations: dict[tuple[int, int, int], Word] = {}
+        self._inverses: dict[Word, Word] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
+    @cached_attribute
+    def gens(self) -> list[Root]:
+        """The generating roots (`generating_roots`)."""
+        return generating_roots(self.spec)
+
+    def is_root(self, root: Root) -> bool:
+        """Whether root is a non-isotropic root of the system, by one `root_class` call."""
+        got = self._roots.get(root)
+        if got is None:
+            got = self._roots[root] = is_root(self.spec, root)
+        return got
+
     def pair(self, root: Root) -> tuple[Sparse, Sparse]:
-        """(beta, beta^vee) of w_root, validated once per root (`reflection_pair`)."""
+        """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
+
+        w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
+        of alpha, (finite, iso, 0..0).  The form pairs sigma_r with lambda'_r
+        only, as k, so G alpha = (gram finite, 0..0, k iso) and (alpha, alpha)
+        is the finite pairing.  beta^vee is the row of coefficients
+        (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha): the finite coroot,
+        a Cartan integer per finite column, 0 on the sigma columns and
+        2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
+        for a short alpha and iso_r for a long one.  The lambda' entries are
+        divided per root: in a scaled realisation 2k / (alpha, alpha) may be
+        a fraction whose multiples by iso_r are integers.  The finite part,
+        (alpha, alpha) and the finite columns, depends on the finite root
+        only and is kept by finite root.
+        """
         got = self._pairs.get(root)
         if got is None:
-            got = self._pairs[root] = reflection_pair(self.spec, root, self._finite)
+            if not self.is_root(root):
+                raise InvariantBreach(f"{root} is not a non-isotropic root of the system")
+            spec = self.spec
+            finite = self._finite.get(root.finite)
+            if finite is None:
+                finite = self._finite[root.finite] = _finite_coroot(spec, root)
+            aa, coroot = finite
+            lam = len(root.finite) + spec.nullity  # the first lambda' column
+            coroot += tuple([
+                (lam + r, exact_div(2 * spec.roots.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
+                for r, x in enumerate(root.iso)
+                if x
+            ])
+            beta = tuple([(c, x) for c, x in enumerate(root.finite + root.iso) if x])
+            got = self._pairs[root] = beta, coroot
         return got
+
+    def translation(self, i: int, r: int, n: int = 1) -> Word:
+        """The word t_{i,r}^n (`translation`), built once per (i, r, n)."""
+        key = (i, r, n)
+        got = self._translations.get(key)
+        if got is None:
+            got = self._translations[key] = translation(self.spec, i, r, n)
+        return got
+
+    def inverse(self, word: Word) -> Word:
+        """The inverse word (`inverse`), built once per word."""
+        got = self._inverses.get(word)
+        if got is None:
+            got = self._inverses[word] = inverse(word)
+        return got
+
+    def commutator(self, x: Word, y: Word) -> Word:
+        """The word x^-1 y^-1 x y (`commutator`), from the kept inverses."""
+        return self.inverse(x) + self.inverse(y) + x + y
+
+    def power(self, word: Word, e: int) -> Word:
+        """The word word^e (`power`), from the kept inverse when e < 0."""
+        return (word if e >= 0 else self.inverse(word)) * abs(e)
 
     def mat(self, word: Word) -> Mat:
         """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
 
-        The last factor t_root^sigma acts as two right updates, first by
-        w_(root+sigma), then by w_root, on the prefix's row tuples, so
-        every prefix is built once.  A row the factor leaves alone is
-        shared with the prefix's matrix, not copied.
+        The last factor t_root^sigma acts on the prefix's row tuples in one
+        pass (`_factor_rows`), so every prefix is built once.  A row the
+        factor leaves alone is shared with the prefix's matrix, not copied.
         """
         got = self._words.get(word)
         if got is None:
             factor = word[-1]
-            pairs = self._factors.get(factor)
-            if pairs is None:
+            args = self._factors.get(factor)
+            if args is None:
                 root, sigma = factor
-                pairs = self._factors[factor] = (self.pair(_add_iso(root, sigma)), self.pair(root))
-            rows = self.mat(word[:-1]).rows
-            for beta, coroot in pairs:
-                rows = _right_rows(rows, beta, coroot)
-            got = self._words[word] = Mat.wrap(rows)
+                args = self._factors[factor] = _factor_args(
+                    self.pair(_add_iso(root, sigma)), self.pair(root)
+                )
+            got = self._words[word] = Mat.wrap(_factor_rows(self.mat(word[:-1]).rows, *args))
         return got
 
     def conjugate(self, root: Root, mat: Mat) -> Mat:
@@ -392,7 +467,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
     nu, rank = spec.nullity, spec.rank
     items: list[CheckItem] = []
     trans = {
-        (i, r): translation(spec, i, r)
+        (i, r): rep.translation(i, r)
         for i in range(1, rank + 1)
         for r in range(1, nu + 1)
     }
@@ -407,19 +482,19 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
                 lhs = rep.conjugate(_simple_root(spec, i), rep.mat(trans[(j, r)]))
-                rhs = rep.mat(trans[(j, r)] + power(trans[(i, r)], -a))
+                rhs = rep.mat(trans[(j, r)] + rep.power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 for s in range(r, nu + 1):
-                    lhs = rep.mat(commutator(trans[(i, r)], trans[(j, s)]))
+                    lhs = rep.mat(rep.commutator(trans[(i, r)], trans[(j, s)]))
                     if r == s:
                         ok = lhs.is_identity()
                     else:
                         e = commutator_coeff(spec, i, j, r, s) // spec.pair_divisor(r, s)
-                        ok = lhs == rep.mat(power(zword[(r, s)], e))
+                        ok = lhs == rep.mat(rep.power(zword[(r, s)], e))
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, mask in _class_members(spec):
@@ -441,7 +516,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     """Check the elementary translation identities on a deterministic sample."""
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
-    gens = generating_roots(spec)
+    gens = rep.gens
     powers: list[CheckItem] = []
     shift: list[CheckItem] = []
     exchange: list[CheckItem] = []
@@ -455,27 +530,27 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     for i in range(1, rank + 1):
         for r in range(1, nu + 1):
             # power law (t^sigma)^n = t^(n sigma) and inverse symmetry
-            word = translation(spec, i, r)
+            word = rep.translation(i, r)
             tmat = rep.mat(word)
             for n in range(1, 4):
-                direct = rep.mat(translation(spec, i, r, n))
+                direct = rep.mat(rep.translation(i, r, n))
                 powers.append(CheckItem("power", (i, r, n), rep.mat(power(word, n)) == direct))
-                ok = rep.mat(power(word, n) + translation(spec, i, r, -n)).is_identity()
+                ok = rep.mat(power(word, n) + rep.translation(i, r, -n)).is_identity()
                 powers.append(CheckItem("power", (i, r, -n), ok))
             # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
             ((base, sigma),) = word
             for n in (-2, -1, 1, 2):
-                ((_, n_sigma),) = translation(spec, i, r, n)
+                ((_, n_sigma),) = rep.translation(i, r, n)
                 ok = t(_add_iso(base, n_sigma), sigma) == tmat
                 shift.append(CheckItem("base-shift", (i, r, n), ok))
             neg = Root(_neg(base.finite), base.iso)
-            ok = rep.mat(translation(spec, i, r, -1)) == t(neg, sigma)
+            ok = rep.mat(rep.translation(i, r, -1)) == t(neg, sigma)
             shift.append(CheckItem("negation", (i, r), ok))
 
     for side in (1, 2):
         for r, s in itertools.permutations(range(1, nu + 1), 2):
-            ((alpha, sig),) = translation(spec, side, r)
-            ((_, del_),) = translation(spec, side, s)
+            ((alpha, sig),) = rep.translation(side, r)
+            ((_, del_),) = rep.translation(side, s)
             a_sig, a_del = _add_iso(alpha, sig), _add_iso(alpha, del_)
             # exchange identity t^(-d)_(a+s) t^d_a = t^s_(a+d) t^(-s)_a
             needed = [
@@ -486,19 +561,17 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
                 _add_iso(alpha, _neg(sig)),
                 _add_iso(alpha, _neg(del_)),
             ]
-            if all(is_root(spec, root) for root in needed):
-                lhs = rep.mat(
-                    translation_word(a_sig, _neg(del_)) + translation(spec, side, s)
-                )
-                rhs = rep.mat(translation_word(a_del, sig) + translation(spec, side, r, -1))
+            if all(map(rep.is_root, needed)):
+                lhs = rep.mat(translation_word(a_sig, _neg(del_)) + rep.translation(side, s))
+                rhs = rep.mat(translation_word(a_del, sig) + rep.translation(side, r, -1))
                 exchange.append(CheckItem("exchange", (side, r, s), lhs == rhs))
             # the difference word t^d_(a+s) t^(-d)_a is central
             if (
-                is_root(spec, a_sig)
-                and is_root(spec, _add_iso(a_sig, del_))
-                and is_root(spec, _add_iso(alpha, _neg(del_)))
+                rep.is_root(a_sig)
+                and rep.is_root(_add_iso(a_sig, del_))
+                and rep.is_root(_add_iso(alpha, _neg(del_)))
             ):
-                word = translation_word(a_sig, del_) + translation(spec, side, s, -1)
+                word = translation_word(a_sig, del_) + rep.translation(side, s, -1)
                 ok = _centrality(rep, rep.mat(word), gens)
                 difference.append(CheckItem("central-difference", (side, r, s), ok))
 
@@ -506,7 +579,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     for (si, sj) in ((1, 1), (1, 2), (2, 2)):
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
-                com = commutator(translation(spec, si, r), translation(spec, sj, s))
+                com = rep.commutator(rep.translation(si, r), rep.translation(sj, s))
                 ok = _centrality(rep, rep.mat(com), gens)
                 central.append(CheckItem("central-commutator", (si, sj, r, s), ok))
 
@@ -584,13 +657,16 @@ def _box_mask(nu: int, slack: int, pad: int) -> int:
     base = 2 * slack + 1 + 2 * pad
     mask, weight = 1, 1
     for _ in range(nu):
-        # mask < 2^weight, so its copies shifted by multiples of weight are disjoint
-        mask *= sum(1 << d * weight for d in range(pad, pad + 2 * slack + 1))
+        # mask < 2^weight, so its copies shifted by multiples of weight are disjoint;
+        # the sum of 2^(d weight) over d = pad..pad + 2 slack, as a geometric series
+        mask *= ((1 << (2 * slack + 1) * weight) - 1) // ((1 << weight) - 1) << pad * weight
         weight *= base
     return mask
 
 
-def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
+def orbit_cover(
+    spec: RootSystemSpec, height_bound: int, gens: list[Root] | None = None
+) -> CoverReport:
     """BFS of the generator set under its own reflections.
 
     Expands inside a box two steps slacker than the requested bound and
@@ -609,9 +685,12 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     l therefore steps by the shifts c g.iso, g a generator with a
     non-zero iso part and c a non-zero (f, g^vee) over f of length l,
     from the iso parts of the generators of length l; its closure is
-    the projection of the search over (finite part, iso) states.
-    `root_class` reads only the length and the iso residues, so
-    one representative per length decides which iso tuples are roots.
+    the projection of the search over (finite part, iso) states.  Each c
+    is f dotted with the finite columns of g^vee (`_finite_coroot`).
+    `root_class` reads only the length and the iso residues mod 2 and
+    mod k, so one representative per length and residue class decides
+    which iso tuples are roots.  `gens` is `generating_roots(spec)`
+    unless the caller has it.
 
     Each search is one bitset, a Python int.  Tuple x is bit
     sum_q (x_q + slack + pad) base^q, base = 2 slack + 1 + 2 pad, with
@@ -631,7 +710,7 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     states = (len(fr.short_roots) + len(fr.long_roots)) * (2 * height_bound + 5) ** nu
     refuse_past("orbit cover states", states, MAX_COVER_STATES)  # before any search
     slack = height_bound + 2
-    gens = generating_roots(spec)
+    gens = generating_roots(spec) if gens is None else gens
     zero = (0,) * nu
     for alpha in fr.simple:
         if Root(alpha, zero) not in gens:
@@ -639,14 +718,18 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
                 f"generator set lacks the finite simple root {Root(alpha, zero)}"
             )
     affine = [g for g in gens if any(g.iso)]
-    isos = list(itertools.product(range(-height_bound, height_bound + 1), repeat=nu))
+    coroots = {g.finite: _finite_coroot(spec, g)[1] for g in affine}
+    values = range(-height_bound, height_bound + 1)
+    isos = list(itertools.product(values, repeat=nu))
+    modulus = 2 * fr.k // math.gcd(2, fr.k)
+    residues = [x % modulus for x in values]
     target_count = 0
     unreached: list[Root] = []
     for roots in (fr.short_roots, fr.long_roots):
         parts = sorted(roots)
         cartans = {
-            v: {fr.cartan(f, v) for f in parts} - {0}
-            for v in {g.finite for g in affine}
+            v: {sum([f[c] * y for c, y in coroot]) for f in parts} - {0}
+            for v, coroot in coroots.items()
         }
         shifts = {
             tuple(c * b for b in g.iso) for g in affine for c in cartans[g.finite]
@@ -672,10 +755,17 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
             frontier = moved & allowed
             allowed ^= frontier
         seen = (box & ~allowed).to_bytes(base**nu // 8 + 1, "little")
-        targets = [iso for iso in isos if is_root(spec, Root(parts[0], iso))]
-        missed = [
-            iso for iso, k in zip(targets, map(index, targets)) if not seen[k >> 3] >> (k & 7) & 1
-        ]
+        member = {
+            key: is_root(spec, Root(parts[0], key))
+            for key in itertools.product(sorted(set(residues)), repeat=nu)
+        }
+        # each iso tuple's residue class and bit, in the order of isos
+        classes = itertools.product(residues, repeat=nu)
+        bits = map(sum, itertools.product(
+            *[[(x + slack + pad) * w for x in values] for w in weights]
+        ))
+        targets = [(iso, k) for iso, key, k in zip(isos, classes, bits) if member[key]]
+        missed = [iso for iso, k in targets if not seen[k >> 3] >> (k & 7) & 1]
         target_count += len(parts) * len(targets)
         unreached += [Root(f, iso) for f in parts for iso in missed]
     return CoverReport(

@@ -151,6 +151,24 @@ def test_spec_table_matches_the_pair_loops():
     assert mismatches == []
 
 
+def test_pair_divisor_reads_the_scanned_position():
+    # the lexicographic index against a scan of the pair list, for every
+    # pair at nu <= 8; a minimal block beside a lattice one makes Delta = 2
+    # inside the minimal block and 1 elsewhere, so a shifted index shows
+    seen = set()
+    for nu in range(2, 9):
+        for t in range(nu + 1):
+            for s1, s2 in [(Semilattice.minimal(t), Semilattice.lattice(nu - t)),
+                           (Semilattice.lattice(t), Semilattice.minimal(nu - t))]:
+                spec = rootsystem.make_spec("B", 2, nu, t, s1, s2)
+                table = spec.incidence
+                for r, s in table.pairs:
+                    scanned = table.divisors[table.pairs.index((r, s))]
+                    assert spec.pair_divisor(r, s) == scanned, (nu, t, r, s)
+                    seen.add(scanned)
+    assert seen == {1, 2}
+
+
 def test_pair_divisor_refuses_a_pair_out_of_range():
     spec = dict(reference_corpus())["B2 nu4 t2 S1=min S2=min"]
     for r, s in [(0, 1), (2, 1), (2, 2), (3, 5)]:
