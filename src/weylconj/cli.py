@@ -258,8 +258,7 @@ def _classify_json(
 def _cmd_verify(args) -> int:
     spec = _load_spec(args.spec, refuse_verify_size)  # before S1 and S2 are built
     rep = Representation(spec)
-    # refuses an oversized box before any suite runs
-    cover = orbit_cover(spec, args.height, rep.gens)
+    cover = orbit_cover(spec, args.height)  # refuses an oversized box before any suite runs
     structure = verify_structure_identities(rep)
     translationv = verify_translation_identities(rep)
     choice = verify_choice_independence(rep) if spec.nullity >= 2 else None

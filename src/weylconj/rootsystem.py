@@ -288,16 +288,6 @@ class RootSystemSpec(_SpecFields):
         return self.roots.k
 
     @cached_attribute
-    def simple_gram(self) -> tuple[tuple[int, ...], ...]:
-        """The pairings (alpha_i, alpha_j) of the simple roots of `roots`, 0-based.
-
-        Every exponent of the presentation reads them (`conj_exponent`,
-        `commutator_coeff`); kept per spec object, as `roots` is.
-        """
-        fr = self.roots
-        return tuple(tuple(fr.pairing(a, b) for b in fr.simple) for a in fr.simple)
-
-    @cached_attribute
     def sides(self) -> tuple[Side, Side]:
         """S1 and S2 with their global shift and whether the type leaves them free."""
         free = free_sides(self.family, self.rank)
@@ -400,10 +390,7 @@ def make_spec(
 
 def conj_exponent(spec: RootSystemSpec, i: int, j: int, r: int) -> int:
     """Exponent a_{i,j}(r) in the conjugation relation w_i t_{j,r} w_i = t_{j,r} t_{i,r}^-a."""
-    gram, simple = spec.simple_gram, spec.roots.simple
-    cartan = exact_div(
-        2 * gram[i - 1][j - 1], gram[j - 1][j - 1], "({}, {}^vee)", simple[i - 1], simple[j - 1]
-    )
+    cartan = spec.roots.cartan(spec.roots.simple[i - 1], spec.roots.simple[j - 1])
     return exact_div(
         spec.translation_step(j, r) * cartan,
         spec.translation_step(i, r),
@@ -415,11 +402,13 @@ def commutator_coeff(spec: RootSystemSpec, i: int, j: int, r: int, s: int) -> in
     """Coefficient a_{i,j}(r,s); its Delta(r,s)-quotient is the commutator exponent."""
     if not 1 <= r <= s <= spec.nullity:
         raise SpecValidationError(f"need r <= s in 1..{spec.nullity}, got ({r}, {s})")
-    gram = spec.simple_gram
+    fr = spec.roots
+    ai = fr.simple[i - 1]
+    aj = fr.simple[j - 1]
     out = exact_div(
-        4 * spec.k * spec.translation_step(i, r) * spec.translation_step(j, s)
-        * gram[i - 1][j - 1],
-        spec.k_r(r) * gram[i - 1][i - 1] * gram[j - 1][j - 1],
+        4 * fr.k * spec.translation_step(i, r) * spec.translation_step(j, s)
+        * fr.pairing(ai, aj),
+        spec.k_r(r) * fr.pairing(ai, ai) * fr.pairing(aj, aj),
         "a_({},{})({},{})", i, j, r, s,
     )
     if r < s and out % spec.pair_divisor(r, s):

@@ -24,16 +24,13 @@ elements is the matrix of the concatenated word.  A `Representation`
 owns the matrices of one spec: the pair (beta, beta^vee) of each root,
 the two pairs of each translation factor, the finite part of each
 finite root's coroot, and the matrix of each word, built from its
-cached prefix in one pass over the prefix's row tuples.  The factor
-w_1 w_2 takes row u to u - x1 beta_1^vee - x2 beta_2^vee, with
-x1 = u beta_1 and x2 = u beta_2 - c x1, c = beta_1^vee beta_2 kept per
-factor: the two rank-one updates at once.  A row with x1 = x2 = 0 is
-unchanged, so the new matrix holds the prefix's row object itself.
-`Representation.mat` is the only way a word becomes a matrix;
-`Representation.conjugate` applies a reflection on both sides of a
-matrix, and `Representation.commutes` tests M w_beta = w_beta M as the
-equality of two rank-one matrices, (M beta) beta^vee = beta (beta^vee M),
-without building either side.
+cached prefix by two right updates on row tuples.  A row whose product
+with beta is 0 is unchanged by w_beta, so the new matrix holds the
+prefix's row object itself.  `Representation.mat` is the only way a word
+becomes a matrix; `Representation.conjugate` applies a reflection on
+both sides of a matrix, and `Representation.commutes` tests
+M w_beta = w_beta M as the equality of two rank-one matrices,
+(M beta) beta^vee = beta (beta^vee M), without building either side.
 
 Three builders make the paper's elements, and every suite calls them:
 `translation` builds t_{i,r}^n, `central_word` builds z_J on a given
@@ -53,7 +50,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from operator import add, mul, neg
+from operator import mul
 from typing import Iterator, NamedTuple, Sequence
 
 from .exactmat import Mat, smith_diagonal
@@ -70,7 +67,7 @@ from .rootsystem import (
     root_class,
     sigma_vec,
 )
-from .semilattice import cached_attribute, elems_of
+from .semilattice import elems_of
 
 Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
 
@@ -126,44 +123,6 @@ def _right_rows(rows: Sequence[tuple[int, ...]], beta: Sparse, coroot: Sparse) -
     return tuple(out)
 
 
-def _factor_rows(
-    rows: Sequence[tuple[int, ...]],
-    beta1: Sparse, coroot1: Sparse, beta2: Sparse, coroot2: Sparse, c: int,
-) -> tuple:
-    """rows w_1 w_2 in one pass, w_i = I - beta_i beta_i^vee and c = beta_1^vee beta_2.
-
-    Row u loses x1 beta_1^vee + x2 beta_2^vee, x1 = u beta_1 and
-    x2 = u beta_2 - c x1: the integers of `_right_rows` by w_1, then by
-    w_2, whose second product is (u - x1 beta_1^vee) beta_2.  A row with
-    x1 = x2 = 0 is unchanged, and the result holds that same row object
-    rather than a copy.
-    """
-    out = []
-    for row in rows:
-        x1 = 0
-        for i, b in beta1:
-            x1 += row[i] * b
-        x2 = -c * x1
-        for i, b in beta2:
-            x2 += row[i] * b
-        if x1 or x2:
-            row = list(row)
-            for i, y in coroot1:
-                row[i] -= x1 * y
-            for i, y in coroot2:
-                row[i] -= x2 * y
-            row = tuple(row)
-        out.append(row)
-    return tuple(out)
-
-
-def _factor_args(pair1: tuple[Sparse, Sparse], pair2: tuple[Sparse, Sparse]) -> tuple:
-    """The arguments of `_factor_rows` after the rows: both pairs and c = beta_1^vee beta_2."""
-    (beta1, coroot1), (beta2, coroot2) = pair1, pair2
-    c = sum([y * b for i, y in coroot1 for j, b in beta2 if i == j])
-    return beta1, coroot1, beta2, coroot2, c
-
-
 def _left_update(rows: list[tuple[int, ...]], beta: Sparse, coroot: Sparse) -> None:
     """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
     v = [0] * len(rows[0])
@@ -180,11 +139,11 @@ def refuse_verify_size(rank: int, nullity: int) -> None:
 
 
 def _add_iso(root: Root, delta: Sequence[int]) -> Root:
-    return Root(root.finite, tuple(map(add, root.iso, delta)))
+    return Root(root.finite, tuple(a + b for a, b in zip(root.iso, delta)))
 
 
 def _neg(vec: Sequence[int]) -> tuple[int, ...]:
-    return tuple(map(neg, vec))
+    return tuple(-x for x in vec)
 
 
 def is_root(spec: RootSystemSpec, root: Root) -> bool:
@@ -198,7 +157,7 @@ def translation_word(root: Root, sigma: Sequence[int]) -> Word:
 
 def inverse(word: Word) -> Word:
     """The inverse word: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), reversed."""
-    return tuple([(_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word)])
+    return tuple((_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word))
 
 
 def commutator(x: Word, y: Word) -> Word:
@@ -217,12 +176,11 @@ class Representation:
     It keeps what the suites would otherwise derive again on every use:
     whether each root it meets is a root (one `root_class` call each),
     the pair (beta, beta^vee) of each root, the finite part of each
-    finite root's coroot, the arguments of each translation factor, the
-    generating roots, each word t_{i,r}^n, each inverse word it is asked
-    for and the matrix of each word it builds.  Every table lives as long
-    as the representation, which `verify` builds once per call.
-    Reflections act on matrices as rank-one updates, so nothing here
-    multiplies two matrices.
+    finite root's coroot, the two pairs of each translation factor,
+    each word t_{i,r}^n and the matrix of each word it builds.
+    Every table lives as long as the representation, which `verify`
+    builds once per call.  Reflections act on matrices as rank-one
+    updates, so nothing here multiplies two matrices.
     """
 
     def __init__(self, spec: RootSystemSpec):
@@ -234,13 +192,7 @@ class Representation:
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
         self._factors: dict = {}
         self._translations: dict[tuple[int, int, int], Word] = {}
-        self._inverses: dict[Word, Word] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
-
-    @cached_attribute
-    def gens(self) -> list[Root]:
-        """The generating roots (`generating_roots`)."""
-        return generating_roots(self.spec)
 
     def is_root(self, root: Root) -> bool:
         """Whether root is a non-isotropic root of the system, by one `root_class` call."""
@@ -275,12 +227,12 @@ class Representation:
                 finite = self._finite[root.finite] = _finite_coroot(spec, root)
             aa, coroot = finite
             lam = len(root.finite) + spec.nullity  # the first lambda' column
-            coroot += tuple([
+            coroot += tuple(
                 (lam + r, exact_div(2 * spec.roots.k * x, aa, "(e_{}, {}^vee)", lam + r, root))
                 for r, x in enumerate(root.iso)
                 if x
-            ])
-            beta = tuple([(c, x) for c, x in enumerate(root.finite + root.iso) if x])
+            )
+            beta = tuple((c, x) for c, x in enumerate(root.finite + root.iso) if x)
             got = self._pairs[root] = beta, coroot
         return got
 
@@ -292,38 +244,25 @@ class Representation:
             got = self._translations[key] = translation(self.spec, i, r, n)
         return got
 
-    def inverse(self, word: Word) -> Word:
-        """The inverse word (`inverse`), built once per word."""
-        got = self._inverses.get(word)
-        if got is None:
-            got = self._inverses[word] = inverse(word)
-        return got
-
-    def commutator(self, x: Word, y: Word) -> Word:
-        """The word x^-1 y^-1 x y (`commutator`), from the kept inverses."""
-        return self.inverse(x) + self.inverse(y) + x + y
-
-    def power(self, word: Word, e: int) -> Word:
-        """The word word^e (`power`), from the kept inverse when e < 0."""
-        return (word if e >= 0 else self.inverse(word)) * abs(e)
-
     def mat(self, word: Word) -> Mat:
         """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
 
-        The last factor t_root^sigma acts on the prefix's row tuples in one
-        pass (`_factor_rows`), so every prefix is built once.  A row the
-        factor leaves alone is shared with the prefix's matrix, not copied.
+        The last factor t_root^sigma acts as two right updates, first by
+        w_(root+sigma), then by w_root, on the prefix's row tuples, so
+        every prefix is built once.  A row the factor leaves alone is
+        shared with the prefix's matrix, not copied.
         """
         got = self._words.get(word)
         if got is None:
             factor = word[-1]
-            args = self._factors.get(factor)
-            if args is None:
+            pairs = self._factors.get(factor)
+            if pairs is None:
                 root, sigma = factor
-                args = self._factors[factor] = _factor_args(
-                    self.pair(_add_iso(root, sigma)), self.pair(root)
-                )
-            got = self._words[word] = Mat.wrap(_factor_rows(self.mat(word[:-1]).rows, *args))
+                pairs = self._factors[factor] = (self.pair(_add_iso(root, sigma)), self.pair(root))
+            rows = self.mat(word[:-1]).rows
+            for beta, coroot in pairs:
+                rows = _right_rows(rows, beta, coroot)
+            got = self._words[word] = Mat.wrap(rows)
         return got
 
     def conjugate(self, root: Root, mat: Mat) -> Mat:
@@ -482,19 +421,19 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
                 lhs = rep.conjugate(_simple_root(spec, i), rep.mat(trans[(j, r)]))
-                rhs = rep.mat(trans[(j, r)] + rep.power(trans[(i, r)], -a))
+                rhs = rep.mat(trans[(j, r)] + power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 for s in range(r, nu + 1):
-                    lhs = rep.mat(rep.commutator(trans[(i, r)], trans[(j, s)]))
+                    lhs = rep.mat(commutator(trans[(i, r)], trans[(j, s)]))
                     if r == s:
                         ok = lhs.is_identity()
                     else:
                         e = commutator_coeff(spec, i, j, r, s) // spec.pair_divisor(r, s)
-                        ok = lhs == rep.mat(rep.power(zword[(r, s)], e))
+                        ok = lhs == rep.mat(power(zword[(r, s)], e))
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, mask in _class_members(spec):
@@ -516,7 +455,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     """Check the elementary translation identities on a deterministic sample."""
     spec = rep.spec
     nu, rank = spec.nullity, spec.rank
-    gens = rep.gens
+    gens = generating_roots(spec)
     powers: list[CheckItem] = []
     shift: list[CheckItem] = []
     exchange: list[CheckItem] = []
@@ -579,7 +518,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     for (si, sj) in ((1, 1), (1, 2), (2, 2)):
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
-                com = rep.commutator(rep.translation(si, r), rep.translation(sj, s))
+                com = commutator(rep.translation(si, r), rep.translation(sj, s))
                 ok = _centrality(rep, rep.mat(com), gens)
                 central.append(CheckItem("central-commutator", (si, sj, r, s), ok))
 
@@ -657,16 +596,13 @@ def _box_mask(nu: int, slack: int, pad: int) -> int:
     base = 2 * slack + 1 + 2 * pad
     mask, weight = 1, 1
     for _ in range(nu):
-        # mask < 2^weight, so its copies shifted by multiples of weight are disjoint;
-        # the sum of 2^(d weight) over d = pad..pad + 2 slack, as a geometric series
-        mask *= ((1 << (2 * slack + 1) * weight) - 1) // ((1 << weight) - 1) << pad * weight
+        # mask < 2^weight, so its copies shifted by multiples of weight are disjoint
+        mask *= sum(1 << d * weight for d in range(pad, pad + 2 * slack + 1))
         weight *= base
     return mask
 
 
-def orbit_cover(
-    spec: RootSystemSpec, height_bound: int, gens: list[Root] | None = None
-) -> CoverReport:
+def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
     """BFS of the generator set under its own reflections.
 
     Expands inside a box two steps slacker than the requested bound and
@@ -685,12 +621,10 @@ def orbit_cover(
     l therefore steps by the shifts c g.iso, g a generator with a
     non-zero iso part and c a non-zero (f, g^vee) over f of length l,
     from the iso parts of the generators of length l; its closure is
-    the projection of the search over (finite part, iso) states.  Each c
-    is f dotted with the finite columns of g^vee (`_finite_coroot`).
+    the projection of the search over (finite part, iso) states.
     `root_class` reads only the length and the iso residues mod 2 and
     mod k, so one representative per length and residue class decides
-    which iso tuples are roots.  `gens` is `generating_roots(spec)`
-    unless the caller has it.
+    which iso tuples are roots.
 
     Each search is one bitset, a Python int.  Tuple x is bit
     sum_q (x_q + slack + pad) base^q, base = 2 slack + 1 + 2 pad, with
@@ -710,7 +644,7 @@ def orbit_cover(
     states = (len(fr.short_roots) + len(fr.long_roots)) * (2 * height_bound + 5) ** nu
     refuse_past("orbit cover states", states, MAX_COVER_STATES)  # before any search
     slack = height_bound + 2
-    gens = generating_roots(spec) if gens is None else gens
+    gens = generating_roots(spec)
     zero = (0,) * nu
     for alpha in fr.simple:
         if Root(alpha, zero) not in gens:
@@ -718,7 +652,6 @@ def orbit_cover(
                 f"generator set lacks the finite simple root {Root(alpha, zero)}"
             )
     affine = [g for g in gens if any(g.iso)]
-    coroots = {g.finite: _finite_coroot(spec, g)[1] for g in affine}
     values = range(-height_bound, height_bound + 1)
     isos = list(itertools.product(values, repeat=nu))
     modulus = 2 * fr.k // math.gcd(2, fr.k)
@@ -728,8 +661,8 @@ def orbit_cover(
     for roots in (fr.short_roots, fr.long_roots):
         parts = sorted(roots)
         cartans = {
-            v: {sum([f[c] * y for c, y in coroot]) for f in parts} - {0}
-            for v, coroot in coroots.items()
+            v: {fr.cartan(f, v) for f in parts} - {0}
+            for v in {g.finite for g in affine}
         }
         shifts = {
             tuple(c * b for b in g.iso) for g in affine for c in cartans[g.finite]
