@@ -12,31 +12,35 @@ coordinates, every coefficient of a reflection is an integer, and each
 matrix is an integer `Mat`, so each identity below is checked with zero
 tolerance.
 
-Group elements are words: tuples of translation factors (root, sigma),
-each t_root^sigma = w_(root+sigma) w_root.  Reflections are involutions,
-so a word's inverse is the reversed word of factors (root + sigma,
--sigma), and a power is a longer word (`power`): no matrix is ever
-inverted or raised to a power.  Every reflection is w_beta = I -
-beta beta^vee, the identity minus one outer product, so it acts on a
-matrix as a rank-one update, M w_beta = M - (M beta) beta^vee, and no
-two matrices are ever multiplied to build a word: a product of two
-elements is the matrix of the concatenated word.  A `Representation`
-owns the matrices of one spec: the pair (beta, beta^vee) of each root,
-the two pairs of each translation factor, the finite part of each
-finite root's coroot, and the matrix of each word, built from its
-cached prefix by two right updates on row tuples.  A row whose product
-with beta is 0 is unchanged by w_beta, so the new matrix holds the
-prefix's row object itself.  `Representation.mat` is the only way a word
-becomes a matrix; `Representation.conjugate` applies a reflection on
-both sides of a matrix, and `Representation.commutes` tests
-M w_beta = w_beta M as the equality of two rank-one matrices,
-(M beta) beta^vee = beta (beta^vee M), without building either side.
+Group elements are words of translation factors t_root^sigma =
+w_(root+sigma) w_root.  A `Representation` gives each distinct factor
+(root, sigma) a small int the first time it meets it, so a word is a
+tuple of factor numbers, multiplied left to right.  Reflections are
+involutions, so the inverse of t_root^sigma is t_(root+sigma)^(-sigma),
+numbered together with it; a word's inverse is its reversed numbers,
+each replaced by its inverse's number, and a power is a longer word:
+no matrix is ever inverted or raised to a power.  Every reflection is
+w_beta = I - beta beta^vee, the identity minus one outer product, so it
+acts on a matrix as a rank-one update, M w_beta = M - (M beta) beta^vee,
+and no two matrices are ever multiplied to build a word: a product of
+two elements is the matrix of the concatenated word.  A
+`Representation` owns the matrices of one spec: the pair (beta,
+beta^vee) of each root, the two pairs and the inverse of each numbered
+factor, the finite part of each finite root's coroot, and the matrix
+of each word, built from its cached prefix by two right updates on row
+tuples.  A row whose product with beta is 0 is unchanged by w_beta, so
+the new matrix holds the prefix's row object itself.
+`Representation.mat` is the only way a word becomes a matrix;
+`Representation.conjugate` applies a reflection on both sides of a
+matrix, and `Representation.commutes` tests M w_beta = w_beta M as the
+equality of two rank-one matrices, (M beta) beta^vee = beta (beta^vee
+M), without building either side.
 
-Three builders make the paper's elements, and every suite calls them:
-`translation` builds t_{i,r}^n, `central_word` builds z_J on a given
-base root, and `central_image` builds z_{r,s} (a mixed pair's
-commutator, a supported pair's `central_word`, or an unsupported pair's
-commutator, by Delta(r,s)).
+Three builders of a `Representation` make the paper's elements, and
+every suite calls them: `translation` builds t_{i,r}^n, `central_word`
+builds z_J on a given base root, and `central_image` builds z_{r,s} (a
+mixed pair's commutator, a supported pair's `central_word`, or an
+unsupported pair's commutator, by Delta(r,s)).
 
 The verifiers exercise, as matrix identities, the relations the
 presented group imposes on its distinguished generators: the conjugation
@@ -69,7 +73,7 @@ from .rootsystem import (
 )
 from .semilattice import elems_of
 
-Word = tuple  # of (Root, sigma) translation factors, multiplied left to right
+Word = tuple  # of factor numbers (`Representation.translation_word`), multiplied left to right
 
 
 def ambient_dim(spec: RootSystemSpec) -> int:
@@ -107,9 +111,23 @@ def _right_rows(rows: Sequence[tuple[int, ...]], beta: Sparse, coroot: Sparse) -
     """rows (I - beta beta^vee) as a tuple of row tuples: row u loses (u beta) beta^vee.
 
     A row with u beta = 0 is unchanged, and the result holds that same
-    row object rather than a copy.
+    row object rather than a copy.  Most beta have at most two entries
+    (a simple root, one finite coordinate, shifted along one sigma_r),
+    and for those u beta is one two-term expression, its second term
+    u_0 * 0 when beta has one entry; a longer beta takes the loop.
     """
     out = []
+    if len(beta) <= 2:
+        (c, b), (d, e) = (beta + ((0, 0),))[:2]
+        for row in rows:
+            x = row[c] * b + row[d] * e
+            if x:
+                row = list(row)
+                for k, y in coroot:
+                    row[k] -= x * y
+                row = tuple(row)
+            out.append(row)
+        return tuple(out)
     for row in rows:
         x = 0
         for c, b in beta:
@@ -150,24 +168,14 @@ def is_root(spec: RootSystemSpec, root: Root) -> bool:
     return root_class(spec, root) in (RootClass.SHORT, RootClass.LONG)
 
 
-def translation_word(root: Root, sigma: Sequence[int]) -> Word:
-    """The one-factor word t_root^sigma = w_(root+sigma) w_root."""
-    return ((root, sigma),)
+def _simple_root(spec: RootSystemSpec, i: int) -> Root:
+    """alpha_i with zero isotropic part: the base of t_{i,r} (theta_i for i = 1, 2)."""
+    return Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
 
 
-def inverse(word: Word) -> Word:
-    """The inverse word: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), reversed."""
-    return tuple((_add_iso(root, sigma), _neg(sigma)) for root, sigma in reversed(word))
-
-
-def commutator(x: Word, y: Word) -> Word:
-    """The word x^-1 y^-1 x y."""
-    return inverse(x) + inverse(y) + x + y
-
-
-def power(word: Word, e: int) -> Word:
-    """The word word^e: |e| copies of the word, or of its inverse when e < 0."""
-    return (word if e >= 0 else inverse(word)) * abs(e)
+def _step_sigma(spec: RootSystemSpec, i: int, r: int, n: int = 1) -> tuple[int, ...]:
+    """n step sigma_r, the shift of t_{i,r}^n: step is the least n >= 1 keeping alpha_i a root."""
+    return sigma_vec(spec, r, n * spec.translation_step(i, r))
 
 
 class Representation:
@@ -176,8 +184,12 @@ class Representation:
     It keeps what the suites would otherwise derive again on every use:
     whether each root it meets is a root (one `root_class` call each),
     the pair (beta, beta^vee) of each root, the finite part of each
-    finite root's coroot, the two pairs of each translation factor,
-    each word t_{i,r}^n and the matrix of each word it builds.
+    finite root's coroot, each word t_{i,r}^n and the matrix of each
+    word it builds.  Each distinct translation factor (root, sigma) gets
+    a number once, together with its inverse t_(root+sigma)^(-sigma);
+    per number it keeps the factor's two pairs and its inverse's number.
+    Words are tuples of these numbers, so a matrix lookup hashes small
+    ints and a word's inverse is a table lookup that builds no `Root`.
     Every table lives as long as the representation, which `verify`
     builds once per call.  Reflections act on matrices as rank-one
     updates, so nothing here multiplies two matrices.
@@ -190,7 +202,9 @@ class Representation:
         self._roots: dict[Root, bool] = {}
         self._finite: dict = {}
         self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
-        self._factors: dict = {}
+        self._numbers: dict[tuple[Root, tuple[int, ...]], int] = {}
+        self._factor_pairs: list[tuple[tuple[Sparse, Sparse], tuple[Sparse, Sparse]]] = []
+        self._inverse: list[int] = []
         self._translations: dict[tuple[int, int, int], Word] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
@@ -236,13 +250,100 @@ class Representation:
             got = self._pairs[root] = beta, coroot
         return got
 
+    def translation_word(self, root: Root, sigma: tuple[int, ...]) -> Word:
+        """The one-factor word t_root^sigma = w_(root+sigma) w_root.
+
+        A factor met for the first time is numbered with its inverse
+        t_(root+sigma)^(-sigma) = w_root w_(root+sigma): the inverse's
+        two pairs are the factor's, swapped.  With sigma = 0 the factor
+        is the identity and its own inverse.
+        """
+        number = self._numbers.get((root, sigma))
+        if number is None:
+            shifted = _add_iso(root, sigma)
+            pairs = self.pair(shifted), self.pair(root)
+            number = self._numbers[root, sigma] = len(self._inverse)
+            self._factor_pairs.append(pairs)
+            if any(sigma):
+                self._numbers[shifted, _neg(sigma)] = number + 1
+                self._factor_pairs.append(pairs[::-1])
+                self._inverse += [number + 1, number]
+            else:
+                self._inverse.append(number)
+        return (number,)
+
+    def inverse(self, word: Word) -> Word:
+        """The inverse word: each factor's inverse, in reverse order."""
+        inv = self._inverse
+        return tuple([inv[n] for n in reversed(word)])
+
+    def commutator(self, x: Word, y: Word) -> Word:
+        """The word x^-1 y^-1 x y."""
+        return self.inverse(x) + self.inverse(y) + x + y
+
+    def power(self, word: Word, e: int) -> Word:
+        """The word word^e: |e| copies of the word, or of its inverse when e < 0."""
+        return (word if e >= 0 else self.inverse(word)) * abs(e)
+
     def translation(self, i: int, r: int, n: int = 1) -> Word:
-        """The word t_{i,r}^n (`translation`), built once per (i, r, n)."""
+        """t_{i,r}^n: the basic translation along sigma_r attached to the i-th simple root.
+
+        The one-factor word t_(alpha_i)^(n step sigma_r) (`_step_sigma`),
+        built once per (i, r, n).
+        """
         key = (i, r, n)
         got = self._translations.get(key)
         if got is None:
-            got = self._translations[key] = translation(self.spec, i, r, n)
+            base, sigma = _simple_root(self.spec, i), _step_sigma(self.spec, i, r, n)
+            got = self._translations[key] = self.translation_word(base, sigma)
         return got
+
+    def central_word(self, base: Root, mask: int) -> Word:
+        """psi(z_J) on a base root for a global mask J.
+
+        The word t_base^(-tau_J), then t_base^(sigma_r) for r in J ascending.
+        """
+        spec = self.spec
+        tau = tuple(-(mask >> q & 1) for q in range(spec.nullity))
+        word = self.translation_word(base, tau)
+        for r in elems_of(mask):
+            word += self.translation_word(base, sigma_vec(spec, r))
+        return word
+
+    def central_image(
+        self,
+        r: int,
+        s: int,
+        short_base: Root | None = None,
+        long_base: Root | None = None,
+    ) -> Word:
+        """psi(z_{r,s}) for a global pair r < s.
+
+        A mixed pair (r in S1's block, s in S2's) is the long/short
+        commutator.  On one side, a supported pair (Delta(r,s) = 1) is the
+        central word z_{r,s}, an unsupported one the commutator of the two
+        singleton translations.  The optional bases override the default
+        theta choices (they must pair negatively in the mixed case); the
+        result is choice-independent.
+        """
+        spec = self.spec
+        delta = spec.pair_divisor(r, s)  # first: it rejects a pair outside 1 <= r < s <= nu
+        alpha = short_base if short_base is not None else _simple_root(spec, 1)
+        beta = long_base if long_base is not None else _simple_root(spec, 2)
+        if r <= spec.twist < s:
+            if spec.roots.pairing(alpha.finite, beta.finite) >= 0:
+                raise ValueError("mixed-pair bases must pair negatively")
+            return self.commutator(
+                self.translation_word(beta, sigma_vec(spec, s)),
+                self.translation_word(alpha, sigma_vec(spec, r)),
+            )
+        base = alpha if s <= spec.twist else beta
+        if delta == 1:
+            return self.central_word(base, (1 << (r - 1)) | (1 << (s - 1)))
+        return self.commutator(
+            self.translation_word(base, sigma_vec(spec, r)),
+            self.translation_word(base, sigma_vec(spec, s)),
+        )
 
     def mat(self, word: Word) -> Mat:
         """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
@@ -254,13 +355,8 @@ class Representation:
         """
         got = self._words.get(word)
         if got is None:
-            factor = word[-1]
-            pairs = self._factors.get(factor)
-            if pairs is None:
-                root, sigma = factor
-                pairs = self._factors[factor] = (self.pair(_add_iso(root, sigma)), self.pair(root))
             rows = self.mat(word[:-1]).rows
-            for beta, coroot in pairs:
+            for beta, coroot in self._factor_pairs[word[-1]]:
                 rows = _right_rows(rows, beta, coroot)
             got = self._words[word] = Mat.wrap(rows)
         return got
@@ -298,68 +394,6 @@ class Representation:
         for c, y in coroot:
             want_co[c] = m_beta[i] * y
         return [b * x for x in m_beta] == want_m and [b * x for x in co_m] == want_co
-
-
-def _simple_root(spec: RootSystemSpec, i: int) -> Root:
-    """alpha_i with zero isotropic part: the base of t_{i,r} (theta_i for i = 1, 2)."""
-    return Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
-
-
-def translation(spec: RootSystemSpec, i: int, r: int, n: int = 1) -> Word:
-    """t_{i,r}^n: the basic translation along sigma_r attached to the i-th simple root.
-
-    The one-factor word t_(alpha_i)^(n step sigma_r), step the least
-    positive shift that keeps alpha_i a root (`translation_step`).
-    """
-    sigma = sigma_vec(spec, r, n * spec.translation_step(i, r))
-    return translation_word(_simple_root(spec, i), sigma)
-
-
-def central_word(spec: RootSystemSpec, base: Root, mask: int) -> Word:
-    """psi(z_J) on a base root for a global mask J.
-
-    The word t_base^(-tau_J), then t_base^(sigma_r) for r in J ascending.
-    """
-    tau = tuple(-(mask >> q & 1) for q in range(spec.nullity))
-    word = translation_word(base, tau)
-    for r in elems_of(mask):
-        word += translation_word(base, sigma_vec(spec, r))
-    return word
-
-
-def central_image(
-    spec: RootSystemSpec,
-    r: int,
-    s: int,
-    short_base: Root | None = None,
-    long_base: Root | None = None,
-) -> Word:
-    """psi(z_{r,s}) for a global pair r < s.
-
-    A mixed pair (r in S1's block, s in S2's) is the long/short
-    commutator.  On one side, a supported pair (Delta(r,s) = 1) is the
-    central word z_{r,s}, an unsupported one the commutator of the two
-    singleton translations.  The optional bases override the default
-    theta choices (they must pair negatively in the mixed case); the
-    result is choice-independent.
-    """
-    delta = spec.pair_divisor(r, s)  # first: it rejects a pair outside 1 <= r < s <= nu
-    alpha = short_base if short_base is not None else _simple_root(spec, 1)
-    beta = long_base if long_base is not None else _simple_root(spec, 2)
-    if r <= spec.twist < s:
-        if spec.roots.pairing(alpha.finite, beta.finite) >= 0:
-            raise ValueError("mixed-pair bases must pair negatively")
-        return commutator(
-            translation_word(beta, sigma_vec(spec, s)),
-            translation_word(alpha, sigma_vec(spec, r)),
-        )
-    base = alpha if s <= spec.twist else beta
-    if delta == 1:
-        return central_word(spec, base, (1 << (r - 1)) | (1 << (s - 1)))
-    return commutator(
-        translation_word(base, sigma_vec(spec, r)),
-        translation_word(base, sigma_vec(spec, s)),
-    )
 
 
 def _class_members(spec: RootSystemSpec) -> Iterator[tuple[int, int]]:
@@ -411,7 +445,7 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
         for r in range(1, nu + 1)
     }
     zword = {
-        (r, s): central_image(spec, r, s)
+        (r, s): rep.central_image(r, s)
         for r in range(1, nu + 1)
         for s in range(r + 1, nu + 1)
     }
@@ -421,28 +455,28 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
                 lhs = rep.conjugate(_simple_root(spec, i), rep.mat(trans[(j, r)]))
-                rhs = rep.mat(trans[(j, r)] + power(trans[(i, r)], -a))
+                rhs = rep.mat(trans[(j, r)] + rep.power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
     for i in range(1, rank + 1):
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 for s in range(r, nu + 1):
-                    lhs = rep.mat(commutator(trans[(i, r)], trans[(j, s)]))
+                    lhs = rep.mat(rep.commutator(trans[(i, r)], trans[(j, s)]))
                     if r == s:
                         ok = lhs.is_identity()
                     else:
                         e = commutator_coeff(spec, i, j, r, s) // spec.pair_divisor(r, s)
-                        ok = lhs == rep.mat(power(zword[(r, s)], e))
+                        ok = lhs == rep.mat(rep.power(zword[(r, s)], e))
                     items.append(CheckItem("commutator", (i, j, r, s), ok))
 
     for side, mask in _class_members(spec):
-        zj = central_word(spec, _simple_root(spec, side), mask)
+        zj = rep.central_word(_simple_root(spec, side), mask)
         rhs: Word = ()
         members = elems_of(mask)
         for r, s in itertools.combinations(members, 2):
-            rhs += power(zword[(r, s)], 2 // spec.pair_divisor(r, s))
-        ok = rep.mat(power(zj, 2)) == rep.mat(rhs)
+            rhs += rep.power(zword[(r, s)], 2 // spec.pair_divisor(r, s))
+        ok = rep.mat(rep.power(zj, 2)) == rep.mat(rhs)
         items.append(CheckItem("square", (side, members), ok))
     return VerifyReport(items)
 
@@ -463,8 +497,8 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     difference: list[CheckItem] = []
     defect: list[CheckItem] = []
 
-    def t(root: Root, sigma: Sequence[int]) -> Mat:
-        return rep.mat(translation_word(root, sigma))
+    def t(root: Root, sigma: tuple[int, ...]) -> Mat:
+        return rep.mat(rep.translation_word(root, sigma))
 
     for i in range(1, rank + 1):
         for r in range(1, nu + 1):
@@ -473,14 +507,14 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
             tmat = rep.mat(word)
             for n in range(1, 4):
                 direct = rep.mat(rep.translation(i, r, n))
-                powers.append(CheckItem("power", (i, r, n), rep.mat(power(word, n)) == direct))
-                ok = rep.mat(power(word, n) + rep.translation(i, r, -n)).is_identity()
+                ok = rep.mat(rep.power(word, n)) == direct
+                powers.append(CheckItem("power", (i, r, n), ok))
+                ok = rep.mat(rep.power(word, n) + rep.translation(i, r, -n)).is_identity()
                 powers.append(CheckItem("power", (i, r, -n), ok))
             # base shift t_(alpha + n sigma)^sigma = t_alpha^sigma, and negation
-            ((base, sigma),) = word
+            base, sigma = _simple_root(spec, i), _step_sigma(spec, i, r)
             for n in (-2, -1, 1, 2):
-                ((_, n_sigma),) = rep.translation(i, r, n)
-                ok = t(_add_iso(base, n_sigma), sigma) == tmat
+                ok = t(_add_iso(base, _step_sigma(spec, i, r, n)), sigma) == tmat
                 shift.append(CheckItem("base-shift", (i, r, n), ok))
             neg = Root(_neg(base.finite), base.iso)
             ok = rep.mat(rep.translation(i, r, -1)) == t(neg, sigma)
@@ -488,8 +522,8 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
 
     for side in (1, 2):
         for r, s in itertools.permutations(range(1, nu + 1), 2):
-            ((alpha, sig),) = rep.translation(side, r)
-            ((_, del_),) = rep.translation(side, s)
+            alpha = _simple_root(spec, side)
+            sig, del_ = _step_sigma(spec, side, r), _step_sigma(spec, side, s)
             a_sig, a_del = _add_iso(alpha, sig), _add_iso(alpha, del_)
             # exchange identity t^(-d)_(a+s) t^d_a = t^s_(a+d) t^(-s)_a
             needed = [
@@ -501,8 +535,8 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
                 _add_iso(alpha, _neg(del_)),
             ]
             if all(map(rep.is_root, needed)):
-                lhs = rep.mat(translation_word(a_sig, _neg(del_)) + rep.translation(side, s))
-                rhs = rep.mat(translation_word(a_del, sig) + rep.translation(side, r, -1))
+                lhs = rep.mat(rep.translation_word(a_sig, _neg(del_)) + rep.translation(side, s))
+                rhs = rep.mat(rep.translation_word(a_del, sig) + rep.translation(side, r, -1))
                 exchange.append(CheckItem("exchange", (side, r, s), lhs == rhs))
             # the difference word t^d_(a+s) t^(-d)_a is central
             if (
@@ -510,7 +544,7 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
                 and rep.is_root(_add_iso(a_sig, del_))
                 and rep.is_root(_add_iso(alpha, _neg(del_)))
             ):
-                word = translation_word(a_sig, del_) + rep.translation(side, s, -1)
+                word = rep.translation_word(a_sig, del_) + rep.translation(side, s, -1)
                 ok = _centrality(rep, rep.mat(word), gens)
                 difference.append(CheckItem("central-difference", (side, r, s), ok))
 
@@ -518,13 +552,13 @@ def verify_translation_identities(rep: Representation) -> VerifyReport:
     for (si, sj) in ((1, 1), (1, 2), (2, 2)):
         for r in range(1, nu + 1):
             for s in range(r + 1, nu + 1):
-                com = commutator(rep.translation(si, r), rep.translation(sj, s))
+                com = rep.commutator(rep.translation(si, r), rep.translation(sj, s))
                 ok = _centrality(rep, rep.mat(com), gens)
                 central.append(CheckItem("central-commutator", (si, sj, r, s), ok))
 
     # the central words z_J are central
     for side, mask in _class_members(spec):
-        zj = rep.mat(central_word(spec, _simple_root(spec, side), mask))
+        zj = rep.mat(rep.central_word(_simple_root(spec, side), mask))
         ok = _centrality(rep, zj, gens)
         defect.append(CheckItem("central-defect", (side, elems_of(mask)), ok))
     return VerifyReport(powers + shift + exchange + central + difference + defect)
@@ -553,9 +587,9 @@ def verify_choice_independence(rep: Representation) -> VerifyReport:
     )
     for r in range(1, spec.nullity + 1):
         for s in range(r + 1, spec.nullity + 1):
-            base = rep.mat(central_image(spec, r, s))
-            other = rep.mat(central_image(
-                spec, r, s, short_base=alt_short if s <= spec.twist else alt[0],
+            base = rep.mat(rep.central_image(r, s))
+            other = rep.mat(rep.central_image(
+                r, s, short_base=alt_short if s <= spec.twist else alt[0],
                 long_base=alt[1],
             ))
             items.append(CheckItem("choice-independence", (r, s), base == other))
@@ -743,7 +777,7 @@ def verify_center_freeness(rep: Representation) -> FreenessReport:
     pairs = [(r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
     disp = [
         Mat([[x - (i == j) for j, x in enumerate(row)] for i, row in enumerate(z.rows)])
-        for z in (rep.mat(central_image(spec, r, s)) for r, s in pairs)
+        for z in (rep.mat(rep.central_image(r, s)) for r, s in pairs)
     ]
     flat = [[x for row in d.rows for x in row] for d in disp]
     rank = sum(1 for entry in smith_diagonal(flat) if entry)

@@ -6,15 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylconj import weylgroup
 from weylconj.corpus import reference_corpus
 from weylconj.exactmat import Mat, smith_diagonal
-from weylconj.weylgroup import (
-    Representation,
-    inverse,
-    translation,
-    verify_choice_independence,
-)
+from weylconj.weylgroup import Representation, verify_choice_independence
 
 
 mat2 = st.lists(st.lists(st.integers(-6, 6), min_size=2, max_size=2),
@@ -133,13 +127,13 @@ def test_word_inverse_matches_rational_elimination(monkeypatch):
     # the elimination the inverse words replaced, kept as their oracle:
     # every t_{i,r} and every z_{r,s} word, alternate bases included
     recorded = []
-    central_image = weylgroup.central_image
+    central_image = Representation.central_image
 
-    def recording(*args, **kwargs):
-        recorded.append(central_image(*args, **kwargs))
+    def recording(self, *args, **kwargs):
+        recorded.append(central_image(self, *args, **kwargs))
         return recorded[-1]
 
-    monkeypatch.setattr(weylgroup, "central_image", recording)
+    monkeypatch.setattr(Representation, "central_image", recording)
     checked = 0
     for _, spec in reference_corpus():
         if spec.nullity > 2:
@@ -149,12 +143,12 @@ def test_word_inverse_matches_rational_elimination(monkeypatch):
         assert verify_choice_independence(rep).passed
         assert len(recorded) == spec.nullity * (spec.nullity - 1)  # default + alternate
         words = [
-            translation(spec, i, r)
+            rep.translation(i, r)
             for i in range(1, spec.rank + 1)
             for r in range(1, spec.nullity + 1)
         ] + recorded
         for word in words:
-            m, m_inv = rep.mat(word), rep.mat(inverse(word))
+            m, m_inv = rep.mat(word), rep.mat(rep.inverse(word))
             assert (m @ m_inv).is_identity()
             assert [list(row) for row in m_inv.rows] == fraction_inverse(m)
         checked += len(words)

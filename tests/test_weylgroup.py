@@ -7,6 +7,8 @@ from functools import reduce
 from operator import matmul
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from weylconj import weylgroup
 from weylconj.cli import EXIT_INVARIANT
@@ -24,16 +26,9 @@ from weylconj.weylgroup import (
     CoverReport,
     Representation,
     ambient_dim,
-    central_image,
-    central_word,
-    commutator,
-    inverse,
     is_root,
     orbit_cover,
-    power,
     reflection,
-    translation,
-    translation_word,
     verify_center_freeness,
     verify_choice_independence,
     verify_structure_identities,
@@ -220,7 +215,8 @@ class TestTranslation:
         fr = spec.roots
         # k_{1,r} = 1 for short theta1; k_{2,2} = 1 since direction 2 is untwisted
         for j, r in ((1, 1), (1, 2), (2, 2)):
-            tm = Representation(spec).mat(translation(spec, j, r))
+            rep = Representation(spec)
+            tm = rep.mat(rep.translation(j, r))
             theta = embed(spec, Root(fr.simple[j - 1], (0, 0)))
             moved = apply_mat(tm, theta)
             expected = list(theta)
@@ -232,7 +228,8 @@ class TestTranslation:
         n = ambient_dim(spec)
         f = len(spec.roots.theta1)
         for i, r in ((1, 1), (2, 1), (2, 2)):
-            tm = Representation(spec).mat(translation(spec, i, r))
+            rep = Representation(spec)
+            tm = rep.mat(rep.translation(i, r))
             for q in range(spec.nullity):
                 e = tuple(1 if c == f + q else 0 for c in range(n))
                 assert apply_mat(tm, e) == e
@@ -241,14 +238,14 @@ class TestTranslation:
         spec = spec_b2()
         rep = Representation(spec)
         base = Root(spec.roots.theta2, (0, 0))
-        word = translation(spec, 2, 1)
+        word = rep.translation(2, 1)
         tm = rep.mat(word)
         acc = Mat.identity(ambient_dim(spec))
         for n in range(1, 4):
             acc = acc @ tm
-            assert acc == rep.mat(translation_word(base, (2 * n, 0)))
-            assert rep.mat(power(word, n)) == acc
-        assert rep.mat(power(word, -2)) == rep.mat(translation_word(base, (-4, 0)))
+            assert acc == rep.mat(rep.translation_word(base, (2 * n, 0)))
+            assert rep.mat(rep.power(word, n)) == acc
+        assert rep.mat(rep.power(word, -2)) == rep.mat(rep.translation_word(base, (-4, 0)))
 
 
 class TestCentralImages:
@@ -260,7 +257,7 @@ class TestCentralImages:
         gens = [reflection(spec, g) for g in generating_roots(spec)]
         for r in range(1, spec.nullity + 1):
             for s in range(r + 1, spec.nullity + 1):
-                z = rep.mat(central_image(spec, r, s))
+                z = rep.mat(rep.central_image(r, s))
                 assert all(z @ w == w @ z for w in gens)
 
     def test_choice_independence(self):
@@ -271,15 +268,30 @@ class TestCentralImages:
     def test_nu1_has_no_pairs(self):
         spec = make_spec("B", 2, 1, 1, LAT(1), Z0)
         with pytest.raises(ValueError):
-            central_image(spec, 1, 1)
+            Representation(spec).central_image(1, 1)
 
     def test_supported_pair_word_squares_correctly(self):
         # z_J^2 for a supported pair J = {r,s} collapses to z_{r,s}^2
         spec = make_spec("B", 2, 2, 2, LAT(2), Z0)
         rep = Representation(spec)
-        zj = rep.mat(central_word(spec, Root(spec.roots.theta1, (0, 0)), 0b11))
-        z = rep.mat(central_image(spec, 1, 2))
+        zj = rep.mat(rep.central_word(Root(spec.roots.theta1, (0, 0)), 0b11))
+        z = rep.mat(rep.central_image(1, 2))
         assert zj @ zj == z @ z
+
+
+def factors(rep, word) -> tuple:
+    """The (root, sigma) factors of a numbered word, read back from the representation."""
+    by_number = {n: factor for factor, n in rep._numbers.items()}
+    return tuple(by_number[n] for n in word)
+
+
+def shifted(root: Root, sigma) -> Root:
+    return Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
+
+
+def factor_inverse(word) -> tuple:
+    """Reference: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), on (root, sigma) factors, reversed."""
+    return tuple((shifted(root, sigma), tuple(-x for x in sigma)) for root, sigma in reversed(word))
 
 
 class TestWords:
@@ -288,57 +300,146 @@ class TestWords:
         rep = Representation(spec)
         ident = rep.mat(())
         assert ident.is_identity()
-        x, y = translation(spec, 1, 1), translation(spec, 2, 3)
-        for word in (x, x + y, commutator(x, y), central_image(spec, 1, 3)):
+        x, y = rep.translation(1, 1), rep.translation(2, 3)
+        for word in (x, x + y, rep.commutator(x, y), rep.central_image(1, 3)):
             m = rep.mat(word)
             assert ident @ m == m == m @ ident
-            assert inverse(inverse(word)) == word
-            assert (m @ rep.mat(inverse(word))).is_identity()
-            assert (rep.mat(inverse(word)) @ m).is_identity()
-        assert inverse(x + y) == inverse(y) + inverse(x)
+            assert rep.inverse(rep.inverse(word)) == word
+            assert factors(rep, rep.inverse(word)) == factor_inverse(factors(rep, word))
+            assert (m @ rep.mat(rep.inverse(word))).is_identity()
+            assert (rep.mat(rep.inverse(word)) @ m).is_identity()
+            assert rep.mat(rep.inverse(word) + word).is_identity()
+        assert rep.inverse(x + y) == rep.inverse(y) + rep.inverse(x)
 
     def test_commutator_of_commuting_is_identity(self):
         # translations along one direction commute; across directions
         # their commutator is the central z_{1,2}, not the identity
         spec = spec_b2()
         rep = Representation(spec)
-        x, y = translation(spec, 1, 1), translation(spec, 2, 1)
-        assert commutator(x, y) == inverse(x) + inverse(y) + x + y
-        assert rep.mat(commutator(x, y)).is_identity()
-        assert not rep.mat(commutator(x, translation(spec, 2, 2))).is_identity()
+        x, y = rep.translation(1, 1), rep.translation(2, 1)
+        assert rep.commutator(x, y) == rep.inverse(x) + rep.inverse(y) + x + y
+        assert rep.mat(rep.commutator(x, y)).is_identity()
+        assert not rep.mat(rep.commutator(x, rep.translation(2, 2))).is_identity()
 
     def test_negative_power_raises_the_inverse_word(self):
         spec = spec_g2()
         rep = Representation(spec)
-        word = central_image(spec, 1, 2)
+        word = rep.central_image(1, 2)
         for e in (1, 2, 3):
-            assert rep.mat(power(word, -e)) == rep.mat(power(inverse(word), e))
-            assert (rep.mat(power(word, e)) @ rep.mat(power(word, -e))).is_identity()
-        assert rep.mat(power(word, 0)).is_identity()
+            assert rep.mat(rep.power(word, -e)) == rep.mat(rep.power(rep.inverse(word), e))
+            assert (rep.mat(rep.power(word, e)) @ rep.mat(rep.power(word, -e))).is_identity()
+        assert rep.mat(rep.power(word, 0)).is_identity()
 
     def test_power_is_a_word(self):
         spec = spec_b2_mixed()
-        x, y = translation(spec, 1, 1), translation(spec, 2, 3)
-        assert power(x + y, 0) == ()
-        assert power(x + y, 1) == x + y
-        assert power(x + y, 3) == x + y + x + y + x + y
-        assert power(x + y, -2) == inverse(x + y) * 2 == inverse(power(x + y, 2))
+        rep = Representation(spec)
+        x, y = rep.translation(1, 1), rep.translation(2, 3)
+        assert rep.power(x + y, 0) == ()
+        assert rep.power(x + y, 1) == x + y
+        assert rep.power(x + y, 3) == x + y + x + y + x + y
+        assert rep.power(x + y, -2) == rep.inverse(x + y) * 2 == rep.inverse(rep.power(x + y, 2))
+
+    def test_each_factor_is_numbered_once_with_its_inverse(self):
+        spec = corpus_spec("B3 nu3 t3 S1=pairs S2=0")
+        rep, words = suite_words(spec)
+        numbers = sorted(rep._numbers.values())
+        assert numbers == list(range(len(rep._inverse))) == list(range(len(rep._factor_pairs)))
+        by_number = {n: factor for factor, n in rep._numbers.items()}
+        for n, (root, sigma) in by_number.items():
+            assert rep.translation_word(root, sigma) == (n,)
+            assert by_number[rep._inverse[n]] == factor_inverse([(root, sigma)])[0]
+            assert rep._inverse[rep._inverse[n]] == n
+            assert rep._factor_pairs[n] == (rep.pair(shifted(root, sigma)), rep.pair(root))
+        assert {n for word in words for n in word} <= set(by_number)
+
+    def test_zero_shift_is_its_own_inverse(self):
+        spec = spec_b2()
+        rep = Representation(spec)
+        (n,) = word = rep.translation_word(Root(spec.roots.theta1, (0, 0)), (0, 0))
+        assert rep.inverse(word) == word and rep._inverse == [n]
+        assert rep.mat(word).is_identity()
 
 
-def reference_mat(spec, word, factors: dict | None = None) -> Mat:
-    """Oracle: a word's matrix as the product of dense reflections.
+WORD_SPECS = (
+    "B2 nu3 t1 S1=lat S2=min",
+    "B3 nu3 t3 S1=pairs S2=0",
+    "C3 nu3 t1 S1=lat S2=lat",
+    "F4 nu2 t1 S1=lat S2=lat",
+    "G2 nu3 t1 S1=lat S2=lat",
+)
+_FACTOR_POOLS: dict = {}
 
-    Each factor (root, sigma) is the product w_(root+sigma) w_root of two
-    `reflection` matrices; `factors` caches those products by factor.
+
+def corpus_factors(label) -> list:
+    """Every factor (root, sigma) the suites number on a corpus spec, in sorted order."""
+    if label not in _FACTOR_POOLS:
+        rep, _ = suite_words(corpus_spec(label))
+        _FACTOR_POOLS[label] = sorted(rep._numbers)
+    return _FACTOR_POOLS[label]
+
+
+word_trees = st.recursive(
+    st.tuples(st.just("factor"), st.integers(0, 10**6)),
+    lambda inner: st.one_of(
+        st.tuples(st.just("product"), inner, inner),
+        st.tuples(st.just("inverse"), inner),
+        st.tuples(st.just("power"), inner, st.integers(-2, 2)),
+        st.tuples(st.just("commutator"), inner, inner),
+    ),
+    max_leaves=5,
+)
+
+
+def build_word(rep, pool, tree) -> tuple:
+    """(numbered word, its reflection roots): the tree built by `rep`, and as reflections.
+
+    The second part lists the roots whose reflections multiply, left to
+    right, to the word's matrix: a factor t_a^s is w_(a+s) w_a, and as
+    reflections are involutions, an inverse reverses the list.
     """
-    factors = {} if factors is None else factors
+    kind, *args = tree
+    if kind == "factor":
+        root, sigma = pool[args[0] % len(pool)]
+        return rep.translation_word(root, sigma), [shifted(root, sigma), root]
+    x, xs = build_word(rep, pool, args[0])
+    if kind == "inverse":
+        return rep.inverse(x), xs[::-1]
+    if kind == "power":
+        e = args[1]
+        return rep.power(x, e), (xs if e >= 0 else xs[::-1]) * abs(e)
+    y, ys = build_word(rep, pool, args[1])
+    if kind == "product":
+        return x + y, xs + ys
+    return rep.commutator(x, y), xs[::-1] + ys[::-1] + xs + ys
+
+
+@given(st.sampled_from(WORD_SPECS), word_trees)
+@settings(max_examples=60, deadline=None)
+def test_numbered_words_match_dense_products(label, tree):
+    spec = corpus_spec(label)
+    rep = Representation(spec)
+    word, roots = build_word(rep, corpus_factors(label), tree)
+    assert 2 * len(word) == len(roots)
+    dense = reduce(matmul, [reflection(spec, root) for root in roots], Mat.identity(rep.dim))
+    assert rep.mat(word) == dense
+    assert rep.mat(rep.inverse(word) + word).is_identity()
+
+
+def reference_mat(rep, word, cache: dict | None = None) -> Mat:
+    """Oracle: a numbered word's matrix as the product of dense reflections.
+
+    Each factor (root, sigma), read back from the representation, is the
+    product w_(root+sigma) w_root of two `reflection` matrices; `cache`
+    keeps those products by factor.
+    """
+    cache = {} if cache is None else cache
     mats = []
-    for root, sigma in word:
-        if (root, sigma) not in factors:
-            shifted = Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
-            factors[root, sigma] = reflection(spec, shifted) @ reflection(spec, root)
-        mats.append(factors[root, sigma])
-    return reduce(matmul, mats, Mat.identity(ambient_dim(spec)))
+    for root, sigma in factors(rep, word):
+        if (root, sigma) not in cache:
+            w_shifted, w_root = reflection(rep.spec, shifted(root, sigma)), reflection(rep.spec, root)
+            cache[root, sigma] = w_shifted @ w_root
+        mats.append(cache[root, sigma])
+    return reduce(matmul, mats, Mat.identity(rep.dim))
 
 
 def right_update(rows: list[list[int]], beta, coroot) -> None:
@@ -350,21 +451,22 @@ def right_update(rows: list[list[int]], beta, coroot) -> None:
                 row[c] -= x * y
 
 
-def two_pass_mat(spec, word, prefixes: dict) -> Mat:
-    """Oracle: a word's matrix by the two-pass build, with no row shared between matrices.
+def two_pass_mat(rep, word, prefixes: dict) -> Mat:
+    """Oracle: a numbered word's matrix by the two-pass build, with no row shared between matrices.
 
     The prefix's rows are copied into lists and updated in place, first
-    by w_(root+sigma), then by w_root; `prefixes` caches each prefix.
+    by w_(root+sigma), then by w_root, with the pairs of a fresh
+    representation; `prefixes` caches each prefix.
     """
     got = prefixes.get(word)
     if got is None:
         if not word:
-            return Mat.identity(ambient_dim(spec))
-        root, sigma = word[-1]
-        rows = [list(row) for row in two_pass_mat(spec, word[:-1], prefixes).rows]
-        shifted = Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
-        right_update(rows, *Representation(spec).pair(shifted))
-        right_update(rows, *Representation(spec).pair(root))
+            return Mat.identity(rep.dim)
+        ((root, sigma),) = factors(rep, word[-1:])
+        rows = [list(row) for row in two_pass_mat(rep, word[:-1], prefixes).rows]
+        fresh = Representation(rep.spec)
+        right_update(rows, *fresh.pair(shifted(root, sigma)))
+        right_update(rows, *fresh.pair(root))
         got = prefixes[word] = Mat(rows)
     return got
 
@@ -400,15 +502,15 @@ def mismatched_words(spec) -> list:
     """
     rep, words = suite_words(spec)
     assert words
-    factors: dict = {}
+    cache: dict = {}
     prefixes: dict = {}
     return [
         word
         for word in words
         if not (
             rep.mat(word)
-            == reference_mat(spec, word, factors)
-            == two_pass_mat(spec, word, prefixes)
+            == reference_mat(rep, word, cache)
+            == two_pass_mat(rep, word, prefixes)
         )
     ]
 
@@ -423,6 +525,43 @@ def corpus_spec(label):
     from weylconj.corpus import reference_corpus
 
     return dict(reference_corpus())[label]
+
+
+def loop_right_rows(rows, beta, coroot):
+    """Reference: rows (I - beta beta^vee) with u beta summed over beta, whatever its length."""
+    out = []
+    for row in rows:
+        x = sum(row[c] * b for c, b in beta)
+        out.append(tuple(v - x * dict(coroot).get(c, 0) for c, v in enumerate(row)) if x else row)
+    return tuple(out)
+
+
+@st.composite
+def kernel_cases(draw):
+    """(rows, beta, coroot): integer rows, mostly zero, and a beta of 1-4 entries."""
+    n = draw(st.integers(1, 8))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, -3])
+    rows = draw(st.lists(st.tuples(*[entry] * n), min_size=1, max_size=8))
+    nonzero = st.sampled_from([1, -1, 2, -2, 3])
+    columns = st.lists(st.integers(0, n - 1), min_size=1, max_size=min(4, n), unique=True)
+    beta = tuple((c, draw(nonzero)) for c in sorted(draw(columns)))
+    coroot = tuple((c, draw(nonzero)) for c in sorted(draw(columns)))
+    return rows, beta, coroot
+
+
+@given(kernel_cases())
+@settings(max_examples=300, deadline=None)
+def test_right_rows_matches_the_loop_and_the_dense_update(case):
+    # the two-term path (beta of one or two entries) and the loop (three
+    # or four) against the loop alone and the in-place list update
+    rows, beta, coroot = case
+    got = weylgroup._right_rows(rows, beta, coroot)
+    dense = [list(row) for row in rows]
+    right_update(dense, beta, coroot)
+    assert got == loop_right_rows(rows, beta, coroot) == tuple(map(tuple, dense))
+    for before, after in zip(rows, got):
+        if not sum(before[c] * b for c, b in beta):
+            assert after is before
 
 
 def flipped_right_rows(rows, beta, coroot):
@@ -446,6 +585,41 @@ def first_term_right_rows(rows, beta, coroot):
     return tuple(out)
 
 
+def one_term_right_rows(rows, beta, coroot):
+    """Mutant: the two-term path drops beta's second term, so u beta is u_c b alone."""
+    if len(beta) > 2:
+        return loop_right_rows(rows, beta, coroot)
+    (c, b), *_ = beta
+    out = []
+    for row in rows:
+        x = row[c] * b
+        out.append(tuple(v - x * dict(coroot).get(k, 0) for k, v in enumerate(row)) if x else row)
+    return tuple(out)
+
+
+def plus_sigma_translation_word(self, root, sigma):
+    """Mutant: the inverse table keeps +sigma, so each factor t_root^sigma is its own inverse."""
+    number = self._numbers.get((root, sigma))
+    if number is None:
+        number = self._numbers[root, sigma] = len(self._inverse)
+        self._factor_pairs.append((self.pair(shifted(root, sigma)), self.pair(root)))
+        self._inverse.append(number)
+    return (number,)
+
+
+def root_keyed_translation_word(self, root, sigma):
+    """Mutant: factors numbered by root alone, so two shifts of one root share a number."""
+    number = self._numbers.get(root)
+    if number is None:
+        moved = shifted(root, sigma)
+        number = self._numbers[root] = len(self._inverse)
+        self._numbers[moved] = number + 1
+        pairs = self.pair(moved), self.pair(root)
+        self._factor_pairs += [pairs, pairs[::-1]]
+        self._inverse += [number + 1, number]
+    return (number,)
+
+
 def flipped_left_update(rows, beta, coroot):
     """Mutant: (I + beta beta^vee) rows, the sign of the left update flipped."""
     v = [sum(y * rows[c][j] for c, y in coroot) for j in range(len(rows[0]))]
@@ -467,9 +641,9 @@ def beta_side_commutes(self, mat, root):
     return [b * x for x in m_beta] == want
 
 
-def non_central_word(spec, base, mask):
+def non_central_word(self, base, mask):
     """Mutant: z_J becomes t_base^(sigma_r) for the least r in J, which is not central."""
-    return translation_word(base, sigma_vec(spec, elems_of(mask)[0]))
+    return self.translation_word(base, sigma_vec(self.spec, elems_of(mask)[0]))
 
 
 def verify_exit(tmp_path, spec) -> int:
@@ -486,9 +660,24 @@ def sample_matrices(rep) -> list[Mat]:
     """Translation and central-image matrices: some commute with a given reflection, some not."""
     spec = rep.spec
     nu = spec.nullity
-    words = [translation(spec, i, r) for i in range(1, spec.rank + 1) for r in range(1, nu + 1)]
-    words += [central_image(spec, r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
+    words = [rep.translation(i, r) for i in range(1, spec.rank + 1) for r in range(1, nu + 1)]
+    words += [rep.central_image(r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
     return [rep.mat(word) for word in words]
+
+
+def dense_factor_mismatches(rep) -> list:
+    """The factors t_{i,r}^n, n in -2..2, whose matrix differs from w_(root+sigma) w_root."""
+    spec = rep.spec
+    found = []
+    for i in range(1, spec.rank + 1):
+        for r in range(1, spec.nullity + 1):
+            base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
+            for n in range(-2, 3):
+                sigma = sigma_vec(spec, r, n * spec.translation_step(i, r))
+                dense = reflection(spec, shifted(base, sigma)) @ reflection(spec, base)
+                if rep.mat(rep.translation_word(base, sigma)) != dense:
+                    found.append((i, r, n))
+    return found
 
 
 def conjugation_cases(spec):
@@ -574,9 +763,34 @@ class TestUpdatesAgainstProducts:
         )
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
+    def test_one_term_path_fails_the_oracle(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(weylgroup, "_right_rows", one_term_right_rows)
+        assert mismatched_words(spec)
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_inverse_keeping_plus_sigma_fails(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(Representation, "translation_word", plus_sigma_translation_word)
+        rep = Representation(spec)
+        word = rep.translation(1, 1)
+        assert not rep.mat(rep.inverse(word) + word).is_identity()
+        assert factors(rep, rep.inverse(word)) != factor_inverse(factors(rep, word))
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_factors_numbered_by_root_alone_fail(self, tmp_path, monkeypatch):
+        spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
+        monkeypatch.setattr(Representation, "translation_word", root_keyed_translation_word)
+        assert dense_factor_mismatches(Representation(spec))
+        assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
+
+    def test_translation_factors_match_dense_products(self):
+        for spec in (spec_b2_mixed(), spec_g2(), corpus_spec("B2 nu3 t1 S1=lat S2=min")):
+            assert dense_factor_mismatches(Representation(spec)) == []
+
     def test_non_central_word_fails_central_defect(self, tmp_path, monkeypatch):
         spec = corpus_spec("B3 nu3 t3 S1=pairs S2=0")
-        monkeypatch.setattr(weylgroup, "central_word", non_central_word)
+        monkeypatch.setattr(Representation, "central_word", non_central_word)
         report = verify_translation_identities(Representation(spec))
         defects = [item for item in report.items if item.identity == "central-defect"]
         assert defects and not any(item.passed for item in defects)
@@ -605,7 +819,11 @@ class TestCaches:
                 for n in (-2, -1, 1, 2):
                     word = rep.translation(i, r, n)
                     assert word is rep.translation(i, r, n)
-                    assert word == translation(spec, i, r, n)
+                    sigma = sigma_vec(spec, r, n * spec.translation_step(i, r))
+                    base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
+                    assert factors(rep, word) == ((base, sigma),)
+                    fresh = Representation(spec)
+                    assert factors(fresh, fresh.translation(i, r, n)) == ((base, sigma),)
 
 
 class TestVerifiers:
@@ -892,7 +1110,7 @@ GRID_EXPONENTS = range(-2, 3)
 def reference_freeness_grid(rep: Representation, zwords) -> list[tuple[int, ...]]:
     """Oracle: the non-zero exponent vectors in GRID_EXPONENTS^pairs whose product is I.
 
-    Each point multiplies rep.mat(power(z, e)) over the words in order; the
+    Each point multiplies rep.mat(rep.power(z, e)) over the words in order; the
     grid holds 5^pairs points, 124 non-zero ones at nullity 3.
     """
     found = []
@@ -902,17 +1120,17 @@ def reference_freeness_grid(rep: Representation, zwords) -> list[tuple[int, ...]
         product = rep.mat(())
         for z, e in zip(zwords, exps):
             if e:
-                product = product @ rep.mat(power(z, e))
+                product = product @ rep.mat(rep.power(z, e))
         if product.is_identity():
             found.append(exps)
     return found
 
 
-def central_words(spec) -> list:
+def central_words(rep) -> list:
     """z_{r,s} for the pairs r < s in the order `verify_center_freeness` takes them."""
-    nu = spec.nullity
+    nu = rep.spec.nullity
     return [
-        weylgroup.central_image(spec, r, s)
+        rep.central_image(r, s)
         for r in range(1, nu + 1)
         for s in range(r + 1, nu + 1)
     ]
@@ -927,10 +1145,10 @@ def corpus_nullity_at_most_3():
 def dependent_central_image(original):
     """Mutant: z_{1,3} becomes z_{1,2}^2, so D_{1,3} = 2 D_{1,2}."""
 
-    def mutant(spec, r, s, **bases):
+    def mutant(self, r, s, **bases):
         if (r, s) == (1, 3):
-            return power(original(spec, 1, 2, **bases), 2)
-        return original(spec, r, s, **bases)
+            return self.power(original(self, 1, 2, **bases), 2)
+        return original(self, r, s, **bases)
 
     return mutant
 
@@ -938,10 +1156,10 @@ def dependent_central_image(original):
 def translation_central_image(original):
     """Mutant: z_{1,2} becomes t_{1,1}, a one-factor translation that is not central."""
 
-    def mutant(spec, r, s, **bases):
+    def mutant(self, r, s, **bases):
         if (r, s) == (1, 2):
-            return translation(spec, 1, 1)
-        return original(spec, r, s, **bases)
+            return self.translation(1, 1)
+        return original(self, r, s, **bases)
 
     return mutant
 
@@ -951,7 +1169,7 @@ class TestFreeness:
         rep = Representation(spec_b2())
         report = verify_center_freeness(rep)
         assert report.pairs == 1 and report.passed
-        assert not rep.mat(central_image(spec_b2(), 1, 2)).is_identity()
+        assert not rep.mat(rep.central_image(1, 2)).is_identity()
 
     def test_nu3_three_pairs(self):
         spec = make_spec("B", 3, 3, 2, LAT(2), LAT(1))
@@ -970,22 +1188,22 @@ class TestFreeness:
         for label, spec in specs:
             rep = Representation(spec)
             assert verify_center_freeness(rep).passed, label
-            assert reference_freeness_grid(rep, central_words(spec)) == [], label
+            assert reference_freeness_grid(rep, central_words(rep)) == [], label
 
     def test_dependent_images_fail(self, monkeypatch):
         spec = dict(corpus_nullity_at_most_3())["B2 nu3 t1 S1=lat S2=min"]
         monkeypatch.setattr(
-            weylgroup, "central_image", dependent_central_image(weylgroup.central_image)
+            Representation, "central_image", dependent_central_image(Representation.central_image)
         )
         rep = Representation(spec)
         report = verify_center_freeness(rep)
         assert (report.independent, report.products_vanish, report.passed) == (False, True, False)
-        assert (2, -1, 0) in reference_freeness_grid(rep, central_words(spec))
+        assert (2, -1, 0) in reference_freeness_grid(rep, central_words(rep))
 
     def test_non_central_image_fails(self, monkeypatch):
         spec = dict(corpus_nullity_at_most_3())["B2 nu3 t1 S1=lat S2=min"]
         monkeypatch.setattr(
-            weylgroup, "central_image", translation_central_image(weylgroup.central_image)
+            Representation, "central_image", translation_central_image(Representation.central_image)
         )
         report = verify_center_freeness(Representation(spec))
         assert not report.products_vanish and not report.passed
@@ -998,7 +1216,7 @@ class TestFreeness:
         spec = dict(corpus_nullity_at_most_3())["B3 nu3 t3 S1=pairs S2=0"]
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(spec_to_json(spec)))
-        monkeypatch.setattr(weylgroup, "central_image", mutant(weylgroup.central_image))
+        monkeypatch.setattr(Representation, "central_image", mutant(Representation.central_image))
         assert main(["verify", str(path)]) == EXIT_INVARIANT
         assert "  center freeness: FAILED" in capsys.readouterr().out.splitlines()
 
