@@ -3,7 +3,7 @@
 import itertools
 import json
 from fractions import Fraction
-from functools import reduce
+from functools import cache, reduce
 from operator import matmul
 
 import pytest
@@ -367,15 +367,13 @@ WORD_SPECS = (
     "F4 nu2 t1 S1=lat S2=lat",
     "G2 nu3 t1 S1=lat S2=lat",
 )
-_FACTOR_POOLS: dict = {}
 
 
+@cache
 def corpus_factors(label) -> list:
     """Every factor (root, sigma) the suites number on a corpus spec, in sorted order."""
-    if label not in _FACTOR_POOLS:
-        rep, _ = suite_words(corpus_spec(label))
-        _FACTOR_POOLS[label] = sorted(rep._numbers)
-    return _FACTOR_POOLS[label]
+    rep, _ = suite_words(corpus_spec(label))
+    return sorted(rep._numbers)
 
 
 word_trees = st.recursive(
@@ -425,20 +423,20 @@ def test_numbered_words_match_dense_products(label, tree):
     assert rep.mat(rep.inverse(word) + word).is_identity()
 
 
-def reference_mat(rep, word, cache: dict | None = None) -> Mat:
+def reference_mat(rep, word, products: dict | None = None) -> Mat:
     """Oracle: a numbered word's matrix as the product of dense reflections.
 
     Each factor (root, sigma), read back from the representation, is the
-    product w_(root+sigma) w_root of two `reflection` matrices; `cache`
+    product w_(root+sigma) w_root of two `reflection` matrices; `products`
     keeps those products by factor.
     """
-    cache = {} if cache is None else cache
+    products = {} if products is None else products
     mats = []
     for root, sigma in factors(rep, word):
-        if (root, sigma) not in cache:
+        if (root, sigma) not in products:
             w_shifted, w_root = reflection(rep.spec, shifted(root, sigma)), reflection(rep.spec, root)
-            cache[root, sigma] = w_shifted @ w_root
-        mats.append(cache[root, sigma])
+            products[root, sigma] = w_shifted @ w_root
+        mats.append(products[root, sigma])
     return reduce(matmul, mats, Mat.identity(rep.dim))
 
 
@@ -502,14 +500,14 @@ def mismatched_words(spec) -> list:
     """
     rep, words = suite_words(spec)
     assert words
-    cache: dict = {}
+    products: dict = {}
     prefixes: dict = {}
     return [
         word
         for word in words
         if not (
             rep.mat(word)
-            == reference_mat(rep, word, cache)
+            == reference_mat(rep, word, products)
             == two_pass_mat(rep, word, prefixes)
         )
     ]
