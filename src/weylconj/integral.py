@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from typing import Iterable, Iterator, NamedTuple
 
-from .limits import MAX_FAMILY, refuse_past
+from .limits import MAX_FAMILY, MAX_NULLITY, refuse_past
 from .semilattice import PairIncidence, Semilattice, elems_of, enumerate_semilattices
 from .rootsystem import (
     InvariantBreach,
@@ -346,8 +346,10 @@ def construct_nonminimal(
     B3 and C3, times 2^|members| of the lattice side for B2); a count
     that differs raises `InvariantBreach`, never a silent skip.
     Visiting only the target index keeps dimension 5 (twist 5 for B,
-    nu - t = 5 for C) within a second for every index.
+    nu - t = 5 for C) within a second for every index.  The nullity is
+    refused past `MAX_NULLITY` first, as `check` refuses the spec.
     """
+    refuse_past("nullity", nullity, MAX_NULLITY)  # before the range test's 2^span
     sides = free_sides(family, rank)
     if not sides:
         raise SpecValidationError("the construction applies to types B and C")

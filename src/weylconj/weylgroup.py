@@ -4,7 +4,7 @@ The ambient space is the finite realisation extended by the isotropic
 directions sigma_1..sigma_nu and a scaled dual copy lambda'_1..lambda'_nu
 with (sigma_r, lambda'_s) = k delta_rs; reflections then act faithfully
 enough to separate the translation and central parts.  The factor k
-makes every reflection an integer matrix (see `Representation.pair`).  A
+makes every reflection an integer matrix (see `Representation.letter`).  A
 matrix M in this basis is P M_0 P^-1 for its matrix M_0 in the unscaled
 basis lambda_r, P = diag(1, .., 1, 1/k, .., 1/k), and conjugation
 changes no identity below.  Arithmetic is integer-only: roots have integer
@@ -12,29 +12,27 @@ coordinates, every coefficient of a reflection is an integer, and each
 matrix is an integer `Mat`, so each identity below is checked with zero
 tolerance.
 
-Group elements are words of translation factors t_root^sigma =
-w_(root+sigma) w_root.  A `Representation` gives each distinct factor
-(root, sigma) a small int the first time it meets it, so a word is a
-tuple of factor numbers, multiplied left to right.  Reflections are
-involutions, so the inverse of t_root^sigma is t_(root+sigma)^(-sigma),
-numbered together with it; a word's inverse is its reversed numbers,
-each replaced by its inverse's number, and a power is a longer word:
-no matrix is ever inverted or raised to a power.  Every reflection is
-w_beta = I - beta beta^vee, the identity minus one outer product, so it
-acts on a matrix as a rank-one update, M w_beta = M - (M beta) beta^vee,
-and no two matrices are ever multiplied to build a word: a product of
-two elements is the matrix of the concatenated word.  A
+Group elements are words of reflections w_root, multiplied left to
+right.  A `Representation` gives each root a small int, its letter, the
+first time it meets it, so a word is a tuple of letters; the
+translation factor t_root^sigma is the two-letter word w_(root+sigma)
+w_root.  Reflections are involutions, so a word's inverse is the word
+reversed, and a power is a longer word: no matrix is ever inverted or
+raised to a power.  Every reflection is w_beta = I - beta beta^vee, the
+identity minus one outer product, so it acts on a matrix as a rank-one
+update, M w_beta = M - (M beta) beta^vee, and no two matrices are ever
+multiplied to build a word: a product of two elements is the matrix of
+the concatenated word, and the conjugate w M w of a word's matrix is
+the matrix of the word between two copies of w's letter.  A
 `Representation` owns the matrices of one spec: the pair (beta,
-beta^vee) of each root, the two pairs and the inverse of each numbered
-factor, the finite part of each finite root's coroot, and the matrix
-of each word, built from its cached prefix by two right updates on row
-tuples.  A row whose product with beta is 0 is unchanged by w_beta, so
-the new matrix holds the prefix's row object itself.
-`Representation.mat` is the only way a word becomes a matrix;
-`Representation.conjugate` applies a reflection on both sides of a
-matrix, and `Representation.commutes` tests M w_beta = w_beta M as the
-equality of two rank-one matrices, (M beta) beta^vee = beta (beta^vee
-M), without building either side.
+beta^vee) of each letter, the finite part of each finite root's coroot,
+and the matrix of each word, built from its cached prefix by one right
+update on row tuples.  A row whose product with beta is 0 is unchanged
+by w_beta, so the new matrix holds the prefix's row object itself.
+`Representation.mat` is the only way a word becomes a matrix, and
+`Representation.commutes` tests M w_beta = w_beta M as the equality of
+two rank-one matrices, (M beta) beta^vee = beta (beta^vee M), without
+building either side.
 
 Three builders of a `Representation` make the paper's elements, and
 every suite calls them: `translation` builds t_{i,r}^n, `central_word`
@@ -73,7 +71,7 @@ from .rootsystem import (
 )
 from .semilattice import elems_of
 
-Word = tuple  # of factor numbers (`Representation.translation_word`), multiplied left to right
+Word = tuple  # of letters (`Representation.letter`), the reflections multiplied left to right
 
 
 def ambient_dim(spec: RootSystemSpec) -> int:
@@ -97,7 +95,7 @@ def _finite_coroot(spec: RootSystemSpec, root: Root) -> tuple[int, Sparse]:
 
 
 def reflection(spec: RootSystemSpec, root: Root) -> Mat:
-    """The matrix I - beta beta^vee of w_root (see `Representation.pair`)."""
+    """The matrix I - beta beta^vee of w_root (see `Representation.letter`)."""
     beta, coroot = Representation(spec).pair(root)
     n = ambient_dim(spec)
     rows = [[int(r == c) for c in range(n)] for r in range(n)]
@@ -141,15 +139,6 @@ def _right_rows(rows: Sequence[tuple[int, ...]], beta: Sparse, coroot: Sparse) -
     return tuple(out)
 
 
-def _left_update(rows: list[tuple[int, ...]], beta: Sparse, coroot: Sparse) -> None:
-    """rows <- (I - beta beta^vee) rows in place: row r loses beta_r (beta^vee rows)."""
-    v = [0] * len(rows[0])
-    for c, y in coroot:
-        v = [x + y * z for x, z in zip(v, rows[c])]
-    for r, b in beta:
-        rows[r] = tuple([x - b * y for x, y in zip(rows[r], v)])
-
-
 def refuse_verify_size(rank: int, nullity: int) -> None:
     """Refuse a rank or nullity past `verify`'s bounds, before any matrix is built."""
     refuse_past("verify rank", rank, MAX_VERIFY_RANK)
@@ -183,16 +172,14 @@ class Representation:
 
     It keeps what the suites would otherwise derive again on every use:
     whether each root it meets is a root (one `root_class` call each),
-    the pair (beta, beta^vee) of each root, the finite part of each
-    finite root's coroot, each word t_{i,r}^n and the matrix of each
-    word it builds.  Each distinct translation factor (root, sigma) gets
-    a number once, together with its inverse t_(root+sigma)^(-sigma);
-    per number it keeps the factor's two pairs and its inverse's number.
-    Words are tuples of these numbers, so a matrix lookup hashes small
-    ints and a word's inverse is a table lookup that builds no `Root`.
-    Every table lives as long as the representation, which `verify`
-    builds once per call.  Reflections act on matrices as rank-one
-    updates, so nothing here multiplies two matrices.
+    the letter of each root and the pair (beta, beta^vee) of each
+    letter, the finite part of each finite root's coroot, each word
+    t_{i,r}^n and the matrix of each word it builds.  Words are tuples
+    of letters, so a matrix lookup hashes small ints, and a word's
+    inverse is its letters reversed.  Every table lives as long as the
+    representation, which `verify` builds once per call.  Reflections
+    act on matrices as rank-one updates, so nothing here multiplies two
+    matrices.
     """
 
     def __init__(self, spec: RootSystemSpec):
@@ -201,10 +188,8 @@ class Representation:
         self.dim = ambient_dim(spec)
         self._roots: dict[Root, bool] = {}
         self._finite: dict = {}
-        self._pairs: dict[Root, tuple[Sparse, Sparse]] = {}
-        self._numbers: dict[tuple[Root, tuple[int, ...]], int] = {}
-        self._factor_pairs: list[tuple[tuple[Sparse, Sparse], tuple[Sparse, Sparse]]] = []
-        self._inverse: list[int] = []
+        self._numbers: dict[Root, int] = {}
+        self._letters: list[tuple[Sparse, Sparse]] = []
         self._translations: dict[tuple[int, int, int], Word] = {}
         self._words: dict[Word, Mat] = {(): Mat.identity(self.dim)}
 
@@ -215,23 +200,24 @@ class Representation:
             got = self._roots[root] = is_root(self.spec, root)
         return got
 
-    def pair(self, root: Root) -> tuple[Sparse, Sparse]:
-        """(beta, beta^vee) with w_root = I - beta beta^vee, for a non-isotropic root.
+    def letter(self, root: Root) -> int:
+        """The letter of w_root, for a non-isotropic root: its number, kept with its pair.
 
-        w_root is u -> u - (u, alpha^vee) alpha.  beta is the ambient column
-        of alpha, (finite, iso, 0..0).  The form pairs sigma_r with lambda'_r
-        only, as k, so G alpha = (gram finite, 0..0, k iso) and (alpha, alpha)
-        is the finite pairing.  beta^vee is the row of coefficients
-        (e_c, alpha^vee) = 2 (G alpha)_c / (alpha, alpha): the finite coroot,
-        a Cartan integer per finite column, 0 on the sigma columns and
-        2k iso_r / (alpha, alpha) on the lambda' columns, which is k iso_r
-        for a short alpha and iso_r for a long one.  The lambda' entries are
-        divided per root: in a scaled realisation 2k / (alpha, alpha) may be
-        a fraction whose multiples by iso_r are integers.  The finite part,
-        (alpha, alpha) and the finite columns, depends on the finite root
-        only and is kept by finite root.
+        w_root = I - beta beta^vee is u -> u - (u, alpha^vee) alpha.  beta
+        is the ambient column of alpha, (finite, iso, 0..0).  The form
+        pairs sigma_r with lambda'_r only, as k, so G alpha = (gram finite,
+        0..0, k iso) and (alpha, alpha) is the finite pairing.  beta^vee is
+        the row of coefficients (e_c, alpha^vee) = 2 (G alpha)_c / (alpha,
+        alpha): the finite coroot, a Cartan integer per finite column, 0 on
+        the sigma columns and 2k iso_r / (alpha, alpha) on the lambda'
+        columns, which is k iso_r for a short alpha and iso_r for a long
+        one.  The lambda' entries are divided per root: in a scaled
+        realisation 2k / (alpha, alpha) may be a fraction whose multiples
+        by iso_r are integers.  The finite part, (alpha, alpha) and the
+        finite columns, depends on the finite root only and is kept by
+        finite root.
         """
-        got = self._pairs.get(root)
+        got = self._numbers.get(root)
         if got is None:
             if not self.is_root(root):
                 raise InvariantBreach(f"{root} is not a non-isotropic root of the system")
@@ -247,35 +233,21 @@ class Representation:
                 if x
             )
             beta = tuple((c, x) for c, x in enumerate(root.finite + root.iso) if x)
-            got = self._pairs[root] = beta, coroot
+            got = self._numbers[root] = len(self._letters)
+            self._letters.append((beta, coroot))
         return got
 
-    def translation_word(self, root: Root, sigma: tuple[int, ...]) -> Word:
-        """The one-factor word t_root^sigma = w_(root+sigma) w_root.
+    def pair(self, root: Root) -> tuple[Sparse, Sparse]:
+        """(beta, beta^vee) with w_root = I - beta beta^vee (see `letter`)."""
+        return self._letters[self.letter(root)]
 
-        A factor met for the first time is numbered with its inverse
-        t_(root+sigma)^(-sigma) = w_root w_(root+sigma): the inverse's
-        two pairs are the factor's, swapped.  With sigma = 0 the factor
-        is the identity and its own inverse.
-        """
-        number = self._numbers.get((root, sigma))
-        if number is None:
-            shifted = _add_iso(root, sigma)
-            pairs = self.pair(shifted), self.pair(root)
-            number = self._numbers[root, sigma] = len(self._inverse)
-            self._factor_pairs.append(pairs)
-            if any(sigma):
-                self._numbers[shifted, _neg(sigma)] = number + 1
-                self._factor_pairs.append(pairs[::-1])
-                self._inverse += [number + 1, number]
-            else:
-                self._inverse.append(number)
-        return (number,)
+    def translation_word(self, root: Root, sigma: tuple[int, ...]) -> Word:
+        """The two-letter word t_root^sigma = w_(root+sigma) w_root."""
+        return self.letter(_add_iso(root, sigma)), self.letter(root)
 
     def inverse(self, word: Word) -> Word:
-        """The inverse word: each factor's inverse, in reverse order."""
-        inv = self._inverse
-        return tuple([inv[n] for n in reversed(word)])
+        """The inverse word: reflections are involutions, so the letters reversed."""
+        return word[::-1]
 
     def commutator(self, x: Word, y: Word) -> Word:
         """The word x^-1 y^-1 x y."""
@@ -288,7 +260,7 @@ class Representation:
     def translation(self, i: int, r: int, n: int = 1) -> Word:
         """t_{i,r}^n: the basic translation along sigma_r attached to the i-th simple root.
 
-        The one-factor word t_(alpha_i)^(n step sigma_r) (`_step_sigma`),
+        The two-letter word t_(alpha_i)^(n step sigma_r) (`_step_sigma`),
         built once per (i, r, n).
         """
         key = (i, r, n)
@@ -346,27 +318,17 @@ class Representation:
         )
 
     def mat(self, word: Word) -> Mat:
-        """The matrix of a word: its cached prefix times w_(root+sigma) w_root.
+        """The matrix of a word: its cached prefix times the reflection of its last letter.
 
-        The last factor t_root^sigma acts as two right updates, first by
-        w_(root+sigma), then by w_root, on the prefix's row tuples, so
-        every prefix is built once.  A row the factor leaves alone is
-        shared with the prefix's matrix, not copied.
+        The last letter acts as one right update on the prefix's row
+        tuples, so every prefix is built once.  A row the reflection
+        leaves alone is shared with the prefix's matrix, not copied.
         """
         got = self._words.get(word)
         if got is None:
-            rows = self.mat(word[:-1]).rows
-            for beta, coroot in self._factor_pairs[word[-1]]:
-                rows = _right_rows(rows, beta, coroot)
+            rows = _right_rows(self.mat(word[:-1]).rows, *self._letters[word[-1]])
             got = self._words[word] = Mat.wrap(rows)
         return got
-
-    def conjugate(self, root: Root, mat: Mat) -> Mat:
-        """w_root mat w_root, as a left and a right update."""
-        beta, coroot = self.pair(root)
-        rows = list(mat.rows)
-        _left_update(rows, beta, coroot)
-        return Mat.wrap(_right_rows(rows, beta, coroot))
 
     def commutes(self, mat: Mat, root: Root) -> bool:
         """Whether mat w_root = w_root mat, by comparing two rank-one matrices.
@@ -451,10 +413,11 @@ def verify_structure_identities(rep: Representation) -> VerifyReport:
     }
 
     for i in range(1, rank + 1):
+        w = (rep.letter(_simple_root(spec, i)),)
         for j in range(1, rank + 1):
             for r in range(1, nu + 1):
                 a = conj_exponent(spec, i, j, r)
-                lhs = rep.conjugate(_simple_root(spec, i), rep.mat(trans[(j, r)]))
+                lhs = rep.mat(w + trans[(j, r)] + w)
                 rhs = rep.mat(trans[(j, r)] + rep.power(trans[(i, r)], -a))
                 items.append(CheckItem("conjugation", (i, j, r), lhs == rhs))
 
@@ -686,7 +649,9 @@ def orbit_cover(spec: RootSystemSpec, height_bound: int) -> CoverReport:
                 f"generator set lacks the finite simple root {Root(alpha, zero)}"
             )
     affine = [g for g in gens if any(g.iso)]
-    values = range(-height_bound, height_bound + 1)
+    # the values of one iso coordinate: at nu = 0 the one iso tuple () has no
+    # coordinate, so none is built, whatever the height
+    values = range(-height_bound, height_bound + 1) if nu else range(0)
     isos = list(itertools.product(values, repeat=nu))
     modulus = 2 * fr.k // math.gcd(2, fr.k)
     residues = [x % modulus for x in values]

@@ -10,6 +10,9 @@ CI.
 
 import itertools
 import json
+import resource
+import subprocess
+import sys
 
 import pytest
 
@@ -48,6 +51,7 @@ SUITES = [(cli, f"verify_{name}") for name in ("structure_identities",
           "translation_identities", "choice_independence", "center_freeness")]
 SLICES = [(cli, "classification_pairs")]
 CLASSES = [(semilattice, "_free_masks")]
+LATTICES = [(semilattice.Semilattice, "lattice")]
 
 
 def write(tmp_path, doc):
@@ -100,6 +104,14 @@ EDGES = [
     edge("dimension 5", ["construct", "B", "5", "5", "--m1", "16"]),
     edge("dimension 6", ["construct", "B", "6", "6", "--m1", "20"],
          "semilattice dimension 6 exceeds the bound 5", CLASSES),
+    # construct's nullity: the lattice side takes dimension nu - 5
+    edge("construct nullity 16", ["construct", "B", "16", "5", "--m1", "16"]),
+    edge("construct nullity 17", ["construct", "B", "17", "5", "--m1", "16"],
+         "nullity 17 exceeds the bound 16", CLASSES + LATTICES),
+    # the range test's 2^span would not fit in memory
+    edge("construct nullity 10**12", ["construct", "B", str(10**12), str(10**12),
+                                      "--m1", str(10**12 + 10)],
+         f"nullity {10**12} exceeds the bound 16", CLASSES + LATTICES),
 ]
 
 
@@ -118,3 +130,26 @@ def test_edge(tmp_path, capsys, monkeypatch, argv, refusal, work):
     else:
         assert code == EXIT_INPUT and captured.out == ""
         assert captured.err.splitlines() == [f"error: {refusal}"]
+
+
+def cap_address_space():
+    """Limit the child to 1 GiB of address space, which a list of every height value outgrows."""
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+def test_cover_at_nullity_0_is_one_state_at_every_height(tmp_path):
+    # the box holds |finite roots| (2h + 5)^0 states at any height h, so
+    # the output differs only in bound and slack, and the cover builds
+    # nothing that grows with h; the run is capped in memory and time
+    path = write(tmp_path, b_spec(2, 0, [[]]))
+    outs = []
+    for height in (1, 10**9):
+        proc = subprocess.run(
+            [sys.executable, "-m", "weylconj.cli", "verify", path, "--json", "--height", str(height)],
+            capture_output=True, text=True, timeout=60, preexec_fn=cap_address_space,
+        )
+        assert (proc.returncode, proc.stderr) == (EXIT_OK, "")
+        cover = f'"bound": {height}, "slack": {height + 2}'
+        assert proc.stdout.count(cover) == 1
+        outs.append(proc.stdout.replace(cover, '"bound": h, "slack": h + 2'))
+    assert outs[0] == outs[1]

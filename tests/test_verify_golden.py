@@ -51,8 +51,9 @@ def test_verify_json_matches_golden(label, tmp_path, capsys):
     assert capsys.readouterr().out == golden_path(label).read_text(encoding="utf-8")
 
 
-# recorded with the two-pass word build and the set-BFS cover, the oracles
-# `tests/test_weylgroup.py` keeps as `two_pass_mat` and `set_orbit_cover`
+# recorded with the two-pass word build and the set-BFS cover; their oracles
+# in `tests/test_weylgroup.py` are `in_place_mat` (the same list-row updates,
+# one per letter) and `set_orbit_cover`
 CORPUS_DIGEST = "de59b39f7641c88e51e7fb6622c5a0edff323882d21929bd73f75ec5c5b823d2"
 
 

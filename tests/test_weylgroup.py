@@ -1,7 +1,10 @@
 """Exact matrix checks for reflections, translations and central elements."""
 
+import inspect
 import itertools
 import json
+import textwrap
+import types
 from fractions import Fraction
 from functools import cache, reduce
 from operator import matmul
@@ -10,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylconj import weylgroup
+from weylconj import cli, weylgroup
 from weylconj.cli import EXIT_INVARIANT
 from weylconj.exactmat import Mat
 from weylconj.rootsystem import (
@@ -279,19 +282,14 @@ class TestCentralImages:
         assert zj @ zj == z @ z
 
 
-def factors(rep, word) -> tuple:
-    """The (root, sigma) factors of a numbered word, read back from the representation."""
-    by_number = {n: factor for factor, n in rep._numbers.items()}
-    return tuple(by_number[n] for n in word)
+def roots_of(rep, word) -> tuple:
+    """The root of each letter of a word, read back from the representation."""
+    by_letter = {n: root for root, n in rep._numbers.items()}
+    return tuple(by_letter[n] for n in word)
 
 
 def shifted(root: Root, sigma) -> Root:
     return Root(root.finite, tuple(a + b for a, b in zip(root.iso, sigma)))
-
-
-def factor_inverse(word) -> tuple:
-    """Reference: (t_a^s)^-1 = w_a w_(a+s) = t_(a+s)^(-s), on (root, sigma) factors, reversed."""
-    return tuple((shifted(root, sigma), tuple(-x for x in sigma)) for root, sigma in reversed(word))
 
 
 class TestWords:
@@ -305,7 +303,7 @@ class TestWords:
             m = rep.mat(word)
             assert ident @ m == m == m @ ident
             assert rep.inverse(rep.inverse(word)) == word
-            assert factors(rep, rep.inverse(word)) == factor_inverse(factors(rep, word))
+            assert roots_of(rep, rep.inverse(word)) == roots_of(rep, word)[::-1]
             assert (m @ rep.mat(rep.inverse(word))).is_identity()
             assert (rep.mat(rep.inverse(word)) @ m).is_identity()
             assert rep.mat(rep.inverse(word) + word).is_identity()
@@ -339,24 +337,19 @@ class TestWords:
         assert rep.power(x + y, 3) == x + y + x + y + x + y
         assert rep.power(x + y, -2) == rep.inverse(x + y) * 2 == rep.inverse(rep.power(x + y, 2))
 
-    def test_each_factor_is_numbered_once_with_its_inverse(self):
+    def test_each_root_is_one_letter_and_the_inverse_reverses(self):
+        # a translation factor is two letters, and with sigma = 0 one letter twice
         spec = corpus_spec("B3 nu3 t3 S1=pairs S2=0")
         rep, words = suite_words(spec)
-        numbers = sorted(rep._numbers.values())
-        assert numbers == list(range(len(rep._inverse))) == list(range(len(rep._factor_pairs)))
-        by_number = {n: factor for factor, n in rep._numbers.items()}
-        for n, (root, sigma) in by_number.items():
-            assert rep.translation_word(root, sigma) == (n,)
-            assert by_number[rep._inverse[n]] == factor_inverse([(root, sigma)])[0]
-            assert rep._inverse[rep._inverse[n]] == n
-            assert rep._factor_pairs[n] == (rep.pair(shifted(root, sigma)), rep.pair(root))
-        assert {n for word in words for n in word} <= set(by_number)
-
-    def test_zero_shift_is_its_own_inverse(self):
-        spec = spec_b2()
-        rep = Representation(spec)
-        (n,) = word = rep.translation_word(Root(spec.roots.theta1, (0, 0)), (0, 0))
-        assert rep.inverse(word) == word and rep._inverse == [n]
+        assert sorted(rep._numbers.values()) == list(range(len(rep._letters)))
+        for root, n in rep._numbers.items():
+            assert rep.letter(root) == n
+            assert rep.pair(root) == rep._letters[n]
+        assert {n for word in words for n in word} <= set(rep._numbers.values())
+        for word in words:
+            assert rep.inverse(word) == word[::-1]
+        word = rep.translation_word(Root(spec.roots.theta1, (0, 0, 0)), (0, 0, 0))
+        assert word[0] == word[1] and rep.inverse(word) == word
         assert rep.mat(word).is_identity()
 
 
@@ -370,14 +363,14 @@ WORD_SPECS = (
 
 
 @cache
-def corpus_factors(label) -> list:
-    """Every factor (root, sigma) the suites number on a corpus spec, in sorted order."""
+def corpus_roots(label) -> list:
+    """Every root the suites give a letter on a corpus spec, in sorted order."""
     rep, _ = suite_words(corpus_spec(label))
     return sorted(rep._numbers)
 
 
 word_trees = st.recursive(
-    st.tuples(st.just("factor"), st.integers(0, 10**6)),
+    st.tuples(st.sampled_from(["letter", "factor"]), st.integers(0, 10**6), st.integers(0, 10**6)),
     lambda inner: st.one_of(
         st.tuples(st.just("product"), inner, inner),
         st.tuples(st.just("inverse"), inner),
@@ -389,16 +382,22 @@ word_trees = st.recursive(
 
 
 def build_word(rep, pool, tree) -> tuple:
-    """(numbered word, its reflection roots): the tree built by `rep`, and as reflections.
+    """(word, its reflection roots): the tree built by `rep`, and as reflections.
 
     The second part lists the roots whose reflections multiply, left to
-    right, to the word's matrix: a factor t_a^s is w_(a+s) w_a, and as
-    reflections are involutions, an inverse reverses the list.
+    right, to the word's matrix: a letter is one root of the pool, a
+    factor t_a^s is w_(a+s) w_a for two roots of the pool with one finite
+    part, and as reflections are involutions, an inverse reverses the list.
     """
     kind, *args = tree
-    if kind == "factor":
-        root, sigma = pool[args[0] % len(pool)]
-        return rep.translation_word(root, sigma), [shifted(root, sigma), root]
+    if kind in ("letter", "factor"):
+        root = pool[args[0] % len(pool)]
+        if kind == "letter":
+            return (rep.letter(root),), [root]
+        same = [other for other in pool if other.finite == root.finite]
+        moved = same[args[1] % len(same)]
+        sigma = tuple(b - a for a, b in zip(root.iso, moved.iso))
+        return rep.translation_word(root, sigma), [moved, root]
     x, xs = build_word(rep, pool, args[0])
     if kind == "inverse":
         return rep.inverse(x), xs[::-1]
@@ -416,27 +415,25 @@ def build_word(rep, pool, tree) -> tuple:
 def test_numbered_words_match_dense_products(label, tree):
     spec = corpus_spec(label)
     rep = Representation(spec)
-    word, roots = build_word(rep, corpus_factors(label), tree)
-    assert 2 * len(word) == len(roots)
+    word, roots = build_word(rep, corpus_roots(label), tree)
+    assert roots_of(rep, word) == tuple(roots)
     dense = reduce(matmul, [reflection(spec, root) for root in roots], Mat.identity(rep.dim))
     assert rep.mat(word) == dense
     assert rep.mat(rep.inverse(word) + word).is_identity()
 
 
-def reference_mat(rep, word, products: dict | None = None) -> Mat:
-    """Oracle: a numbered word's matrix as the product of dense reflections.
+def reference_mat(rep, word, reflections: dict | None = None) -> Mat:
+    """Oracle: a word's matrix as the product of dense reflections.
 
-    Each factor (root, sigma), read back from the representation, is the
-    product w_(root+sigma) w_root of two `reflection` matrices; `products`
-    keeps those products by factor.
+    Each letter's root, read back from the representation, gives one
+    `reflection` matrix; `reflections` keeps them by root.
     """
-    products = {} if products is None else products
+    reflections = {} if reflections is None else reflections
     mats = []
-    for root, sigma in factors(rep, word):
-        if (root, sigma) not in products:
-            w_shifted, w_root = reflection(rep.spec, shifted(root, sigma)), reflection(rep.spec, root)
-            products[root, sigma] = w_shifted @ w_root
-        mats.append(products[root, sigma])
+    for root in roots_of(rep, word):
+        if root not in reflections:
+            reflections[root] = reflection(rep.spec, root)
+        mats.append(reflections[root])
     return reduce(matmul, mats, Mat.identity(rep.dim))
 
 
@@ -449,22 +446,20 @@ def right_update(rows: list[list[int]], beta, coroot) -> None:
                 row[c] -= x * y
 
 
-def two_pass_mat(rep, word, prefixes: dict) -> Mat:
-    """Oracle: a numbered word's matrix by the two-pass build, with no row shared between matrices.
+def in_place_mat(rep, word, prefixes: dict) -> Mat:
+    """Oracle: a word's matrix built on list rows, with no row shared between matrices.
 
-    The prefix's rows are copied into lists and updated in place, first
-    by w_(root+sigma), then by w_root, with the pairs of a fresh
-    representation; `prefixes` caches each prefix.
+    The prefix's rows are copied into lists and updated in place by the
+    last letter's reflection, with the pair of a fresh representation;
+    `prefixes` caches each prefix.
     """
     got = prefixes.get(word)
     if got is None:
         if not word:
             return Mat.identity(rep.dim)
-        ((root, sigma),) = factors(rep, word[-1:])
-        rows = [list(row) for row in two_pass_mat(rep, word[:-1], prefixes).rows]
-        fresh = Representation(rep.spec)
-        right_update(rows, *fresh.pair(shifted(root, sigma)))
-        right_update(rows, *fresh.pair(root))
+        (root,) = roots_of(rep, word[-1:])
+        rows = [list(row) for row in in_place_mat(rep, word[:-1], prefixes).rows]
+        right_update(rows, *Representation(rep.spec).pair(root))
         got = prefixes[word] = Mat(rows)
     return got
 
@@ -496,19 +491,19 @@ def suite_words(spec) -> tuple[Representation, set]:
 def mismatched_words(spec) -> list:
     """The suite words whose `Representation.mat` differs from either oracle.
 
-    The oracles are `reference_mat` and `two_pass_mat`.
+    The oracles are `reference_mat` and `in_place_mat`.
     """
     rep, words = suite_words(spec)
     assert words
-    products: dict = {}
+    reflections: dict = {}
     prefixes: dict = {}
     return [
         word
         for word in words
         if not (
             rep.mat(word)
-            == reference_mat(rep, word, products)
-            == two_pass_mat(rep, word, prefixes)
+            == reference_mat(rep, word, reflections)
+            == in_place_mat(rep, word, prefixes)
         )
     ]
 
@@ -595,34 +590,32 @@ def one_term_right_rows(rows, beta, coroot):
     return tuple(out)
 
 
-def plus_sigma_translation_word(self, root, sigma):
-    """Mutant: the inverse table keeps +sigma, so each factor t_root^sigma is its own inverse."""
-    number = self._numbers.get((root, sigma))
-    if number is None:
-        number = self._numbers[root, sigma] = len(self._inverse)
-        self._factor_pairs.append((self.pair(shifted(root, sigma)), self.pair(root)))
-        self._inverse.append(number)
-    return (number,)
+def unreversed_inverse(self, word):
+    """Mutant: the inverse keeps the letters in order, so t_root^sigma is its own inverse."""
+    return word
 
 
-def root_keyed_translation_word(self, root, sigma):
-    """Mutant: factors numbered by root alone, so two shifts of one root share a number."""
-    number = self._numbers.get(root)
-    if number is None:
-        moved = shifted(root, sigma)
-        number = self._numbers[root] = len(self._inverse)
-        self._numbers[moved] = number + 1
-        pairs = self.pair(moved), self.pair(root)
-        self._factor_pairs += [pairs, pairs[::-1]]
-        self._inverse += [number + 1, number]
-    return (number,)
+LETTER = Representation.letter
 
 
-def flipped_left_update(rows, beta, coroot):
-    """Mutant: (I + beta beta^vee) rows, the sign of the left update flipped."""
-    v = [sum(y * rows[c][j] for c, y in coroot) for j in range(len(rows[0]))]
-    for r, b in beta:
-        rows[r] = tuple(x + b * y for x, y in zip(rows[r], v))
+def finite_keyed_letter(self, root):
+    """Mutant: letters keyed by the finite part alone, so every shift of a root shares one letter."""
+    return LETTER(self, Root(root.finite, (0,) * len(root.iso)))
+
+
+def conjugation_without_trailing_reflection():
+    """Mutant: `verify_structure_identities` with w_i t_{j,r} for w_i t_{j,r} w_i.
+
+    Built from the suite's own source with the trailing letter cut from
+    the left side of the conjugation relation.
+    """
+    source = textwrap.dedent(inspect.getsource(verify_structure_identities))
+    whole = "rep.mat(w + trans[(j, r)] + w)"
+    assert source.count(whole) == 1
+    namespace = dict(vars(weylgroup))
+    exec(compile(source.replace(whole, "rep.mat(w + trans[(j, r)])"), weylgroup.__file__, "exec"),
+         namespace)
+    return namespace["verify_structure_identities"]
 
 
 def beta_side_commutes(self, mat, root):
@@ -654,13 +647,12 @@ def verify_exit(tmp_path, spec) -> int:
     return main(["verify", str(path)])
 
 
-def sample_matrices(rep) -> list[Mat]:
-    """Translation and central-image matrices: some commute with a given reflection, some not."""
+def sample_words(rep) -> list:
+    """Translation and central-image words: some commute with a given reflection, some not."""
     spec = rep.spec
     nu = spec.nullity
     words = [rep.translation(i, r) for i in range(1, spec.rank + 1) for r in range(1, nu + 1)]
-    words += [rep.central_image(r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
-    return [rep.mat(word) for word in words]
+    return words + [rep.central_image(r, s) for r in range(1, nu + 1) for s in range(r + 1, nu + 1)]
 
 
 def dense_factor_mismatches(rep) -> list:
@@ -715,14 +707,17 @@ class TestUpdatesAgainstProducts:
         assert mismatched_words(spec) == []
 
     def test_conjugate_and_commutes_match_products(self):
+        # the conjugate w M w of a word's matrix is the word between two copies of w's letter
         outcomes = set()
         for spec in (spec_b2_mixed(), spec_g2(), corpus_spec("B3 nu3 t3 S1=pairs S2=0"),
                      corpus_spec("F4 nu2 t1 S1=lat S2=lat")):
             rep = Representation(spec)
-            mats = sample_matrices(rep)
+            words = sample_words(rep)
             for root, w in conjugation_cases(spec):
-                for m in mats:
-                    assert rep.conjugate(root, m) == w @ m @ w
+                letter = (rep.letter(root),)
+                for word in words:
+                    m = rep.mat(word)
+                    assert rep.mat(letter + word + letter) == w @ m @ w
                     commutes = rep.commutes(m, root)
                     assert commutes == (m @ w == w @ m)
                     outcomes.add(commutes)
@@ -749,16 +744,13 @@ class TestUpdatesAgainstProducts:
         mismatches, _ = commute_mismatches()
         assert mismatches
 
-    def test_flipped_left_update_fails_the_conjugation_oracle(self, tmp_path, monkeypatch):
+    def test_conjugation_word_without_trailing_reflection_fails(self, tmp_path, monkeypatch):
         spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
-        monkeypatch.setattr(weylgroup, "_left_update", flipped_left_update)
-        rep = Representation(spec)
-        mats = sample_matrices(rep)
-        assert any(
-            rep.conjugate(root, m) != w @ m @ w
-            for root, w in conjugation_cases(spec)
-            for m in mats
-        )
+        mutant = conjugation_without_trailing_reflection()
+        report = mutant(Representation(spec))
+        conjugations = [item for item in report.items if item.identity == "conjugation"]
+        assert conjugations and not any(item.passed for item in conjugations)
+        monkeypatch.setattr(cli, "verify_structure_identities", mutant)
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
     def test_one_term_path_fails_the_oracle(self, tmp_path, monkeypatch):
@@ -767,19 +759,22 @@ class TestUpdatesAgainstProducts:
         assert mismatched_words(spec)
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
-    def test_inverse_keeping_plus_sigma_fails(self, tmp_path, monkeypatch):
+    def test_unreversed_inverse_fails(self, tmp_path, monkeypatch):
         spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
-        monkeypatch.setattr(Representation, "translation_word", plus_sigma_translation_word)
+        monkeypatch.setattr(Representation, "inverse", unreversed_inverse)
         rep = Representation(spec)
         word = rep.translation(1, 1)
         assert not rep.mat(rep.inverse(word) + word).is_identity()
-        assert factors(rep, rep.inverse(word)) != factor_inverse(factors(rep, word))
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
-    def test_factors_numbered_by_root_alone_fail(self, tmp_path, monkeypatch):
+    def test_letters_keyed_by_the_finite_part_fail(self, tmp_path, monkeypatch):
+        # the dense oracle, `reflection`, reads letters too, so the mutant
+        # goes on one representation for the oracle and on the class for verify
         spec = corpus_spec("B2 nu3 t1 S1=lat S2=min")
-        monkeypatch.setattr(Representation, "translation_word", root_keyed_translation_word)
-        assert dense_factor_mismatches(Representation(spec))
+        rep = Representation(spec)
+        monkeypatch.setattr(rep, "letter", types.MethodType(finite_keyed_letter, rep))
+        assert dense_factor_mismatches(rep)
+        monkeypatch.setattr(Representation, "letter", finite_keyed_letter)
         assert verify_exit(tmp_path, spec) == EXIT_INVARIANT
 
     def test_translation_factors_match_dense_products(self):
@@ -807,7 +802,7 @@ class TestCaches:
         )
         rep, _ = suite_words(spec)
         assert len(tested) == len(set(tested)) > 0
-        assert all(rep.is_root(root) for root in rep._pairs)
+        assert all(rep.is_root(root) for root in rep._numbers)
 
     def test_kept_words_equal_fresh_words(self):
         spec = spec_b2_mixed()
@@ -819,9 +814,9 @@ class TestCaches:
                     assert word is rep.translation(i, r, n)
                     sigma = sigma_vec(spec, r, n * spec.translation_step(i, r))
                     base = Root(spec.roots.simple[i - 1], (0,) * spec.nullity)
-                    assert factors(rep, word) == ((base, sigma),)
+                    assert roots_of(rep, word) == (shifted(base, sigma), base)
                     fresh = Representation(spec)
-                    assert factors(fresh, fresh.translation(i, r, n)) == ((base, sigma),)
+                    assert roots_of(fresh, fresh.translation(i, r, n)) == (shifted(base, sigma), base)
 
 
 class TestVerifiers:
